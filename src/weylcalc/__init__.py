@@ -48,7 +48,6 @@ from .orbit import (
     OrbitConstruction,
     OrbitProblem,
     construct_orbit,
-    fit_in_expanding_span,
     select_expanding_lambdas,
     verify_orbit,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "OrbitConstruction",
     "OrbitProblem",
     "construct_orbit",
-    "fit_in_expanding_span",
     "select_expanding_lambdas",
     "verify_orbit",
 ]

@@ -1,136 +1,18 @@
-"""Coefficient-level hot loops with a numba backend and a numpy fallback.
+"""Coefficient-level hot loops, vectorized with numpy.
 
 The two kernels that dominate runtime are the binomial resummation behind
 series translation (O(N^2) per shift) and batch evaluation of a truncated
-series on collocation grids.  Both exist in two implementations:
-
-* ``numba`` -- the loop bodies below compiled with ``@njit`` (fastmath is
-  deliberately off: the Kahan compensation would be optimized away);
-* ``numpy`` -- vectorized equivalents.
-
-The backend is chosen at import time.  Set ``WEYLCALC_DISABLE_NUMBA=1`` to
-force the numpy path; ``benchmarks/bench_accel.py`` compares the two.
+series on collocation grids.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-DISABLE_ENV = "WEYLCALC_DISABLE_NUMBA"
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-# ---------------------------------------------------------------------------
-# loop bodies (compiled by numba when available)
-
-
-def _translate_loops(coeffs, lam, out, mags):
-    # b_m = sum_{n>=m} C(n, m) c_n lam^(n-m), Kahan-compensated re/im,
-    # with the absolute-term sums recorded for the validity heuristic.
-    n_len = coeffs.shape[0]
-    for m in range(n_len):
-        s_re = 0.0
-        s_im = 0.0
-        c_re = 0.0
-        c_im = 0.0
-        mag = 0.0
-        binom = 1.0
-        lam_pow = 1.0 + 0.0j
-        for n in range(m, n_len):
-            term = binom * coeffs[n] * lam_pow
-            mag += abs(term)
-            y = term.real - c_re
-            t = s_re + y
-            c_re = (t - s_re) - y
-            s_re = t
-            y = term.imag - c_im
-            t = s_im + y
-            c_im = (t - s_im) - y
-            s_im = t
-            lam_pow *= lam
-            binom = binom * (n + 1) / (n + 1 - m)
-        out[m] = s_re + 1j * s_im
-        mags[m] = mag
-
-
-def _eval_grid_loops(coeffs, points, out):
-    # sum c_n z^n with the running power and Kahan-compensated accumulation
-    n_len = coeffs.shape[0]
-    for j in range(points.shape[0]):
-        z = points[j]
-        zp = 1.0 + 0.0j
-        s_re = 0.0
-        s_im = 0.0
-        c_re = 0.0
-        c_im = 0.0
-        for n in range(n_len):
-            term = coeffs[n] * zp
-            y = term.real - c_re
-            t = s_re + y
-            c_re = (t - s_re) - y
-            s_re = t
-            y = term.imag - c_im
-            t = s_im + y
-            c_im = (t - s_im) - y
-            s_im = t
-            zp *= z
-        out[j] = s_re + 1j * s_im
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback
-
-
-def _binom_rows(n_len):
-    """Iterator of C(n, m) for n = m..N-1, one row per m."""
-    n = np.arange(n_len, dtype=np.float64)
-    row = np.ones(n_len)  # C(n, 0)
-    for m in range(n_len):
-        yield row[m:]
-        if m + 1 < n_len:
-            row = row * (n - m) / (m + 1)  # C(n, m+1) = C(n, m) (n-m)/(m+1)
-
-
-def _translate_numpy(coeffs, lam, out, mags):
-    n_len = coeffs.shape[0]
-    lam_pow = lam ** np.arange(n_len)
-    for m, brow in enumerate(_binom_rows(n_len)):
-        terms = brow * coeffs[m:] * lam_pow[: n_len - m]
-        out[m] = terms.sum()
-        mags[m] = np.abs(terms).sum()
-
-
-def _eval_grid_numpy(coeffs, points, out):
-    out[:] = np.polyval(coeffs[::-1], points)
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-IMPLEMENTATIONS = {"numpy": (_translate_numpy, _eval_grid_numpy)}
-
-try:
-    from numba import njit
-
-    _translate_njit = njit(cache=True)(_translate_loops)
-    _eval_grid_njit = njit(cache=True)(_eval_grid_loops)
-    IMPLEMENTATIONS["numba"] = (_translate_njit, _eval_grid_njit)
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-BACKEND = "numba" if (_HAVE_NUMBA and not _env_disabled()) else "numpy"
-_translate_impl, _eval_grid_impl = IMPLEMENTATIONS[BACKEND]
 
 
 def backend() -> str:
-    """Name of the active backend ('numba' or 'numpy')."""
-    return BACKEND
+    """Name of the implementation of the hot loops."""
+    return "numpy"
 
 
 def translate_kernel(coeffs: np.ndarray, lam: complex):
@@ -140,9 +22,18 @@ def translate_kernel(coeffs: np.ndarray, lam: complex):
     ``mags[m]`` the sum of absolute contributing terms (cancellation gauge).
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    n_len = coeffs.shape[0]
     out = np.empty_like(coeffs)
-    mags = np.empty(coeffs.shape[0], dtype=np.float64)
-    _translate_impl(coeffs, complex(lam), out, mags)
+    mags = np.empty(n_len, dtype=np.float64)
+    lam_pow = complex(lam) ** np.arange(n_len)
+    n = np.arange(n_len, dtype=np.float64)
+    binom = np.ones(n_len)  # C(n, m) for the current m
+    for m in range(n_len):
+        # b_m = sum_{n>=m} C(n, m) c_n lam^(n-m)
+        terms = binom[m:] * coeffs[m:] * lam_pow[: n_len - m]
+        out[m] = terms.sum()
+        mags[m] = np.abs(terms).sum()
+        binom = binom * (n - m) / (m + 1)  # C(n, m+1) = C(n, m) (n-m)/(m+1)
     return out, mags
 
 
@@ -150,6 +41,4 @@ def eval_grid(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate the truncated series at every point of ``points``."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     points = np.ascontiguousarray(points, dtype=np.complex128)
-    out = np.empty(points.shape[0], dtype=np.complex128)
-    _eval_grid_impl(coeffs, points, out)
-    return out
+    return np.polyval(coeffs[::-1], points)

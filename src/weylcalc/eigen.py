@@ -25,6 +25,7 @@ from .series import (
     DiskSpec,
     TaylorSeries,
     UNIT_DISK,
+    disk_sup_norm,
     evaluate_grid,
     exponential_series,
     linear_combine,
@@ -132,7 +133,7 @@ def eigen_residual(
     """Sup norm of T f_lambda - mu f_lambda on the disk."""
     f_lam = eigenfunction(family, lam)
     mu = eigenvalue_of(t, family, lam)
-    return _sup_norm(
+    return disk_sup_norm(
         linear_combine([(1.0, apply_weyl(t, f_lam)), (-mu, f_lam)]), disk
     )
 
@@ -146,13 +147,9 @@ def composite_eigencheck(
     """Sup norm of L(T) f_lambda - L(mu) f_lambda on the disk."""
     f_lam = eigenfunction(family, lam)
     mu = c.eigenvalue(eigenvalue_of(c.base, family, lam))
-    return _sup_norm(
+    return disk_sup_norm(
         linear_combine([(1.0, apply_composite(c, f_lam)), (-mu, f_lam)]), disk
     )
-
-
-def _sup_norm(f: TaylorSeries, disk: DiskSpec) -> float:
-    return float(np.abs(evaluate_grid(f, disk.boundary())).max())
 
 
 # ---------------------------------------------------------------------------

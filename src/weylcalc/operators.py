@@ -1,4 +1,4 @@
-"""Constant-coefficient operator algebra on truncated series.
+"""Constant-coefficient operator algebra on monomial coefficients.
 
 Three operator kinds:
 
@@ -8,15 +8,23 @@ Three operator kinds:
   relation [T, D] = a I;
 * :class:`CompositeOperator` -- a polynomial L applied to a Weyl operator.
 
-Besides truncated-series application the module provides exact monomial
-matrices, commutators, a ladder-identity check, and the decomposition
-diagnostic that recovers (a, M) from a monomial matrix.
+Every action of these operators goes through one banded core.  On the
+monomial basis T is stored by its diagonals: superdiagonal k carries
+d_k n (n-1)...(n-k+1) on column n and the subdiagonal carries -a.  L(T)
+is composed from them by Horner's scheme, and a commutator is two
+compositions and a subtraction.  The same numpy code runs on complex128
+arrays and on object arrays of exact Gaussian integers at one power-of-two
+scale: operator and series coefficients are doubles, hence dyadic
+rationals, so commutators and operator powers are formed exactly and
+rounded once.  Truncated-series application, monomial matrices,
+commutators, the ladder check and the direct orbit route all read the
+core; the decomposition diagnostic recovers (a, M) from a monomial matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,7 +43,6 @@ from .series import (
     differentiate,
     disk_sup_norm,
     linear_combine,
-    multiply_by_poly,
 )
 
 #: dense monomial matrices are capped at this degree
@@ -122,205 +129,269 @@ def diff_op(order: int = 1) -> ConvolutionOperator:
 
 
 # ---------------------------------------------------------------------------
-# application to truncated series
+# the banded core
+#
+# An operator on the monomials z^0..z^{size-1} is stored as a dict
+# {offset s: values}: values[j] is the coefficient of z^{j-s} in Op[z^j].
+# Entries whose row falls outside 0..size-1 are never read, so a dict is
+# the size x size section of the operator, and composing sections drops
+# the tail after every factor, as a fixed-length coefficient vector does.
 
 
-def apply_conv(m: ConvolutionOperator, f: TaylorSeries) -> TaylorSeries:
-    """sum_k d_k f^(k); valid_order drops by the operator order."""
-    p = m.order
-    if p >= f.valid_order:
-        raise OrderExhausted(
-            f"operator order {p} >= series valid_order {f.valid_order}"
+class _Gauss:
+    """Exact Gaussian integer, the element type of the exact core.
+
+    The attribute names match ``int.real`` and ``int.imag``, so the integer
+    zeros that numpy puts in object arrays read the same way.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real = real
+        self.imag = imag
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __neg__(self):
+        return _Gauss(-self.real, -self.imag)
+
+    def __add__(self, other):
+        if not isinstance(other, (int, _Gauss)):
+            return NotImplemented
+        return _Gauss(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, (int, _Gauss)):
+            return NotImplemented
+        return _Gauss(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
         )
-    terms = [
-        (m.d[k], differentiate(f, k)) for k in range(p + 1) if m.d[k] != 0
+
+    __rmul__ = __mul__
+
+
+def to_gaussian(values):
+    """Gaussian integers G (object array) and e >= 0 with values == G / 2**e.
+
+    Every double is a dyadic rational, so the conversion is exact.
+    """
+    parts = [
+        float(x).as_integer_ratio()
+        for z in np.atleast_1d(np.asarray(values, dtype=np.complex128))
+        for x in (z.real, z.imag)
     ]
-    out = linear_combine(terms)
-    # linear_combine already takes the min valid_order; pin the drop to p
-    return TaylorSeries(
-        out.coeffs,
-        valid_order=max(1, f.valid_order - p),
-        label=out.label,
-        shift_abs=f.shift_abs,
+    e = max(den.bit_length() for _, den in parts) - 1
+    ints = [num << (e + 1 - den.bit_length()) for num, den in parts]
+    out = np.empty(len(ints) // 2, dtype=object)
+    out[:] = [_Gauss(re, im) for re, im in zip(ints[0::2], ints[1::2])]
+    return out, e
+
+
+def _quotient(num: int, den: int) -> float:
+    try:
+        return num / den  # correctly rounded
+    except OverflowError:
+        return math.copysign(math.inf, num)
+
+
+def from_gaussian(re, im, e: int) -> np.ndarray:
+    """(re + i im) / 2**e for integer sequences re, im, each part rounded once."""
+    den = 1 << e
+    return np.array(
+        [complex(_quotient(x, den), _quotient(y, den)) for x, y in zip(re, im)],
+        dtype=np.complex128,
     )
 
 
-def apply_weyl(t: WeylOperator, f: TaylorSeries) -> TaylorSeries:
-    """(M - a z I) f on the overlapping coefficient range."""
-    conv = apply_conv(t.m, f)
-    if t.a == 0:
-        return conv
-    zf = multiply_by_poly(f, [0.0, 1.0])
-    return linear_combine([(1.0, conv), (-t.a, zf)])
+def _polynomial_form(op):
+    """(d, a, l, rise) with op = L(T) for T = sum_k d_k D^k - a z I.
+
+    ``rise`` bounds the degree growth: 0 for a convolution operator, deg L
+    otherwise.
+    """
+    one = np.array([0.0, 1.0], dtype=np.complex128)
+    if isinstance(op, ConvolutionOperator):
+        return op.d, 0j, one, 0
+    if isinstance(op, WeylOperator):
+        return op.m.d, op.a, one, 1
+    if isinstance(op, CompositeOperator):
+        q = op.poly_degree
+        return op.base.m.d, op.base.a, op.l[: q + 1], q
+    raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
-def apply_composite(c: CompositeOperator, f: TaylorSeries) -> TaylorSeries:
-    """Horner scheme in the operator: l_q T(...) + ... + l_0 f."""
-    q = c.poly_degree
-    if q * c.base.m.order >= f.valid_order:
-        raise OrderExhausted(
-            f"composite needs {q * c.base.m.order} derivative levels, series "
-            f"valid_order is {f.valid_order}"
-        )
-    l = c.l[: q + 1]
-    res = linear_combine([(l[-1], f)])
+def _compose(x: dict, y: dict) -> dict:
+    """Section of x y (y applied first)."""
+    size = next(iter(y.values())).size
+    out: dict = {}
+    for sy, vy in y.items():
+        for sx, vx in x.items():
+            # column j of y lands on row j - sy, then on row j - sy - sx
+            lo = max(0, sy, sx + sy)
+            hi = size + min(0, sy, sx + sy)
+            if lo >= hi:
+                continue
+            acc = out.get(sx + sy)
+            if acc is None:
+                acc = out[sx + sy] = np.zeros(size, dtype=vy.dtype)
+            acc[lo:hi] += vx[lo - sy : hi - sy] * vy[lo:hi]
+    return out
+
+
+def _bands(op, size: int, exact: bool):
+    """Section of op on z^0..z^{size-1} and its scale exponent e.
+
+    The operator equals the section divided by 2**e.  Rounded: complex128
+    values and e = 0.  Exact: Gaussian integers, with T scaled to
+    T' = 2**s T and 2**(t + s q) L(T) = sum_k (2**t l_k) 2**(s (q-k)) T'^k.
+    """
+    d, a, l, _ = _polynomial_form(op)
+    q = l.size - 1
+    if exact:
+        dtype = object
+        coeffs, s = to_gaussian(np.append(d, -a))
+        d, minus_a = coeffs[:-1], coeffs[-1]
+        l, t = to_gaussian(l)
+        l = [c * (1 << (s * (q - k))) for k, c in enumerate(l)]
+        scale = t + s * q
+    else:
+        dtype = np.complex128
+        minus_a = -a
+        scale = 0
+    col = np.arange(size, dtype=object if exact else np.float64)
+    base = {}
+    fall = np.ones(size, dtype=col.dtype)  # j (j-1) ... (j-k+1)
+    for k, dk in enumerate(d):
+        if dk:
+            base[k] = fall * dk
+        fall = fall * (col - k)
+    if minus_a:
+        base[-1] = np.full(size, minus_a, dtype=dtype)
+    section = {0: np.full(size, l[q], dtype=dtype)}
     for k in range(q - 1, -1, -1):
-        res = linear_combine([(1.0, apply_weyl(c.base, res)), (l[k], f)])
-    return res
+        section = _compose(base, section)
+        if l[k]:
+            section[0] = section.get(0, np.zeros(size, dtype=dtype)) + l[k]
+    return section, scale
 
 
-# ---------------------------------------------------------------------------
-# exact polynomial action (no truncation: inputs are genuine polynomials)
-
-
-def _poly_diff(p: np.ndarray) -> np.ndarray:
-    if p.size <= 1:
-        return np.zeros(1, dtype=np.complex128)
-    return p[1:] * np.arange(1, p.size)
-
-
-def _poly_shift_up(p: np.ndarray) -> np.ndarray:
-    out = np.zeros(p.size + 1, dtype=np.complex128)
-    out[1:] = p
+def _act(section: dict, x: np.ndarray) -> np.ndarray:
+    """Image of the coefficient vector x under the section."""
+    size = x.size
+    out = np.zeros(size, dtype=x.dtype)
+    for s, v in section.items():
+        lo, hi = max(0, s), size + min(0, s)
+        out[lo - s : hi - s] += v[lo:hi] * x[lo:hi]
     return out
 
 
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(a.size, b.size)
-    out = np.zeros(n, dtype=np.complex128)
-    out[: a.size] += a
-    out[: b.size] += b
-    return out
+def _dense(section: dict, rows: int, cols: int) -> np.ndarray:
+    """The section's first ``cols`` columns and ``rows`` rows as a matrix."""
+    entries = np.zeros((rows, cols), dtype=np.complex128)
+    for s, v in section.items():
+        j = np.arange(max(0, s), min(cols, rows + s))
+        entries[j - s, j] = v[j]
+    return entries
 
 
 def op_on_poly(op, p) -> np.ndarray:
-    """Exact image of the polynomial p (coefficient array) under op."""
+    """Image of the polynomial p (coefficient array) under op, untruncated."""
     p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
-    if isinstance(op, ConvolutionOperator):
-        out = np.zeros(1, dtype=np.complex128)
-        dk = p
-        for k in range(op.d.size):
-            if op.d[k] != 0:
-                out = _poly_add(out, op.d[k] * dk)
-            dk = _poly_diff(dk)
-        return out
-    if isinstance(op, WeylOperator):
-        out = op_on_poly(op.m, p)
-        if op.a != 0:
-            out = _poly_add(out, -op.a * _poly_shift_up(p))
-        return out
-    if isinstance(op, CompositeOperator):
-        q = op.poly_degree
-        res = op.l[q] * p
-        for k in range(q - 1, -1, -1):
-            res = _poly_add(op_on_poly(op.base, res), op.l[k] * p)
-        return res
-    raise TypeError(f"unsupported operator type {type(op).__name__}")
+    x = np.zeros(p.size + _polynomial_form(op)[3], dtype=np.complex128)
+    x[: p.size] = p
+    return _act(_bands(op, x.size, exact=False)[0], x)
 
 
-def _degree_raise(op) -> int:
-    if isinstance(op, ConvolutionOperator):
-        return 0
-    if isinstance(op, WeylOperator):
-        return 1
-    if isinstance(op, CompositeOperator):
-        return op.poly_degree
-    raise TypeError(f"unsupported operator type {type(op).__name__}")
+def exact_power(op, coeffs, n: int):
+    """op^n on the fixed-length coefficient vector ``coeffs``, exactly.
+
+    The tail beyond ``len(coeffs)`` is dropped after every factor of T.
+    Returns Gaussian integers G and e with the image equal to G / 2**e.
+    """
+    section, scale = _bands(op, len(coeffs), exact=True)
+    g, e = to_gaussian(coeffs)
+    for _ in range(n):
+        g = _act(section, g)
+    return g, e + n * scale
 
 
 def matrix_on_monomials(op, n_cap: int) -> OperatorMatrix:
     """Exact action on z^0..z^n_cap as a dense matrix."""
     if not (1 <= n_cap <= N_CAP_MAX):
         raise ValueError(f"n_cap must be in 1..{N_CAP_MAX}, got {n_cap}")
-    rows = n_cap + 1 + max(1, _degree_raise(op))
-    entries = np.zeros((rows, n_cap + 1), dtype=np.complex128)
-    for n in range(n_cap + 1):
-        mono = np.zeros(n + 1, dtype=np.complex128)
-        mono[n] = 1.0
-        col = op_on_poly(op, mono)
-        entries[: col.size, n] = col
-    return OperatorMatrix(entries, n_cap)
-
-
-# exact complex-rational polynomial arithmetic: operator coefficients are
-# dyadic rationals (doubles), so compositions and commutators can be done
-# without rounding; the factorial factors would otherwise drown 1e-12
-# checks at high degree
-
-
-def _exact_scalar(z) -> tuple:
-    z = complex(z)
-    return (Fraction(z.real), Fraction(z.imag))
-
-
-def _exact_mul(a: tuple, b: tuple) -> tuple:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _exact_poly_accum(acc: dict, p: dict, s: tuple) -> None:
-    """acc += s * p on sparse {degree: (re, im)} polynomials."""
-    for deg, c in p.items():
-        v = _exact_mul(s, c)
-        old = acc.get(deg)
-        acc[deg] = v if old is None else (old[0] + v[0], old[1] + v[1])
-
-
-def _exact_poly_diff(p: dict) -> dict:
-    return {deg - 1: (c[0] * deg, c[1] * deg) for deg, c in p.items() if deg > 0}
-
-
-def _exact_poly_shift_up(p: dict) -> dict:
-    return {deg + 1: c for deg, c in p.items()}
-
-
-def _exact_op_on_poly(op, p: dict) -> dict:
-    out: dict = {}
-    if isinstance(op, ConvolutionOperator):
-        dk = p
-        for k in range(op.d.size):
-            if op.d[k] != 0:
-                _exact_poly_accum(out, dk, _exact_scalar(op.d[k]))
-            dk = _exact_poly_diff(dk)
-        return out
-    if isinstance(op, WeylOperator):
-        out = _exact_op_on_poly(op.m, p)
-        if op.a != 0:
-            _exact_poly_accum(out, _exact_poly_shift_up(p), _exact_scalar(-op.a))
-        return out
-    if isinstance(op, CompositeOperator):
-        q = op.poly_degree
-        _exact_poly_accum(out, p, _exact_scalar(op.l[q]))
-        for k in range(q - 1, -1, -1):
-            out = _exact_op_on_poly(op.base, out)
-            _exact_poly_accum(out, p, _exact_scalar(op.l[k]))
-        return out
-    raise TypeError(f"unsupported operator type {type(op).__name__}")
+    rows = n_cap + 1 + max(1, _polynomial_form(op)[3])
+    section, _ = _bands(op, rows, exact=False)
+    return OperatorMatrix(_dense(section, rows, n_cap + 1), n_cap)
 
 
 def commutator_matrix(op_a, op_b, n_cap: int) -> OperatorMatrix:
     """Matrix of op_a op_b - op_b op_a on monomials of degree <= n_cap - 1.
 
-    Computed in exact rational arithmetic (the inputs are dyadic
-    rationals), so algebraic identities like [M - a z I, D] = a I come out
-    bit-exact instead of drowning in the factorial growth of the
-    intermediate compositions.  One degree is sacrificed to the
-    composition, so the stored cap is n_cap - 1.
+    Composed in exact Gaussian-integer arithmetic (the inputs are dyadic
+    rationals) and rounded once per entry, so algebraic identities like
+    [M - a z I, D] = a I come out bit-exact instead of drowning in the
+    factorial growth of the intermediate compositions.  One degree is
+    sacrificed to the composition, so the stored cap is n_cap - 1.
     """
-    if n_cap < 2:
-        raise ValueError("n_cap must be >= 2")
-    raise_total = _degree_raise(op_a) + _degree_raise(op_b)
-    rows = n_cap + max(1, raise_total)
-    entries = np.zeros((rows, n_cap), dtype=np.complex128)
-    minus_one = _exact_scalar(-1.0)
-    for n in range(n_cap):
-        mono = {n: (Fraction(1), Fraction(0))}
-        col = _exact_op_on_poly(op_a, _exact_op_on_poly(op_b, mono))
-        ba = _exact_op_on_poly(op_b, _exact_op_on_poly(op_a, mono))
-        _exact_poly_accum(col, ba, minus_one)
-        for deg, c in col.items():
-            if deg < rows:
-                entries[deg, n] = complex(float(c[0]), float(c[1]))
-    return OperatorMatrix(entries, n_cap - 1)
+    if not (2 <= n_cap <= N_CAP_MAX):
+        raise ValueError(f"n_cap must be in 2..{N_CAP_MAX}, got {n_cap}")
+    rise = _polynomial_form(op_a)[3] + _polynomial_form(op_b)[3]
+    rows = n_cap + max(1, rise)
+    sec_a, e_a = _bands(op_a, rows, exact=True)
+    sec_b, e_b = _bands(op_b, rows, exact=True)
+    comm = _compose(sec_a, sec_b)
+    for s, v in _compose(sec_b, sec_a).items():
+        comm[s] = comm.get(s, 0) - v
+    rounded = {
+        s: from_gaussian([x.real for x in v], [x.imag for x in v], e_a + e_b)
+        for s, v in comm.items()
+    }
+    return OperatorMatrix(_dense(rounded, rows, n_cap), n_cap - 1)
+
+
+# ---------------------------------------------------------------------------
+# application to truncated series
+
+
+def _series_image(op, f: TaylorSeries, drop: int) -> TaylorSeries:
+    """op f on the coefficients that do not reach past the truncation.
+
+    ``drop`` is the number of derivative levels op takes; valid_order drops
+    by it.
+    """
+    if drop >= f.valid_order:
+        raise OrderExhausted(
+            f"operator needs {drop} derivative levels, series valid_order "
+            f"is {f.valid_order}"
+        )
+    image = op_on_poly(op, f.coeffs)[: len(f) - drop]
+    return TaylorSeries(image, valid_order=f.valid_order - drop)
+
+
+def apply_conv(m: ConvolutionOperator, f: TaylorSeries) -> TaylorSeries:
+    """sum_k d_k f^(k)."""
+    return _series_image(m, f, m.order)
+
+
+def apply_weyl(t: WeylOperator, f: TaylorSeries) -> TaylorSeries:
+    """(M - a z I) f on the overlapping coefficient range."""
+    return _series_image(t, f, t.m.order)
+
+
+def apply_composite(c: CompositeOperator, f: TaylorSeries) -> TaylorSeries:
+    """L(T) f, a polynomial of degree q in T taking q times the order of M."""
+    return _series_image(c, f, c.poly_degree * c.base.m.order)
 
 
 def scalar_identity_diagnostics(mat: OperatorMatrix):
@@ -389,13 +460,8 @@ def _commutator_with_diff(mat: OperatorMatrix) -> OperatorMatrix:
     e = mat.entries
     rows, cols = e.shape
     out = np.zeros((rows, cols), dtype=np.complex128)
-    for n in range(cols):
-        col = np.zeros(rows, dtype=np.complex128)
-        if n >= 1:
-            col[: rows] += n * e[:, n - 1]
-        dcol = _poly_diff(e[:, n])
-        col[: dcol.size] -= dcol
-        out[:, n] = col
+    out[:, 1:] += e[:, :-1] * np.arange(1, cols)
+    out[:-1, :] -= e[1:, :] * np.arange(1, rows)[:, None]
     return OperatorMatrix(out, mat.n_cap)
 
 

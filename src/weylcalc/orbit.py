@@ -15,8 +15,11 @@ earlier blocks; the correction is applied exactly in eigen-coordinates
 numerically would only add noise).
 
 Verification never trusts the bookkeeping alone: achieved errors are
-recomputed on an independent grid and the smallest scheduled iterate is
-cross-checked by direct repeated operator application.
+recomputed on an independent grid, and every scheduled iterate up to
+DIRECT_CAP is cross-checked by direct repeated operator application.  The
+direct route powers L(T) through the banded core of
+:mod:`weylcalc.operators` in exact Gaussian-integer arithmetic and rounds
+once, so it carries no precision setting.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .eigen import (
     completeness_fit,
     eigenfunction,
 )
-from .operators import CompositeOperator
+from .operators import CompositeOperator, exact_power, from_gaussian, to_gaussian
 from .series import TaylorSeries, disk_sup_norm, evaluate_grid, linear_combine
 
 #: default cap on the largest scheduled iterate
@@ -45,8 +48,9 @@ SCHEDULE_CAP = 200
 #: direct operator-power verification is run only up to this iterate
 DIRECT_CAP = 40
 
-#: working precision (decimal digits) for the direct power route
-DIRECT_DIGITS = 60
+#: fixed-point bits kept below the resolution of the exact coefficients
+#: when the direct route evaluates them
+GUARD_BITS = 64
 
 #: radial search cap for expanding eigenvalue points
 SEARCH_RADIUS_CAP = 64.0
@@ -101,61 +105,29 @@ class OrbitConstruction:
 
 
 def direct_power_values(
-    c: CompositeOperator,
-    f: TaylorSeries,
-    n: int,
-    pts: np.ndarray,
-    digits: int = DIRECT_DIGITS,
+    c: CompositeOperator, f: TaylorSeries, n: int, pts: np.ndarray
 ) -> np.ndarray:
     """A^n f evaluated at ``pts`` by repeated operator application.
 
-    Runs in extended precision: the truncated operator is severely
-    non-normal, and in double precision repeated application amplifies
-    roundoff by orders of magnitude per step, drowning the comparison
-    with eigenvalue bookkeeping.  At ``digits`` working digits the
-    route is limited by the truncation tail, not by rounding.
+    A acts on the fixed-length coefficient vector of f, the tail dropped
+    after every factor of T, in exact arithmetic: the truncated operator is
+    severely non-normal, and rounded repeated application would amplify
+    roundoff by orders of magnitude per step.  The exact coefficients are
+    summed by fixed-point Horner with GUARD_BITS below their resolution and
+    each value is rounded once.
     """
-    import mpmath
-
-    with mpmath.workdps(digits):
-        d = [mpmath.mpc(v) for v in c.base.m.d]
-        a = mpmath.mpc(c.base.a)
-        lpoly = [mpmath.mpc(v) for v in c.l]
-        g = [mpmath.mpc(v) for v in f.coeffs]
-        size = len(g)
-
-        def apply_t(vec):
-            out = []
-            for i in range(size):
-                acc = mpmath.mpc(0)
-                fall = mpmath.mpf(1)  # (i+k)!/i!, updated incrementally
-                for k, dk in enumerate(d):
-                    if i + k < size and dk != 0:
-                        acc += dk * fall * vec[i + k]
-                    fall *= i + k + 1
-                if i >= 1:
-                    acc -= a * vec[i - 1]
-                out.append(acc)
-            return out
-
-        def apply_l(vec):
-            acc = [lpoly[-1] * v for v in vec]
-            for coef in reversed(lpoly[:-1]):
-                acc = apply_t(acc)
-                for i in range(size):
-                    acc[i] += coef * vec[i]
-            return acc
-
-        for _ in range(n):
-            g = apply_l(g)
-        vals = []
-        for z in pts:
-            zz = mpmath.mpc(z)
-            acc = mpmath.mpc(0)
-            for coef in reversed(g):
-                acc = acc * zz + coef
-            vals.append(complex(acc))
-    return np.array(vals, dtype=np.complex128)
+    g, e = exact_power(c, f.coeffs, n)
+    z, ez = to_gaussian(pts)
+    z_re = np.array([v.real for v in z], dtype=object)
+    z_im = np.array([v.imag for v in z], dtype=object)
+    acc_re = np.zeros(z.size, dtype=object)
+    acc_im = np.zeros(z.size, dtype=object)
+    for coef in g[::-1]:
+        acc_re, acc_im = (
+            ((acc_re * z_re - acc_im * z_im) >> ez) + (coef.real << GUARD_BITS),
+            ((acc_re * z_im + acc_im * z_re) >> ez) + (coef.imag << GUARD_BITS),
+        )
+    return from_gaussian(acc_re, acc_im, e + GUARD_BITS)
 
 
 def effective_symbol(c: CompositeOperator, family: EigenFamily):
@@ -222,17 +194,6 @@ def select_expanding_lambdas(
     )
 
 
-def fit_in_expanding_span(
-    family: EigenFamily,
-    lambdas: LambdaSet,
-    target: TaylorSeries,
-    disk: DiskSpec,
-    ridge: float = 1e-10,
-) -> FitReport:
-    """Completeness fit restricted to the expanding eigen-span."""
-    return completeness_fit(family, lambdas, target, disk, ridge)
-
-
 def _schedule_gap(mass, m, epsilon, margin, gap_factor):
     ratio = mass * 4 * m / epsilon
     if ratio <= 1.0:
@@ -247,7 +208,6 @@ def construct_orbit(
     gap_factor: float = 1.25,
     ridge: float = 1e-10,
     schedule_cap: int = SCHEDULE_CAP,
-    direct_cap: int = DIRECT_CAP,
 ) -> OrbitConstruction:
     """Greedy block construction over the target list.
 
@@ -274,7 +234,7 @@ def construct_orbit(
     per_target = []
     leakage = []
     for j, q in enumerate(problem.targets):
-        fit = fit_in_expanding_span(family, lambdas, q, disk, ridge)
+        fit = completeness_fit(family, lambdas, q, disk, ridge)
         if fit.residual_norm > problem.epsilon / 2:
             raise BudgetExceeded(
                 f"target {j}: fit residual {fit.residual_norm:.3e} exceeds "
@@ -346,18 +306,6 @@ def construct_orbit(
         "leakage": leakage,
         "all_targets_met": all(row["success"] for row in per_target),
     }
-    # independent spot check: direct operator powers at the smallest iterate
-    n1 = schedule[0]
-    if n1 <= direct_cap:
-        direct_vals = direct_power_values(c, f, n1, verify_pts)
-        eig_vals = member_vals @ np.array(
-            [sum(blk.weights[k] * mu[k] ** (n1 - blk.n) for blk in blocks)
-             for k in range(len(mu))]
-        )
-        report["direct_spot_check"] = {
-            "n": n1,
-            "discrepancy": float(np.abs(direct_vals - eig_vals).max()),
-        }
     return OrbitConstruction(
         f=f,
         schedule=schedule,

@@ -78,7 +78,9 @@ def _pair_to_complex(pair, what: str) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
+        or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
+        )
     ):
         raise MalformedSpec(f"{what}: expected [re, im] pair, got {pair!r}")
     return complex(pair[0], pair[1])
@@ -167,16 +169,6 @@ def write_csv(path: Path, header: list, rows) -> None:
                 fh.write(",".join(cell(v) for v in row) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def matrix_rows(entries: np.ndarray):
-    for (r, c), v in np.ndenumerate(entries):
-        yield r, c, v.real, v.imag
-
-
-def grid_rows(theta: np.ndarray, values: np.ndarray):
-    for th, v in zip(theta, values):
-        yield float(th), v.real, v.imag, abs(v)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ immutable, so series can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class TaylorSeries:
     coeffs: np.ndarray
     valid_order: int
     label: str = ""
-    #: |lambda| of the most recent shift, for accuracy bookkeeping
-    shift_abs: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
@@ -131,7 +129,6 @@ def differentiate(f: TaylorSeries, k: int = 1) -> TaylorSeries:
         out,
         valid_order=max(1, f.valid_order - k),
         label=f"D^{k}[{f.label}]" if f.label else "",
-        shift_abs=f.shift_abs,
     )
 
 
@@ -141,7 +138,7 @@ def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:
     valid_order after the shift is set by a cancellation heuristic: the
     largest m whose coefficient exceeds 1e3 * eps times the sum of the
     absolute contributing terms (exact zeros from zero term sums count as
-    valid).  The shift distance is recorded on the result.
+    valid).
     """
     lam = complex(lam)
     if lam == 0:
@@ -154,12 +151,11 @@ def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:
         out,
         valid_order=max(1, min(valid, f.valid_order)),
         label=f.label,
-        shift_abs=abs(lam),
     )
 
 
 def evaluate(f: TaylorSeries, z: complex) -> complex:
-    """Value of the truncated polynomial at z (compensated summation)."""
+    """Value of the truncated polynomial at z."""
     return complex(eval_grid(f.coeffs, np.array([z], dtype=np.complex128))[0])
 
 
@@ -187,8 +183,7 @@ def linear_combine(terms) -> TaylorSeries:
     out = np.zeros(n_len, dtype=np.complex128)
     for w, s in terms:
         out += complex(w) * s.coeffs[:n_len]
-    shift = max((s.shift_abs for _, s in terms if s.shift_abs is not None), default=None)
-    return TaylorSeries(out, valid_order=min(valid, n_len), shift_abs=shift)
+    return TaylorSeries(out, valid_order=min(valid, n_len))
 
 
 def multiply_by_poly(f: TaylorSeries, p, max_len: int | None = None) -> TaylorSeries:
@@ -208,5 +203,4 @@ def multiply_by_poly(f: TaylorSeries, p, max_len: int | None = None) -> TaylorSe
         out,
         valid_order=min(f.valid_order, out.size),
         label=f.label,
-        shift_abs=f.shift_abs,
     )

@@ -1,52 +1,8 @@
-"""Backend selection and numba/numpy agreement for the hot kernels."""
-
-import os
-import subprocess
-import sys
+"""The numpy hot kernels behind series translation and evaluation."""
 
 import numpy as np
-import pytest
 
 from weylcalc import accel
-
-
-def _decaying_coeffs(order, seed=0):
-    rng = np.random.default_rng(seed)
-    decay = np.cumprod(np.r_[1.0, 0.7 / np.sqrt(np.arange(1.0, order))])
-    return (rng.standard_normal(order) + 1j * rng.standard_normal(order)) * decay
-
-
-@pytest.mark.skipif(
-    "numba" not in accel.IMPLEMENTATIONS, reason="numba backend unavailable"
-)
-def test_backends_agree_on_translate():
-    coeffs = _decaying_coeffs(128)
-    lam = 1.2 - 0.7j
-    results = {}
-    for name, (trans, _) in accel.IMPLEMENTATIONS.items():
-        out = np.empty_like(coeffs)
-        mags = np.empty(coeffs.size)
-        trans(coeffs, lam, out, mags)
-        results[name] = (out.copy(), mags.copy())
-    scale = np.abs(results["numpy"][0]).max()
-    assert np.abs(results["numba"][0] - results["numpy"][0]).max() <= 1e-13 * scale
-    mscale = results["numpy"][1].max()
-    assert np.abs(results["numba"][1] - results["numpy"][1]).max() <= 1e-12 * mscale
-
-
-@pytest.mark.skipif(
-    "numba" not in accel.IMPLEMENTATIONS, reason="numba backend unavailable"
-)
-def test_backends_agree_on_eval_grid():
-    coeffs = _decaying_coeffs(128)
-    pts = np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False))
-    results = {}
-    for name, (_, evalg) in accel.IMPLEMENTATIONS.items():
-        out = np.empty(pts.size, dtype=np.complex128)
-        evalg(coeffs, pts, out)
-        results[name] = out.copy()
-    scale = np.abs(results["numpy"]).max()
-    assert np.abs(results["numba"] - results["numpy"]).max() <= 1e-13 * scale
 
 
 def test_translate_kernel_wrapper_types():
@@ -57,14 +13,5 @@ def test_translate_kernel_wrapper_types():
     assert np.allclose(out, [1.5, 1.0])
 
 
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, WEYLCALC_DISABLE_NUMBA="1")
-    code = "from weylcalc.accel import backend; print(backend())"
-    got = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert got.stdout.strip() == "numpy"
-
-
 def test_active_backend_is_reported():
-    assert accel.backend() in accel.IMPLEMENTATIONS
+    assert accel.backend() == "numpy"

@@ -34,6 +34,19 @@ def test_zero_operator_exits_2(tmp_path):
     assert main(["kernel", "--op", '{"d":[[0,0]]}', "--outdir", str(tmp_path)]) == 2
 
 
+def test_boolean_coefficient_exits_2(tmp_path):
+    # JSON true is not a number, although Python's bool is an int
+    op = '{"d":[[0,0],[true,0]],"a":[1,0]}'
+    assert main(["kernel", "--op", op, "--outdir", str(tmp_path)]) == 2
+
+
+def test_commutator_ncap_above_cap_exits_2(tmp_path):
+    code = main(["commutator-check", "--op", D_MINUS_Z, "--ncap", "100000",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "commutator_check.json").exists()
+
+
 def test_kernel_artifacts(tmp_path, capsys):
     code = main(["kernel", "--op", D2_MINUS_Z, "--terms", "40",
                  "--outdir", str(tmp_path)])

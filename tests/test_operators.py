@@ -129,6 +129,21 @@ def test_commutator_d_minus_2z_with_d():
     assert spread <= 1e-14
 
 
+def test_commutator_of_polynomial_is_exact_derivative():
+    # [L(T), D] = a L'(T): for L(T) = T + T^2 and T = D - zI, the matrix
+    # of I + 2T, entry by entry
+    c = CompositeOperator(d_minus_z(), np.array([0.0, 1.0, 1.0]))
+    comm = commutator_matrix(c, diff_op(1), 256)
+    want = np.zeros_like(comm.entries)
+    for n in range(256):
+        want[n, n] = 1.0
+        if n >= 1:
+            want[n - 1, n] = 2.0 * n
+        want[n + 1, n] = -2.0
+    assert comm.entries.shape == (258, 256)
+    assert np.array_equal(comm.entries, want)
+
+
 def test_commutation_relation_random_operators():
     for t in random_weyl_operators(10, seed=7):
         comm = commutator_matrix(t, diff_op(1), 32)

@@ -155,12 +155,6 @@ def test_translate_zero_is_identity():
     assert translate(s, 0.0) is s
 
 
-def test_translate_records_shift():
-    s = gaussian_series(64)
-    t = translate(s, 1.0 + 1.0j)
-    assert t.shift_abs == pytest.approx(math.sqrt(2.0))
-
-
 def test_translate_gaussian_against_convolution_oracle():
     # exp((z+lam)^2/2) = exp(lam^2/2) * exp(lam z) * exp(z^2/2):
     # coefficients from an independent polynomial product
