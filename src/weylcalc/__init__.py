@@ -35,9 +35,11 @@ from .operators import (
 )
 from .kernel_solver import KernelBasis, kernel_basis, kernel_residual
 from .eigen import (
+    CompletenessBasis,
     EigenFamily,
     FitReport,
     LambdaSet,
+    completeness_bases,
     completeness_fit,
     composite_eigencheck,
     eigen_residual,
@@ -79,9 +81,11 @@ __all__ = [
     "KernelBasis",
     "kernel_basis",
     "kernel_residual",
+    "CompletenessBasis",
     "EigenFamily",
     "FitReport",
     "LambdaSet",
+    "completeness_bases",
     "completeness_fit",
     "composite_eigencheck",
     "eigen_residual",

@@ -27,6 +27,7 @@ import numpy as np
 
 from .eigen import (
     EigenFamily,
+    completeness_bases,
     completeness_fit,
     composite_eigencheck,
     eigen_residual,
@@ -82,6 +83,17 @@ _INPUT_ERRORS = (
     ValueError,
 )
 
+#: largest lambda set accepted by ``complete-fit --counts`` and
+#: ``construct-orbit --lambda-count``
+LAMBDA_COUNT_MAX = 512
+
+#: most entries in ``complete-fit --counts``; the bases of all of them
+#: are held at once
+COUNTS_MAX = 16
+
+#: largest side of the ``eigencheck --grid`` lambda grid
+GRID_MAX = 64
+
 
 def _load_json_arg(text: str, what: str):
     """Inline JSON (leading '{' or '[') or a path to a JSON file."""
@@ -113,6 +125,11 @@ def _family_for(t: WeylOperator, order: int) -> EigenFamily:
         return exponential_family(order)
     basis = kernel_basis(t, order)
     return family_from_kernel(t, basis.solutions[0])
+
+
+def _check_range(flag: str, value: int, cap: int) -> None:
+    if not 1 <= value <= cap:
+        raise MalformedSpec(f"{flag}: expected a value in 1..{cap}, got {value}")
 
 
 def _base_weyl(op) -> WeylOperator:
@@ -198,6 +215,7 @@ def _cmd_commutator_check(args) -> int:
 
 
 def _cmd_eigencheck(args) -> int:
+    _check_range("--grid", args.grid, GRID_MAX)
     doc, inputs = _load_json_arg(args.op, "--op")
     op = parse_operator_spec(doc)
     t = _base_weyl(op)
@@ -267,21 +285,31 @@ def _cmd_complete_fit(args) -> int:
         raise MalformedSpec("--targets: expected a non-empty JSON list of series")
     targets = [series_from_dict(d) for d in tdoc]
     counts = [int(v) for v in args.counts.split(",") if v.strip()]
-    if not counts:
-        raise MalformedSpec("--counts: expected a comma-separated integer list")
+    if not 1 <= len(counts) <= COUNTS_MAX:
+        raise MalformedSpec(
+            f"--counts: expected a comma-separated list of 1..{COUNTS_MAX} "
+            f"integers, got {len(counts)}"
+        )
+    for count in counts:
+        _check_range("--counts", count, LAMBDA_COUNT_MAX)
     family = _family_for(t, args.order)
     disk = DiskSpec(args.radius, 64)
+    bases = completeness_bases(
+        family,
+        [_preset_lambdas(args.preset, count, args.seed) for count in counts],
+        disk,
+    )
     rows = []
     reports = []
     n_ok = 0
     for ti, target in enumerate(targets):
         label = target.label or f"target[{ti}]"
-        for count in counts:
-            lams = _preset_lambdas(args.preset, count, args.seed)
+        for count, basis in zip(counts, bases):
             try:
-                fit = completeness_fit(family, lams, target, disk, args.ridge)
+                fit = completeness_fit(basis, target, args.ridge)
             except WeylcalcError as exc:
-                rows.append([ti, label, count, float("inf"), float("inf"),
+                # the CSV writer refuses non-finite floats; "inf" is text
+                rows.append([ti, label, count, "inf", "inf",
                              args.ridge, "conditioning-failure"])
                 reports.append({
                     "target": ti,
@@ -334,6 +362,7 @@ def _cmd_complete_fit(args) -> int:
 
 
 def _cmd_construct_orbit(args) -> int:
+    _check_range("--lambda-count", args.lambda_count, LAMBDA_COUNT_MAX)
     doc, inputs = _load_json_arg(args.problem, "--problem")
     if not isinstance(doc, dict) or "operator" not in doc or "targets" not in doc:
         raise MalformedSpec(
@@ -490,7 +519,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigencheck", help="eigen-relation residuals on a lambda grid")
     common(p)
     p.add_argument("--op", required=True)
-    p.add_argument("--grid", type=int, default=5)
+    p.add_argument("--grid", type=int, default=5,
+                   help=f"grid side, 1..{GRID_MAX} (grid x grid lambda points)")
     p.add_argument("--lam-max", type=float, default=2.0)
     p.add_argument("--order", type=int, default=128)
     p.add_argument("--radius", type=float, default=1.0)
@@ -504,7 +534,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["inverse", "segment", "random"],
                    default="inverse")
     p.add_argument("--counts", default="5,10,20,40",
-                   help="comma-separated lambda-set sizes")
+                   help=f"comma-separated lambda-set sizes, at most "
+                        f"{COUNTS_MAX}, each 1..{LAMBDA_COUNT_MAX}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ridge", type=float, default=1e-10)
     p.add_argument("--order", type=int, default=128)
@@ -515,7 +546,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--problem", required=True,
                    help="orbit problem JSON (path or inline)")
-    p.add_argument("--lambda-count", type=int, default=16)
+    p.add_argument("--lambda-count", type=int, default=16,
+                   help=f"size of the expanding lambda set, 1..{LAMBDA_COUNT_MAX}")
     p.add_argument("--margin", type=float, default=2.0)
     p.add_argument("--gap-factor", type=float, default=1.25)
     p.add_argument("--ridge", type=float, default=1e-10)

@@ -9,7 +9,12 @@ polynomial of M.
 The completeness side is probed numerically: a ridge-regularized least
 squares fit of a target in span{f_lambda} over a collocation grid, with
 the residual always re-measured as a true sup norm on a denser
-verification circle (never the regularized objective).
+verification circle (never the regularized objective).  The work that
+does not depend on the target is split off: :func:`completeness_bases`
+builds one :class:`CompletenessBasis` (members, collocation and
+verification matrices, SVD) per lambda set, translating and evaluating
+every distinct lambda of all the sets once, and
+:func:`completeness_fit` solves for one target on a basis.
 """
 
 from __future__ import annotations
@@ -194,11 +199,78 @@ def collocation_points(disk: DiskSpec) -> np.ndarray:
     return np.concatenate(pts)
 
 
+@dataclass(frozen=True, eq=False)
+class CompletenessBasis:
+    """Everything a fit on one lambda set shares across its targets.
+
+    For the disk the basis was built on, ``collocation`` and
+    ``verification`` hold the members' values on ``points`` =
+    ``collocation_points(disk)`` and on the VERIFY_POINTS circle, one
+    column per lambda; ``svd`` is the thin SVD of ``collocation``, or None
+    with the reason in ``svd_failure`` when LAPACK gave up.  The first
+    ``disk.grid_points`` rows of ``collocation`` are ``disk.boundary()``.
+    """
+
+    lambdas: LambdaSet
+    members: list
+    points: np.ndarray
+    collocation: np.ndarray
+    verify_points: np.ndarray
+    verification: np.ndarray
+    svd: tuple | None
+    svd_failure: str = ""
+
+
+def completeness_bases(
+    family: EigenFamily, lambda_sets, disk: DiskSpec = UNIT_DISK
+) -> list:
+    """One :class:`CompletenessBasis` per lambda set, in order.
+
+    Each distinct lambda of the union of the sets is turned into its
+    eigenfunction and evaluated on both grids exactly once; a set's
+    matrices are C-contiguous column gathers of the shared ones, so they
+    hold the same bits as matrices built for that set alone.
+    """
+    pts = collocation_points(disk)
+    verify_pts = DiskSpec(disk.radius, VERIFY_POINTS).boundary()
+    pts.setflags(write=False)
+    verify_pts.setflags(write=False)
+    column = {}
+    for lams in lambda_sets:
+        for lam in lams.points:
+            column.setdefault(complex(lam), (len(column), lam))
+    members = [eigenfunction(family, lam) for _, lam in column.values()]
+    colloc_all = np.column_stack([evaluate_grid(s, pts) for s in members])
+    verify_all = np.column_stack([evaluate_grid(s, verify_pts) for s in members])
+    bases = []
+    for lams in lambda_sets:
+        idx = [column[complex(lam)][0] for lam in lams.points]
+        a_mat = np.ascontiguousarray(colloc_all[:, idx])
+        verification = np.ascontiguousarray(verify_all[:, idx])
+        a_mat.setflags(write=False)
+        verification.setflags(write=False)
+        try:
+            svd, failure = np.linalg.svd(a_mat, full_matrices=False), ""
+        except np.linalg.LinAlgError as exc:
+            svd, failure = None, f"collocation SVD failed: {exc}"
+        bases.append(
+            CompletenessBasis(
+                lambdas=lams,
+                members=[members[i] for i in idx],
+                points=pts,
+                collocation=a_mat,
+                verify_points=verify_pts,
+                verification=verification,
+                svd=svd,
+                svd_failure=failure,
+            )
+        )
+    return bases
+
+
 def completeness_fit(
-    family: EigenFamily,
-    lambdas: LambdaSet,
+    basis: CompletenessBasis,
     target: TaylorSeries,
-    disk: DiskSpec = UNIT_DISK,
     ridge: float = RIDGE_DEFAULT,
 ) -> FitReport:
     """Ridge-regularized fit of target in span{f_lambda} on the disk.
@@ -210,14 +282,10 @@ def completeness_fit(
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    pts = collocation_points(disk)
-    members = [eigenfunction(family, lam) for lam in lambdas.points]
-    a_mat = np.column_stack([evaluate_grid(s, pts) for s in members])
-    b = evaluate_grid(target, pts)
-    try:
-        u, s, vh = np.linalg.svd(a_mat, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"collocation SVD failed: {exc}") from exc
+    if basis.svd is None:
+        raise SingularSystem(basis.svd_failure)
+    b = evaluate_grid(target, basis.points)
+    u, s, vh = basis.svd
     beta = u.conj().T @ b
     if ridge > 0:
         # Tikhonov through SVD filter factors, escalating on breakdown
@@ -231,7 +299,7 @@ def completeness_fit(
             else:
                 raise SingularSystem(
                     f"regularized system stayed singular up to ridge "
-                    f"{RIDGE_MAX:.1e} for |Lambda| = {len(lambdas)}"
+                    f"{RIDGE_MAX:.1e} for |Lambda| = {len(basis.lambdas)}"
                 )
         cond = float((s[0] ** 2 + level) / (s[-1] ** 2 + level))
     else:
@@ -247,21 +315,21 @@ def completeness_fit(
             cand = vh.conj().T[:, keep] @ (beta[keep] / s[keep])
             if not np.all(np.isfinite(cand.view(np.float64))):
                 continue
-            sel = float(np.abs(a_mat @ cand - b).max())
+            sel = float(np.abs(basis.collocation @ cand - b).max())
             if best is None or sel < best[0]:
                 best = (sel, cand, float(s[0] / s[keep].min()))
         if best is None:
             raise SingularSystem(
-                f"no usable truncated-SVD solution for |Lambda| = {len(lambdas)}"
+                f"no usable truncated-SVD solution for |Lambda| = "
+                f"{len(basis.lambdas)}"
             )
         _, w, cond = best
-    verify = DiskSpec(disk.radius, VERIFY_POINTS).boundary()
-    fitted = np.column_stack([evaluate_grid(s_, verify) for s_ in members]) @ w
-    resid = float(np.abs(fitted - evaluate_grid(target, verify)).max())
+    fitted = basis.verification @ w
+    resid = float(np.abs(fitted - evaluate_grid(target, basis.verify_points)).max())
     return FitReport(
         weights=w,
         residual_norm=resid,
         condition_diag=cond,
         ridge=level,
-        lambdas=lambdas,
+        lambdas=basis.lambdas,
     )

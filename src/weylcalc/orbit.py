@@ -12,12 +12,16 @@ is what stands in for the small-eigenvalue half of the eigenfunction
 criterion.  Block j's weights fit the target corrected for the amplified
 earlier blocks; the correction is applied exactly in eigen-coordinates
 (the amplified earlier blocks already lie in the span, so refitting them
-numerically would only add noise).
+numerically would only add noise).  The constructor builds one
+:class:`~weylcalc.eigen.CompletenessBasis` for its lambda set and uses it
+for every target's fit, for the member values behind the achieved errors
+and for the coefficients of f.
 
-Verification never trusts the bookkeeping alone: achieved errors are
-recomputed on an independent grid, and every scheduled iterate up to
-DIRECT_CAP is cross-checked by direct repeated operator application.  The
-direct route powers L(T) through the banded core of
+Verification never trusts the bookkeeping alone: it rebuilds the member
+values from (family, lambda) instead of taking the constructor's, achieved
+errors are recomputed on an independent grid, and every scheduled iterate
+up to DIRECT_CAP is cross-checked by direct repeated operator application.
+The direct route powers L(T) through the banded core of
 :mod:`weylcalc.operators` in exact Gaussian-integer arithmetic and rounds
 once, so it carries no precision setting.
 """
@@ -36,11 +40,12 @@ from .eigen import (
     FitReport,
     LambdaSet,
     VERIFY_POINTS,
+    completeness_bases,
     completeness_fit,
     eigenfunction,
 )
 from .operators import CompositeOperator, exact_power, from_gaussian, to_gaussian
-from .series import TaylorSeries, disk_sup_norm, evaluate_grid, linear_combine
+from .series import TaylorSeries, evaluate_grid, linear_combine
 
 #: default cap on the largest scheduled iterate
 SCHEDULE_CAP = 200
@@ -224,17 +229,18 @@ def construct_orbit(
     lambdas = select_expanding_lambdas(c, lambda_count, margin, family)
     symbol = effective_symbol(c, family)
     mu = np.array([symbol(lam) for lam in lambdas.points])
-    members = [eigenfunction(family, lam) for lam in lambdas.points]
-    maxnorm = max(disk_sup_norm(s, disk) for s in members)
-    verify_pts = DiskSpec(problem.radius, VERIFY_POINTS).boundary()
-    member_vals = np.column_stack([evaluate_grid(s, verify_pts) for s in members])
+    [basis] = completeness_bases(family, [lambdas], disk)
+    # the first disk.grid_points collocation rows are disk.boundary()
+    maxnorm = float(np.abs(basis.collocation[: disk.grid_points]).max())
+    verify_pts = basis.verify_points
+    member_vals = basis.verification
 
     blocks = []
     schedule = []
     per_target = []
     leakage = []
     for j, q in enumerate(problem.targets):
-        fit = completeness_fit(family, lambdas, q, disk, ridge)
+        fit = completeness_fit(basis, q, ridge)
         if fit.residual_norm > problem.epsilon / 2:
             raise BudgetExceeded(
                 f"target {j}: fit residual {fit.residual_norm:.3e} exceeds "
@@ -299,7 +305,7 @@ def construct_orbit(
     total = np.zeros(len(mu), dtype=np.complex128)
     for blk in blocks:
         total += blk.weights * mu ** (-float(blk.n))
-    f = linear_combine(list(zip(total, members)))
+    f = linear_combine(list(zip(total, basis.members)))
 
     report = {
         "per_target": per_target,

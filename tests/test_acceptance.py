@@ -15,6 +15,7 @@ import pytest
 from conftest import random_weyl_operators, unit_disk_complex
 from weylcalc.cli import main as cli_main
 from weylcalc.eigen import (
+    completeness_bases,
     completeness_fit,
     composite_eigencheck,
     eigen_residual,
@@ -201,7 +202,9 @@ def test_criterion_7_completeness_curve(capsys, gaussian_family, tmp_path):
         residuals = []
         for count in (5, 10, 20, 40):
             fit = completeness_fit(
-                family, inverse_integer_lambdas(count), target, ridge=0.0
+                completeness_bases(family, [inverse_integer_lambdas(count)])[0],
+                target,
+                ridge=0.0,
             )
             residuals.append(fit.residual_norm)
         monotone = all(

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from weylcalc.cli import main
+import weylcalc.eigen
+from weylcalc.cli import COUNTS_MAX, GRID_MAX, LAMBDA_COUNT_MAX, main
 
 D_MINUS_Z = '{"d":[[0,0],[1,0]],"a":[1,0]}'
 D2_MINUS_Z = '{"d":[[0,0],[0,0],[1,0]],"a":[1,0]}'
@@ -104,6 +106,101 @@ def test_complete_fit_bad_counts_exits_2(tmp_path):
     code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
                  "--counts", "", "--outdir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("counts", ["0", "5,0", "-3", "100000"])
+def test_complete_fit_counts_out_of_range_exits_2(tmp_path, capsys, counts):
+    code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
+                 "--counts", counts, "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--counts: expected a value in 1..{LAMBDA_COUNT_MAX}" in err
+    assert not (tmp_path / "complete_fit.json").exists()
+
+
+def test_complete_fit_too_many_counts_exits_2(tmp_path, capsys):
+    counts = ",".join(["5"] * (COUNTS_MAX + 1))
+    code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
+                 "--counts", counts, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert f"list of 1..{COUNTS_MAX} integers" in capsys.readouterr().err
+
+
+def test_complete_fit_duplicate_count_gives_two_rows(tmp_path):
+    code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
+                 "--counts", "5,5", "--outdir", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "residual_curve.csv").read_text().splitlines()
+    # header + 2 targets x 2 counts, the repeated count giving the same row
+    assert len(lines) == 5
+    assert lines[1] == lines[2] and lines[3] == lines[4]
+
+
+def test_complete_fit_svd_failure_gives_a_row_per_target(tmp_path, monkeypatch):
+    # the bases are built up front, but a count whose SVD fails still
+    # gives one conditioning-failure row per target
+    svd = np.linalg.svd
+
+    def failing_svd(a, *args, **kwargs):
+        if a.shape[1] == 10:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
+                 "--counts", "5,10", "--outdir", str(tmp_path)])
+    assert code == 0
+    fits = json.loads((tmp_path / "complete_fit.json").read_text())["fits"]
+    assert [(f["target"], f["count"], f["status"]) for f in fits] == [
+        (0, 5, "ok"), (0, 10, "conditioning-failure"),
+        (1, 5, "ok"), (1, 10, "conditioning-failure"),
+    ]
+    assert fits[1]["detail"] == "collocation SVD failed: SVD did not converge"
+    assert fits[3]["detail"] == fits[1]["detail"]
+    lines = (tmp_path / "residual_curve.csv").read_text().splitlines()
+    assert lines[2] == "0,1,10,inf,inf,1e-10,conditioning-failure"
+    assert lines[4] == "1,z,10,inf,inf,1e-10,conditioning-failure"
+
+
+def test_complete_fit_translates_each_lambda_once(tmp_path, monkeypatch):
+    # the union of 1/k for k <= 40 has 40 points; per-fit bases would
+    # translate 3 x (5 + 10 + 20 + 40) = 225 times
+    calls = []
+    translate = weylcalc.eigen.translate
+
+    def counted(f, lam):
+        calls.append(lam)
+        return translate(f, lam)
+
+    monkeypatch.setattr(weylcalc.eigen, "translate", counted)
+    targets = json.dumps(json.loads(TARGETS) + [{"coeffs": [[0, 0], [0, 0], [1, 0]]}])
+    code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", targets,
+                 "--preset", "inverse", "--counts", "5,10,20,40",
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 40
+
+
+@pytest.mark.parametrize("count", ["0", "100000"])
+def test_construct_orbit_lambda_count_out_of_range_exits_2(tmp_path, capsys, count):
+    problem = json.dumps({
+        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+        "targets": [{"coeffs": [[1, 0]]}],
+    })
+    code = main(["construct-orbit", "--problem", problem,
+                 "--lambda-count", count, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "--lambda-count: expected a value in 1.." in capsys.readouterr().err
+    assert not (tmp_path / "orbit.json").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", str(GRID_MAX + 1)])
+def test_eigencheck_grid_out_of_range_exits_2(tmp_path, capsys, grid):
+    code = main(["eigencheck", "--op", D_MINUS_Z, "--grid", grid,
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert f"--grid: expected a value in 1..{GRID_MAX}" in capsys.readouterr().err
+    assert not (tmp_path / "eigencheck.json").exists()
 
 
 def test_construct_orbit_artifacts(tmp_path):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from weylcalc.eigen import (
+    VERIFY_POINTS,
+    CompletenessBasis,
     EigenFamily,
     LambdaSet,
+    collocation_points,
+    completeness_bases,
     completeness_fit,
     composite_eigencheck,
     eigen_residual,
@@ -20,6 +24,7 @@ from weylcalc.eigen import (
 from weylcalc.errors import KernelResidualTooLarge
 from weylcalc.operators import CompositeOperator, WeylOperator, diff_op
 from weylcalc.series import (
+    UNIT_DISK,
     DiskSpec,
     evaluate_grid,
     gaussian_series,
@@ -110,7 +115,7 @@ def test_fit_reproduces_span_member(gaussian_family):
     _, family = gaussian_family
     lams = LambdaSet(np.array([0.3, -0.2 + 0.1j, 0.5j]))
     target = eigenfunction(family, 0.3)
-    fit = completeness_fit(family, lams, target)
+    fit = completeness_fit(completeness_bases(family, [lams])[0], target)
     assert fit.residual_norm <= 1e-9
     assert abs(fit.weights[0] - 1.0) <= 1e-6
     assert np.abs(fit.weights[1:]).max() <= 1e-6
@@ -123,7 +128,9 @@ def test_fit_residual_curve_non_increasing(gaussian_family):
         residuals = []
         for count in (5, 10, 20, 40):
             fit = completeness_fit(
-                family, inverse_integer_lambdas(count), target, ridge=0.0
+                completeness_bases(family, [inverse_integer_lambdas(count)])[0],
+                target,
+                ridge=0.0,
             )
             residuals.append(fit.residual_norm)
         assert all(
@@ -140,8 +147,9 @@ def test_fit_scaling_equivariance(gaussian_family):
     target = make_series([0.0, 1.0], "z")
     s = 2.5 - 1.0j
     scaled = make_series(np.array([0.0, 1.0]) * s, "s*z")
-    f1 = completeness_fit(family, lams, target, ridge=1e-10)
-    f2 = completeness_fit(family, lams, scaled, ridge=1e-10)
+    [basis] = completeness_bases(family, [lams])
+    f1 = completeness_fit(basis, target, ridge=1e-10)
+    f2 = completeness_fit(basis, scaled, ridge=1e-10)
     assert np.abs(f2.weights - s * f1.weights).max() <= 1e-8 * np.abs(
         f1.weights
     ).max()
@@ -154,7 +162,7 @@ def test_fit_report_residual_is_true_sup_norm(gaussian_family):
     _, family = gaussian_family
     lams = inverse_integer_lambdas(10)
     target = make_series([1.0], "1")
-    fit = completeness_fit(family, lams, target)
+    fit = completeness_fit(completeness_bases(family, [lams])[0], target)
     pts = DiskSpec(1.0, 128).boundary()
     fitted = sum(
         w * evaluate_grid(eigenfunction(family, lam), pts)
@@ -167,6 +175,55 @@ def test_fit_report_residual_is_true_sup_norm(gaussian_family):
 def test_fit_condition_diagnostic_positive(gaussian_family):
     _, family = gaussian_family
     fit = completeness_fit(
-        family, inverse_integer_lambdas(10), make_series([1.0])
+        completeness_bases(family, [inverse_integer_lambdas(10)])[0],
+        make_series([1.0]),
     )
     assert fit.condition_diag >= 1.0
+
+
+def _basis_alone(family, lams, disk=UNIT_DISK):
+    """Basis of one lambda set built column by column, sharing nothing."""
+    members = [eigenfunction(family, lam) for lam in lams.points]
+    pts = collocation_points(disk)
+    verify_pts = DiskSpec(disk.radius, VERIFY_POINTS).boundary()
+    a_mat = np.column_stack([evaluate_grid(s, pts) for s in members])
+    return CompletenessBasis(
+        lambdas=lams,
+        members=members,
+        points=pts,
+        collocation=a_mat,
+        verify_points=verify_pts,
+        verification=np.column_stack([evaluate_grid(s, verify_pts) for s in members]),
+        svd=np.linalg.svd(a_mat, full_matrices=False),
+    )
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-10])
+@pytest.mark.parametrize(
+    "kind, preset",
+    [
+        ("translate", inverse_integer_lambdas),  # nested sets
+        ("translate", segment_lambdas),  # j/5 == 8j/40: shared points
+        ("exponential", inverse_integer_lambdas),  # a = 0
+    ],
+)
+def test_fit_on_shared_basis_equals_fit_on_own_basis(
+    gaussian_family, kind, preset, ridge
+):
+    # a basis built from several lambda sets gives the same bits as one
+    # built for its set alone; the duplicated count 5 gets its own basis
+    family = gaussian_family[1] if kind == "translate" else exponential_family()
+    sets = [preset(count) for count in (5, 10, 20, 40, 5)]
+    bases = completeness_bases(family, sets)
+    assert len(bases) == len(sets)
+    assert len({id(m) for basis in bases for m in basis.members}) == 40
+    targets = [make_series([0.0, 0.0, 1.0]), make_series([0.5, 0.0, 0.0, 1.0])]
+    for lams, shared in zip(sets, bases):
+        alone = _basis_alone(family, lams)
+        for target in targets:
+            fit_shared = completeness_fit(shared, target, ridge)
+            fit_alone = completeness_fit(alone, target, ridge)
+            assert (fit_shared.weights == fit_alone.weights).all()
+            assert fit_shared.residual_norm == fit_alone.residual_norm
+            assert fit_shared.condition_diag == fit_alone.condition_diag
+            assert fit_shared.ridge == fit_alone.ridge

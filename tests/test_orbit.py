@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import weylcalc.eigen
 from weylcalc.eigen import eigenfunction, family_from_kernel
 from weylcalc.errors import BudgetExceeded, ScheduleOverflow, SearchExhausted
 from weylcalc.operators import (
@@ -105,6 +106,22 @@ def test_leakage_measured_within_bound(setting):
     con = construct_orbit(OrbitProblem(ident, family, targets, epsilon=0.1))
     for row in con.report["leakage"]:
         assert row["measured"] <= row["bound"] + 1e-8
+
+
+def test_construct_orbit_translates_each_lambda_once(setting, monkeypatch):
+    # one basis serves the fit, the member values and f: 16 translates,
+    # not 16 for the members plus 16 for the fit
+    _, family, ident, _ = setting
+    calls = []
+    translate = weylcalc.eigen.translate
+
+    def counted(f, lam):
+        calls.append(lam)
+        return translate(f, lam)
+
+    monkeypatch.setattr(weylcalc.eigen, "translate", counted)
+    construct_orbit(OrbitProblem(ident, family, [make_series([0.0, 1.0])]))
+    assert len(calls) == 16
 
 
 def test_budget_exceeded_carries_diagnostics(setting):
