@@ -11,7 +11,6 @@ from .errors import WeylcalcError
 from .series import (
     DiskSpec,
     TaylorSeries,
-    differentiate,
     disk_sup_norm,
     evaluate,
     gaussian_series,
@@ -30,6 +29,7 @@ from .operators import (
     commutator_matrix,
     decompose,
     diff_op,
+    differentiate,
     ladder_check,
     matrix_on_monomials,
 )
@@ -59,7 +59,6 @@ __all__ = [
     "WeylcalcError",
     "DiskSpec",
     "TaylorSeries",
-    "differentiate",
     "disk_sup_norm",
     "evaluate",
     "gaussian_series",
@@ -76,6 +75,7 @@ __all__ = [
     "commutator_matrix",
     "decompose",
     "diff_op",
+    "differentiate",
     "ladder_check",
     "matrix_on_monomials",
     "KernelBasis",

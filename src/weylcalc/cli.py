@@ -94,6 +94,10 @@ COUNTS_MAX = 16
 #: largest side of the ``eigencheck --grid`` lambda grid
 GRID_MAX = 64
 
+#: largest ``kernel --terms`` and ``--order`` (series coefficients), the
+#: cap of the monomial matrices too
+ORDER_MAX = 512
+
 
 def _load_json_arg(text: str, what: str):
     """Inline JSON (leading '{' or '[') or a path to a JSON file."""
@@ -121,6 +125,7 @@ def _outdir(args) -> Path:
 
 
 def _family_for(t: WeylOperator, order: int) -> EigenFamily:
+    _check_range("--order", order, ORDER_MAX)
     if t.a == 0:
         return exponential_family(order)
     basis = kernel_basis(t, order)
@@ -130,6 +135,19 @@ def _family_for(t: WeylOperator, order: int) -> EigenFamily:
 def _check_range(flag: str, value: int, cap: int) -> None:
     if not 1 <= value <= cap:
         raise MalformedSpec(f"{flag}: expected a value in 1..{cap}, got {value}")
+
+
+def _positive(what: str, value) -> float:
+    """``value`` as a float; it must be a finite positive number."""
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise MalformedSpec(
+            f"{what}: expected a finite positive number, got {value!r}"
+        )
+    return float(value)
 
 
 def _base_weyl(op) -> WeylOperator:
@@ -149,6 +167,7 @@ def _square_grid(grid: int, lam_max: float) -> np.ndarray:
 
 
 def _cmd_kernel(args) -> int:
+    _check_range("--terms", args.terms, ORDER_MAX)
     doc, inputs = _load_json_arg(args.op, "--op")
     op = parse_operator_spec(doc)
     t = _base_weyl(op)
@@ -363,6 +382,8 @@ def _cmd_complete_fit(args) -> int:
 
 def _cmd_construct_orbit(args) -> int:
     _check_range("--lambda-count", args.lambda_count, LAMBDA_COUNT_MAX)
+    _positive("--margin", args.margin)
+    _positive("--gap-factor", args.gap_factor)
     doc, inputs = _load_json_arg(args.problem, "--problem")
     if not isinstance(doc, dict) or "operator" not in doc or "targets" not in doc:
         raise MalformedSpec(
@@ -377,8 +398,8 @@ def _cmd_construct_orbit(args) -> int:
     if not isinstance(doc["targets"], list) or not doc["targets"]:
         raise MalformedSpec("--problem: 'targets' must be a non-empty list")
     targets = [series_from_dict(d) for d in doc["targets"]]
-    radius = float(doc.get("radius", 1.0))
-    epsilon = float(doc.get("epsilon", 0.1))
+    radius = _positive("--problem: 'radius'", doc.get("radius", 1.0))
+    epsilon = _positive("--problem: 'epsilon'", doc.get("epsilon", 0.1))
     family = _family_for(comp.base, args.order)
     problem = OrbitProblem(comp, family, targets, radius=radius, epsilon=epsilon)
     out = _outdir(args)
@@ -452,10 +473,13 @@ def _matrix_from_doc(doc) -> OperatorMatrix:
             [[complex(p[0], p[1]) for p in row] for row in rows],
             dtype=np.complex128,
         )
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, KeyError) as exc:
         raise MalformedSpec(f"--matrix: malformed entries: {exc}") from exc
-    if entries.ndim != 2 or entries.shape[1] < 2:
-        raise MalformedSpec("--matrix: entries must form a matrix with >= 2 columns")
+    if entries.ndim != 2 or not 2 <= entries.shape[1] <= entries.shape[0]:
+        raise MalformedSpec(
+            "--matrix: entries must form a matrix with >= 2 columns and at "
+            "least as many rows as columns"
+        )
     return OperatorMatrix(entries, entries.shape[1] - 1)
 
 
@@ -506,7 +530,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="power-series kernel basis of T")
     common(p)
     p.add_argument("--op", required=True, help="operator JSON (path or inline)")
-    p.add_argument("--terms", type=int, default=40)
+    p.add_argument("--terms", type=int, default=40,
+                   help=f"series coefficients, 1..{ORDER_MAX}")
     p.add_argument("--radius", type=float, default=1.0)
     p.set_defaults(func=_cmd_kernel)
 
@@ -522,7 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=5,
                    help=f"grid side, 1..{GRID_MAX} (grid x grid lambda points)")
     p.add_argument("--lam-max", type=float, default=2.0)
-    p.add_argument("--order", type=int, default=128)
+    p.add_argument("--order", type=int, default=128,
+                   help=f"series coefficients, 1..{ORDER_MAX}")
     p.add_argument("--radius", type=float, default=1.0)
     p.set_defaults(func=_cmd_eigencheck)
 
@@ -538,7 +564,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"{COUNTS_MAX}, each 1..{LAMBDA_COUNT_MAX}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ridge", type=float, default=1e-10)
-    p.add_argument("--order", type=int, default=128)
+    p.add_argument("--order", type=int, default=128,
+                   help=f"series coefficients, 1..{ORDER_MAX}")
     p.add_argument("--radius", type=float, default=1.0)
     p.set_defaults(func=_cmd_complete_fit)
 
@@ -551,7 +578,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=2.0)
     p.add_argument("--gap-factor", type=float, default=1.25)
     p.add_argument("--ridge", type=float, default=1e-10)
-    p.add_argument("--order", type=int, default=128)
+    p.add_argument("--order", type=int, default=128,
+                   help=f"series coefficients, 1..{ORDER_MAX}")
     p.set_defaults(func=_cmd_construct_orbit)
 
     p = sub.add_parser("decompose", help="recover (a, M) from a monomial matrix")

@@ -4,7 +4,10 @@ For f0 in ker T and T = M - a z I with a != 0, the shifted copies
 f_lambda(z) = f0(z + lambda) satisfy T f_lambda = a lambda f_lambda.  For
 a = 0 the operator is a convolution operator and the exponentials
 e^{lambda z} take over with eigenvalue L(lambda), L the characteristic
-polynomial of M.
+polynomial of M.  A polynomial L(T) has eigenvalue L(mu) at an
+eigenfunction of T with eigenvalue mu.  :func:`eigenvalue_of` is the one
+map from lambda to the eigenvalue, of T or of L(T); the eigen-relation
+checks and the orbit constructor all read it.
 
 The completeness side is probed numerically: a ridge-regularized least
 squares fit of a target in span{f_lambda} over a collocation grid, with
@@ -19,7 +22,7 @@ every distinct lambda of all the sets once, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,11 +71,9 @@ class EigenFamily:
 
 @dataclass(frozen=True)
 class LambdaSet:
-    """Finite sample of shift parameters, ideally with an accumulation
-    pattern (documented in ``description``, not enforced)."""
+    """Finite sample of distinct shift parameters."""
 
     points: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.points, dtype=np.complex128))
@@ -93,7 +94,6 @@ class FitReport:
     residual_norm: float
     condition_diag: float
     ridge: float
-    lambdas: LambdaSet = field(default=None, compare=False)
 
 
 def family_from_kernel(
@@ -120,13 +120,12 @@ def eigenfunction(family: EigenFamily, lam: complex) -> TaylorSeries:
     return exponential_series(lam, family.n_terms)
 
 
-def eigenvalue_of(
-    t: WeylOperator, family: EigenFamily, lam: complex
-) -> complex:
-    """Eigenvalue of T at f_lambda: a*lambda, or L(lambda) when a = 0."""
-    if family.kind == "translate":
-        return t.a * lam
-    return t.m.characteristic(lam)
+def eigenvalue_of(op, family: EigenFamily, lam: complex) -> complex:
+    """Eigenvalue of op = T or L(T) at f_lambda: for T, a*lambda on a
+    translate or L_M(lambda) on e^{lambda z} (a = 0); for L(T), L of it."""
+    t = op.base if isinstance(op, CompositeOperator) else op
+    mu = t.a * lam if family.kind == "translate" else t.m.characteristic(lam)
+    return op.eigenvalue(mu) if isinstance(op, CompositeOperator) else mu
 
 
 def eigen_residual(
@@ -151,7 +150,7 @@ def composite_eigencheck(
 ) -> float:
     """Sup norm of L(T) f_lambda - L(mu) f_lambda on the disk."""
     f_lam = eigenfunction(family, lam)
-    mu = c.eigenvalue(eigenvalue_of(c.base, family, lam))
+    mu = eigenvalue_of(c, family, lam)
     return disk_sup_norm(
         linear_combine([(1.0, apply_composite(c, f_lam)), (-mu, f_lam)]), disk
     )
@@ -164,14 +163,14 @@ def composite_eigencheck(
 def inverse_integer_lambdas(count: int) -> LambdaSet:
     """{1/k, k=1..count}: accumulates at 0."""
     pts = 1.0 / np.arange(1, count + 1)
-    return LambdaSet(pts, description=f"1/k, k=1..{count}")
+    return LambdaSet(pts)
 
 
 def segment_lambdas(count: int, length: float = 1.0) -> LambdaSet:
     """Equispaced points on (0, length]: every point accumulates in the
     continuum limit; a finite approximation thereof."""
     pts = length * np.arange(1, count + 1) / count
-    return LambdaSet(pts, description=f"segment (0,{length}], {count} points")
+    return LambdaSet(pts)
 
 
 def random_disk_lambdas(count: int, seed: int = 0) -> LambdaSet:
@@ -179,7 +178,7 @@ def random_disk_lambdas(count: int, seed: int = 0) -> LambdaSet:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     pts = z / (1.0 + np.abs(z))
-    return LambdaSet(pts, description=f"gaussian in unit disk, seed={seed}")
+    return LambdaSet(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -331,5 +330,4 @@ def completeness_fit(
         residual_norm=resid,
         condition_diag=cond,
         ridge=level,
-        lambdas=basis.lambdas,
     )

@@ -16,9 +16,10 @@ compositions and a subtraction.  The same numpy code runs on complex128
 arrays and on object arrays of exact Gaussian integers at one power-of-two
 scale: operator and series coefficients are doubles, hence dyadic
 rationals, so commutators and operator powers are formed exactly and
-rounded once.  Truncated-series application, monomial matrices,
-commutators, the ladder check and the direct orbit route all read the
-core; the decomposition diagnostic recovers (a, M) from a monomial matrix.
+rounded once.  Truncated-series application (differentiation included),
+monomial matrices, commutators, the ladder check and the direct orbit
+route all read the core; the decomposition diagnostic recovers (a, M)
+from a monomial matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .series import (
     DiskSpec,
     TaylorSeries,
     UNIT_DISK,
-    differentiate,
     disk_sup_norm,
     linear_combine,
 )
@@ -382,6 +382,13 @@ def _series_image(op, f: TaylorSeries, drop: int) -> TaylorSeries:
 def apply_conv(m: ConvolutionOperator, f: TaylorSeries) -> TaylorSeries:
     """sum_k d_k f^(k)."""
     return _series_image(m, f, m.order)
+
+
+def differentiate(f: TaylorSeries, k: int = 1) -> TaylorSeries:
+    """k-th derivative f^(k), the series image of D^k."""
+    if k < 0:
+        raise ValueError("derivative order must be >= 0")
+    return apply_conv(diff_op(k), f)
 
 
 def apply_weyl(t: WeylOperator, f: TaylorSeries) -> TaylorSeries:

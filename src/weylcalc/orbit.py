@@ -4,18 +4,23 @@ Given polynomial targets q_1..q_m, the constructor produces a truncated
 series f and a schedule n_1 < ... < n_m such that A^{n_j} applied to the
 partial sum of the first j blocks approximates q_j on a disk.  Each block
 
-    u_j = sum_i w_{j,i} mu_i^{-n_j} f_{lambda_i},      mu_i = symbol(lambda_i),
+    u_j = sum_i w_{j,i} mu_i^{-n_j} f_{lambda_i},
 
-lives in the span of eigenfunctions with |mu_i| >= 1 + margin, so earlier
-iterates see it damped by at least (1+margin)^{-(n_j - n_k)}; the damping
-is what stands in for the small-eigenvalue half of the eigenfunction
-criterion.  Block j's weights fit the target corrected for the amplified
-earlier blocks; the correction is applied exactly in eigen-coordinates
-(the amplified earlier blocks already lie in the span, so refitting them
-numerically would only add noise).  The constructor builds one
+with mu_i the eigenvalue of A at f_{lambda_i}
+(:func:`~weylcalc.eigen.eigenvalue_of`), lives in the span of
+eigenfunctions with |mu_i| >= 1 + margin, so earlier iterates see it
+damped by at least (1+margin)^{-(n_j - n_k)}; the damping is what stands
+in for the small-eigenvalue half of the eigenfunction criterion.  Block
+j's weights fit the target corrected for the amplified earlier blocks; the
+correction is applied exactly in eigen-coordinates (the amplified earlier
+blocks already lie in the span, so refitting them numerically would only
+add noise).  The constructor builds one
 :class:`~weylcalc.eigen.CompletenessBasis` for its lambda set and uses it
 for every target's fit, for the member values behind the achieved errors
-and for the coefficients of f.
+and for the coefficients of f.  A^n multiplies each eigen-coordinate by
+mu_i^n, so the cancellation, the achieved errors, the leakage, the weights
+of f and the verification all read one sum, sum_b w_b mu^(n - n_b) over
+blocks b, computed in one place.
 
 Verification never trusts the bookkeeping alone: it rebuilds the member
 values from (family, lambda) instead of taking the constructor's, achieved
@@ -29,6 +34,7 @@ once, so it carries no precision setting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +43,12 @@ from .errors import BudgetExceeded, ScheduleOverflow, SearchExhausted
 from .eigen import (
     DiskSpec,
     EigenFamily,
-    FitReport,
     LambdaSet,
     VERIFY_POINTS,
     completeness_bases,
     completeness_fit,
     eigenfunction,
+    eigenvalue_of,
 )
 from .operators import CompositeOperator, exact_power, from_gaussian, to_gaussian
 from .series import TaylorSeries, evaluate_grid, linear_combine
@@ -92,8 +98,6 @@ class OrbitBlock:
     target_index: int
     n: int
     weights: np.ndarray  # full block weights, correction included
-    fresh_weights: np.ndarray  # fit of the raw target alone
-    fit: FitReport
 
 
 @dataclass(frozen=True)
@@ -135,40 +139,37 @@ def direct_power_values(
     return from_gaussian(acc_re, acc_im, e + GUARD_BITS)
 
 
-def effective_symbol(c: CompositeOperator, family: EigenFamily):
-    """Map lambda -> eigenvalue of A = L(T) at f_lambda.
+def _amplitudes(blocks, mu: np.ndarray, n: int) -> np.ndarray:
+    """Eigen-coordinates of A^n applied to the sum of ``blocks``.
 
-    Translate family (a != 0): lambda -> L(a lambda).  Exponential family
-    (a = 0): T = M has eigenvalue L_M(lambda) at e^{lambda z}, so the
-    composite symbol is L(L_M(lambda)).
+    Block b contributes w_b mu^(n - n_b); the exponent is a float, so
+    every caller rounds the powers the same way.
     """
-    if family.kind == "translate":
-        a = c.base.a
-        return lambda lam: c.eigenvalue(a * lam)
-    return lambda lam: c.eigenvalue(c.base.m.characteristic(lam))
+    amp = np.zeros(len(mu), dtype=np.complex128)
+    for blk in blocks:
+        amp += blk.weights * mu ** float(n - blk.n)
+    return amp
 
 
 def select_expanding_lambdas(
     c: CompositeOperator,
     count: int,
     margin: float,
-    family: EigenFamily | None = None,
+    family: EigenFamily,
     radius_cap: float = SEARCH_RADIUS_CAP,
 ) -> LambdaSet:
-    """``count`` points with |symbol| >= 1 + margin, one per equispaced ray.
+    """``count`` points where the eigenvalue of c has modulus >= 1 + margin,
+    one per equispaced ray.
 
     Each ray is marched outward from the origin and the first crossing of
     the level 1 + margin is bisected, so the points cluster near the level
-    set (large spread in |symbol| would wreck the conditioning of the
+    set (large spread in |eigenvalue| would wreck the conditioning of the
     later fits).
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 1.0 + margin > 1.0:
+        raise ValueError(f"1 + margin must exceed 1, got margin {margin}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    symbol = effective_symbol(
-        c, family if family is not None else EigenFamily(None, c.base.a, "exponential")
-    )
     level = 1.0 + margin
     points = []
     for i in range(count):
@@ -177,7 +178,7 @@ def select_expanding_lambdas(
         lo, hi = 0.0, None
         r = 0.05
         while r <= radius_cap:
-            if abs(symbol(r * direction)) >= level:
+            if abs(eigenvalue_of(c, family, r * direction)) >= level:
                 hi = r
                 break
             lo = r
@@ -189,21 +190,21 @@ def select_expanding_lambdas(
             )
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if abs(symbol(mid * direction)) >= level:
+            if abs(eigenvalue_of(c, family, mid * direction)) >= level:
                 hi = mid
             else:
                 lo = mid
         points.append(hi * direction)
-    return LambdaSet(
-        np.array(points), description=f"|symbol| >= {level}, {count} rays"
-    )
+    return LambdaSet(np.array(points))
 
 
 def _schedule_gap(mass, m, epsilon, margin, gap_factor):
     ratio = mass * 4 * m / epsilon
     if ratio <= 1.0:
         return 1
-    return max(1, math.ceil(gap_factor * math.log(ratio) / math.log(1.0 + margin)))
+    gap = gap_factor * math.log(ratio) / math.log(1.0 + margin)
+    # a gap that overflows a double exceeds every cap; clamped, it stays an int
+    return max(1, math.ceil(min(gap, sys.float_info.max)))
 
 
 def construct_orbit(
@@ -227,8 +228,7 @@ def construct_orbit(
     m_targets = len(problem.targets)
     disk = DiskSpec(problem.radius, 64)
     lambdas = select_expanding_lambdas(c, lambda_count, margin, family)
-    symbol = effective_symbol(c, family)
-    mu = np.array([symbol(lam) for lam in lambdas.points])
+    mu = np.array([eigenvalue_of(c, family, lam) for lam in lambdas.points])
     [basis] = completeness_bases(family, [lambdas], disk)
     # the first disk.grid_points collocation rows are disk.boundary()
     maxnorm = float(np.abs(basis.collocation[: disk.grid_points]).max())
@@ -262,17 +262,11 @@ def construct_orbit(
                 cap=schedule_cap,
             )
         # exact eigen-coordinate cancellation of the amplified earlier blocks
-        v = w.astype(np.complex128).copy()
-        for blk in blocks:
-            v -= blk.weights * mu ** (n_j - blk.n)
-        blocks.append(
-            OrbitBlock(target_index=j, n=n_j, weights=v, fresh_weights=w, fit=fit)
-        )
+        v = w - _amplitudes(blocks, mu, n_j)
+        blocks.append(OrbitBlock(target_index=j, n=n_j, weights=v))
         schedule.append(n_j)
         # achieved error of A^{n_j} on the partial sum through block j
-        amp = np.zeros_like(v)
-        for blk in blocks:
-            amp += blk.weights * mu ** (n_j - blk.n)
+        amp = _amplitudes(blocks, mu, n_j)
         achieved = float(
             np.abs(member_vals @ amp - evaluate_grid(q, verify_pts)).max()
         )
@@ -280,7 +274,7 @@ def construct_orbit(
         for k in range(j):
             bound = (1.0 + margin) ** (-(n_j - schedule[k])) * mass_full
             measured = float(
-                np.abs(member_vals @ (v * mu ** (schedule[k] - n_j))).max()
+                np.abs(member_vals @ _amplitudes(blocks[j:], mu, schedule[k])).max()
             )
             leakage.append(
                 {
@@ -302,10 +296,7 @@ def construct_orbit(
             }
         )
 
-    total = np.zeros(len(mu), dtype=np.complex128)
-    for blk in blocks:
-        total += blk.weights * mu ** (-float(blk.n))
-    f = linear_combine(list(zip(total, basis.members)))
+    f = linear_combine(list(zip(_amplitudes(blocks, mu, 0), basis.members)))
 
     report = {
         "per_target": per_target,
@@ -344,13 +335,10 @@ def verify_orbit(
     member_vals = np.column_stack([evaluate_grid(s, verify_pts) for s in members])
     rows = []
     for j, (q, n_j) in enumerate(zip(problem.targets, construction.schedule)):
-        amp_full = np.zeros(len(mu), dtype=np.complex128)
-        amp_partial = np.zeros(len(mu), dtype=np.complex128)
-        for blk in construction.blocks:
-            contrib = blk.weights * mu ** (float(n_j - blk.n))
-            amp_full += contrib
-            if blk.target_index <= j:
-                amp_partial += contrib
+        amp_full = _amplitudes(construction.blocks, mu, n_j)
+        amp_partial = _amplitudes(
+            [blk for blk in construction.blocks if blk.target_index <= j], mu, n_j
+        )
         eig_vals = member_vals @ amp_full
         q_vals = evaluate_grid(q, verify_pts)
         row = {

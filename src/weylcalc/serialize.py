@@ -34,9 +34,8 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def stable_json_dumps(obj, indent: int = 0) -> str:
+def stable_json_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if obj is True:
@@ -54,11 +53,11 @@ def stable_json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (complex, np.complexfloating)):
         return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [stable_json_dumps(v, indent) for v in obj]
+        items = [stable_json_dumps(v) for v in obj]
         return "[" + ", ".join(items) + "]"
     if isinstance(obj, dict):
         items = [
-            f'"{k}": {stable_json_dumps(obj[k], indent)}'
+            f'"{k}": {stable_json_dumps(obj[k])}'
             for k in sorted(obj, key=str)
         ]
         return "{" + ", ".join(items) + "}"
@@ -208,14 +207,12 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(
-    command: str, parameters: dict, inputs=(), timestamp: str | None = None
-) -> RunManifest:
+def build_manifest(command: str, parameters: dict, inputs=()) -> RunManifest:
     hashes = [f"sha256:{file_digest(p)}" for p in inputs]
     return RunManifest(
         command=command,
         parameters=parameters,
-        timestamp=timestamp if timestamp is not None else _default_timestamp(),
+        timestamp=_default_timestamp(),
         input_hashes=hashes,
     )
 

@@ -20,7 +20,6 @@ from .errors import (
     EmptyCombination,
     InvalidDisk,
     NonFiniteCoefficient,
-    OrderExhausted,
 )
 
 #: default number of retained coefficients for transcendental truncations
@@ -108,28 +107,6 @@ def exponential_series(lam: complex, n_terms: int = DEFAULT_ORDER) -> TaylorSeri
     for n in range(1, n_terms):
         c[n] = c[n - 1] * lam / n
     return TaylorSeries(c, valid_order=n_terms, label=f"exp({lam}*z)")
-
-
-def differentiate(f: TaylorSeries, k: int = 1) -> TaylorSeries:
-    """k-th derivative; coefficient n of the result is c_{n+k} (n+k)!/n!."""
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
-    if k == 0:
-        return f
-    if k >= f.valid_order:
-        raise OrderExhausted(
-            f"derivative order {k} >= valid_order {f.valid_order}"
-        )
-    n = np.arange(f.coeffs.size - k, dtype=np.float64)
-    fac = np.ones_like(n)
-    for j in range(1, k + 1):
-        fac *= n + j
-    out = f.coeffs[k:] * fac
-    return TaylorSeries(
-        out,
-        valid_order=max(1, f.valid_order - k),
-        label=f"D^{k}[{f.label}]" if f.label else "",
-    )
 
 
 def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:

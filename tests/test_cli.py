@@ -1,12 +1,16 @@
 """CLI exit codes, artifacts and determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import weylcalc.eigen
-from weylcalc.cli import COUNTS_MAX, GRID_MAX, LAMBDA_COUNT_MAX, main
+from weylcalc.cli import COUNTS_MAX, GRID_MAX, LAMBDA_COUNT_MAX, ORDER_MAX, main
 
 D_MINUS_Z = '{"d":[[0,0],[1,0]],"a":[1,0]}'
 D2_MINUS_Z = '{"d":[[0,0],[0,0],[1,0]],"a":[1,0]}'
@@ -278,3 +282,146 @@ def test_byte_identical_artifacts(tmp_path):
     for name in ("complete_fit.json", "residual_curve.csv",
                  "residual_curve.csv.manifest.json"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("field", ["radius", "epsilon"])
+@pytest.mark.parametrize("value", [[1], "0.1", None, True, float("nan"), 0, -1])
+def test_construct_orbit_bad_problem_number_exits_2(tmp_path, capsys, field, value):
+    problem = json.dumps({
+        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+        "targets": [{"coeffs": [[1, 0]]}],
+        field: value,
+    })
+    code = main(["construct-orbit", "--problem", problem,
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert f"'{field}': expected a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "orbit.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--margin", "--gap-factor"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+def test_construct_orbit_bad_margin_or_gap_factor_exits_2(tmp_path, capsys, flag, value):
+    problem = json.dumps({
+        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+        "targets": [{"coeffs": [[1, 0]]}],
+    })
+    code = main(["construct-orbit", "--problem", problem, f"{flag}={value}",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert f"{flag}: expected a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "orbit.json").exists()
+
+
+@pytest.mark.parametrize("entries", [
+    [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],  # 2 x 3
+    [[{"re": 1}, [0, 0]], [[0, 0], [1, 0]]],  # an entry that is not a pair
+])
+def test_decompose_malformed_matrix_exits_2(tmp_path, capsys, entries):
+    code = main(["decompose", "--matrix", json.dumps({"entries": entries}),
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "--matrix:" in capsys.readouterr().err
+    assert not (tmp_path / "decompose.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--op", D_MINUS_Z, "--terms"],
+    ["eigencheck", "--op", D_MINUS_Z, "--order"],
+    ["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS, "--order"],
+    ["construct-orbit", "--problem",
+     '{"operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]}, '
+     '"targets": [{"coeffs": [[1, 0]]}]}', "--order"],
+])
+@pytest.mark.parametrize("size", ["0", str(ORDER_MAX + 1), "100000000"])
+def test_series_order_out_of_range_exits_2(tmp_path, capsys, argv, size):
+    code = main(argv + [size, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert f"{argv[-1]}: expected a value in 1..{ORDER_MAX}, got {size}" in (
+        capsys.readouterr().err
+    )
+    assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: whatever the numbers, the exit code is 0, 1 or 2 and nothing
+# escapes main.  Valid sizes are kept small so that every example runs in
+# a fraction of a second; the caps are probed by values just above them.
+
+
+def _size(cap, small):
+    return st.one_of(st.integers(-2, small), st.sampled_from([cap + 1, 10**8]))
+
+
+_REAL = st.one_of(
+    st.floats(-4, 4),
+    st.sampled_from([0.0, float("nan"), float("inf"), float("-inf"), 1e300, -1e300]),
+)
+_JSON_VALUE = st.one_of(
+    _REAL, st.integers(-3, 3), st.sampled_from([10**400, True, None, "1", [1], {}])
+)
+_PROBLEM_OP = {"d": [[0, 0], [1, 0]], "a": [1, 0]}
+
+
+def _flags(**flags):
+    """``--flag=value`` arguments, each flag present or not."""
+    return st.fixed_dictionaries(
+        {k: st.one_of(st.none(), v) for k, v in flags.items()}
+    ).map(lambda d: [f"{k}={v}" for k, v in d.items() if v is not None])
+
+
+_COMMANDS = {
+    "kernel": st.tuples(
+        st.just(["kernel", "--op", D2_MINUS_Z]),
+        _flags(**{"--terms": _size(ORDER_MAX, 48), "--radius": _REAL}),
+    ),
+    "commutator-check": st.tuples(
+        st.just(["commutator-check", "--op", D_MINUS_Z]),
+        _flags(**{"--ncap": _size(512, 12)}),
+    ),
+    "eigencheck": st.tuples(
+        st.just(["eigencheck", "--op", '{"d":[[0,0],[1,0]],"a":[1,0],'
+                 '"L":[[0,0],[1,0],[1,0]]}']),
+        _flags(**{"--grid": _size(GRID_MAX, 2), "--lam-max": _REAL,
+                  "--order": _size(ORDER_MAX, 48), "--radius": _REAL}),
+    ),
+    "complete-fit": st.tuples(
+        st.just(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS]),
+        _flags(**{"--counts": st.lists(_size(LAMBDA_COUNT_MAX, 6), max_size=3).map(
+                      lambda c: ",".join(map(str, c)) or "x"),
+                  "--preset": st.sampled_from(["inverse", "segment", "random"]),
+                  "--seed": st.integers(-2, 3), "--ridge": _REAL,
+                  "--order": _size(ORDER_MAX, 48), "--radius": _REAL}),
+    ),
+    "construct-orbit": st.tuples(
+        st.fixed_dictionaries(
+            {"operator": st.just(_PROBLEM_OP),
+             "targets": st.just([{"coeffs": [[1, 0]]}])},
+            optional={"radius": _JSON_VALUE, "epsilon": _JSON_VALUE},
+        ).map(lambda doc: ["construct-orbit", "--problem", json.dumps(doc)]),
+        _flags(**{"--lambda-count": _size(LAMBDA_COUNT_MAX, 8), "--margin": _REAL,
+                  "--gap-factor": _REAL, "--ridge": _REAL,
+                  "--order": _size(ORDER_MAX, 48)}),
+    ),
+    "decompose": st.tuples(
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3)).map(
+            lambda s: ["decompose", "--matrix", json.dumps({"entries": [
+                [[float((r + c * s[2]) % 3 == 0), 0.0] for c in range(s[1])]
+                for r in range(s[0])]})]),
+        st.just([]),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(command, data):
+    head, flags = data.draw(_COMMANDS[command])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(head + flags + ["--outdir", outdir])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -22,13 +22,13 @@ from weylcalc.operators import (
     commutator_matrix,
     decompose,
     diff_op,
+    differentiate,
     ladder_check,
     matrix_on_monomials,
     op_on_poly,
     scalar_identity_diagnostics,
 )
 from weylcalc.series import (
-    differentiate,
     disk_sup_norm,
     gaussian_series,
     linear_combine,

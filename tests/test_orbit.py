@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import weylcalc.eigen
-from weylcalc.eigen import eigenfunction, family_from_kernel
+from weylcalc.eigen import eigenfunction, eigenvalue_of, family_from_kernel
 from weylcalc.errors import BudgetExceeded, ScheduleOverflow, SearchExhausted
 from weylcalc.operators import (
     CompositeOperator,
@@ -17,7 +17,6 @@ from weylcalc.orbit import (
     OrbitProblem,
     construct_orbit,
     direct_power_values,
-    effective_symbol,
     select_expanding_lambdas,
     verify_orbit,
 )
@@ -47,8 +46,7 @@ def setting():
 def test_selected_lambdas_sit_on_level_set(setting):
     _, family, _, quad = setting
     lams = select_expanding_lambdas(quad, 12, margin=1.0, family=family)
-    symbol = effective_symbol(quad, family)
-    mags = np.array([abs(symbol(lam)) for lam in lams.points])
+    mags = np.array([abs(eigenvalue_of(quad, family, lam)) for lam in lams.points])
     assert np.all(mags >= 2.0)
     # bisection clusters the points near the level set
     assert np.all(mags <= 2.0 * 1.01)
@@ -75,8 +73,7 @@ def test_exponential_family_symbol_composes():
     c = CompositeOperator(t, np.array([0.0, 1.0, 1.0]))
     from weylcalc.eigen import exponential_family
 
-    sym = effective_symbol(c, exponential_family(64))
-    assert sym(2.0) == pytest.approx(6.0)
+    assert eigenvalue_of(c, exponential_family(64), 2.0) == pytest.approx(6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +137,21 @@ def test_schedule_overflow_raised(setting):
         construct_orbit(
             OrbitProblem(ident, family, targets, epsilon=0.1), schedule_cap=10
         )
+
+
+def test_margin_lost_in_one_plus_margin_is_rejected(setting):
+    _, family, ident, _ = setting
+    with pytest.raises(ValueError, match="1 \\+ margin must exceed 1"):
+        select_expanding_lambdas(ident, 4, margin=1e-300, family=family)
+
+
+def test_overflowing_schedule_gap_is_a_schedule_overflow(setting):
+    # gap_factor * log(ratio) / log(1 + margin) overflows a double
+    _, family, ident, _ = setting
+    problem = OrbitProblem(ident, family, [make_series([1.0])], epsilon=0.1)
+    with pytest.raises(ScheduleOverflow) as info:
+        construct_orbit(problem, margin=1e-10, gap_factor=1e300)
+    assert info.value.attempted > info.value.cap
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +242,6 @@ def test_tampered_weights_are_detected(setting):
             target_index=0,
             n=con.blocks[0].n,
             weights=con.blocks[0].weights * 1.5,
-            fresh_weights=con.blocks[0].fresh_weights,
-            fit=con.blocks[0].fit,
         )
     ]
     tampered = type(con)(

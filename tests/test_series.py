@@ -13,10 +13,10 @@ from weylcalc.errors import (
     NonFiniteCoefficient,
     OrderExhausted,
 )
+from weylcalc.operators import differentiate
 from weylcalc.series import (
     DiskSpec,
     TaylorSeries,
-    differentiate,
     disk_sup_norm,
     evaluate,
     evaluate_grid,
