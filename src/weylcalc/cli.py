@@ -150,6 +150,13 @@ def _positive(what: str, value) -> float:
     return float(value)
 
 
+def _check_ridge(ridge: float) -> None:
+    if not 0 <= ridge <= sys.float_info.max:
+        raise MalformedSpec(
+            f"--ridge: expected a finite number >= 0, got {ridge!r}"
+        )
+
+
 def _base_weyl(op) -> WeylOperator:
     return op.base if isinstance(op, CompositeOperator) else op
 
@@ -192,7 +199,7 @@ def _cmd_kernel(args) -> int:
     write_csv(
         csv_path,
         ["solution_index", "residual"],
-        [(i, r) for i, r in enumerate(basis.residuals)],
+        [np.arange(len(basis.residuals)), np.array(basis.residuals, dtype=float)],
     )
     write_manifest_sidecar(csv_path, manifest)
     print(f"kernel basis: {len(basis.solutions)} solution(s), "
@@ -222,10 +229,11 @@ def _cmd_commutator_check(args) -> int:
         manifest,
     )
     csv_path = out / "commutator_matrix.csv"
+    rows, cols = np.indices(comm.entries.shape)
     write_csv(
         csv_path,
         ["row", "col", "re", "im"],
-        [(r, c, v.real, v.imag) for (r, c), v in np.ndenumerate(comm.entries)],
+        [rows, cols, comm.entries.real, comm.entries.imag],
     )
     write_manifest_sidecar(csv_path, manifest)
     print(f"commutator with D: a = {a_est}, off-diagonal max "
@@ -241,18 +249,14 @@ def _cmd_eigencheck(args) -> int:
     family = _family_for(t, args.order)
     disk = DiskSpec(args.radius, 64)
     lams = _square_grid(args.grid, args.lam_max)
-    rows = []
-    worst_eigen = 0.0
-    worst_comp = 0.0
+    composite = isinstance(op, CompositeOperator)
+    residuals, comp_residuals = [], []
     for lam in lams:
-        res = eigen_residual(t, family, lam, disk)
-        worst_eigen = max(worst_eigen, res)
-        row = [lam.real, lam.imag, res]
-        if isinstance(op, CompositeOperator):
-            comp = composite_eigencheck(op, family, lam, disk)
-            worst_comp = max(worst_comp, comp)
-            row.append(comp)
-        rows.append(row)
+        residuals.append(eigen_residual(t, family, lam, disk))
+        if composite:
+            comp_residuals.append(composite_eigencheck(op, family, lam, disk))
+    columns = [lams.real, lams.imag, np.array(residuals)]
+    worst_eigen = max(residuals)
     out = _outdir(args)
     manifest = build_manifest(
         "eigencheck",
@@ -268,18 +272,20 @@ def _cmd_eigencheck(args) -> int:
     payload = {
         "family_kind": family.kind,
         "worst_eigen_residual": worst_eigen,
-        "points": len(rows),
+        "points": len(lams),
     }
     header = ["lam_re", "lam_im", "eigen_residual"]
-    if isinstance(op, CompositeOperator):
+    if composite:
+        worst_comp = max(comp_residuals)
         payload["worst_composite_residual"] = worst_comp
         header.append("composite_residual")
+        columns.append(np.array(comp_residuals))
     write_report(out / "eigencheck.json", payload, manifest)
     csv_path = out / "eigencheck_grid.csv"
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, columns)
     write_manifest_sidecar(csv_path, manifest)
-    msg = f"eigen-relation: worst residual {worst_eigen:.3e} over {len(rows)} points"
-    if isinstance(op, CompositeOperator):
+    msg = f"eigen-relation: worst residual {worst_eigen:.3e} over {len(lams)} points"
+    if composite:
         msg += f", worst composite residual {worst_comp:.3e}"
     print(msg)
     return 0
@@ -296,6 +302,7 @@ def _preset_lambdas(preset: str, count: int, seed: int):
 
 
 def _cmd_complete_fit(args) -> int:
+    _check_ridge(args.ridge)
     doc, inputs = _load_json_arg(args.op, "--op")
     op = parse_operator_spec(doc)
     t = _base_weyl(op)
@@ -318,7 +325,6 @@ def _cmd_complete_fit(args) -> int:
         [_preset_lambdas(args.preset, count, args.seed) for count in counts],
         disk,
     )
-    rows = []
     reports = []
     n_ok = 0
     for ti, target in enumerate(targets):
@@ -327,9 +333,6 @@ def _cmd_complete_fit(args) -> int:
             try:
                 fit = completeness_fit(basis, target, args.ridge)
             except WeylcalcError as exc:
-                # the CSV writer refuses non-finite floats; "inf" is text
-                rows.append([ti, label, count, "inf", "inf",
-                             args.ridge, "conditioning-failure"])
                 reports.append({
                     "target": ti,
                     "label": label,
@@ -339,8 +342,6 @@ def _cmd_complete_fit(args) -> int:
                 })
                 continue
             n_ok += 1
-            rows.append([ti, label, count, fit.residual_norm,
-                         fit.condition_diag, fit.ridge, "ok"])
             reports.append({
                 "target": ti,
                 "label": label,
@@ -367,14 +368,23 @@ def _cmd_complete_fit(args) -> int:
     )
     write_report(out / "complete_fit.json", {"fits": reports}, manifest)
     csv_path = out / "residual_curve.csv"
+    # the CSV writer refuses non-finite floats; a failed fit's "inf" is text
     write_csv(
         csv_path,
         ["target_index", "target_label", "count", "residual", "condition",
          "ridge", "status"],
-        rows,
+        [
+            [r["target"] for r in reports],
+            [r["label"] for r in reports],
+            [r["count"] for r in reports],
+            [r.get("residual_norm", "inf") for r in reports],
+            [r.get("condition_diag", "inf") for r in reports],
+            [r.get("ridge", args.ridge) for r in reports],
+            [r["status"] for r in reports],
+        ],
     )
     write_manifest_sidecar(csv_path, manifest)
-    n_fail = len(rows) - n_ok
+    n_fail = len(reports) - n_ok
     print(f"completeness fits: {n_ok} ok, {n_fail} conditioning failure(s); "
           f"curve written to {csv_path}")
     return 0 if n_ok > 0 else 1
@@ -384,6 +394,7 @@ def _cmd_construct_orbit(args) -> int:
     _check_range("--lambda-count", args.lambda_count, LAMBDA_COUNT_MAX)
     _positive("--margin", args.margin)
     _positive("--gap-factor", args.gap_factor)
+    _check_ridge(args.ridge)
     doc, inputs = _load_json_arg(args.problem, "--problem")
     if not isinstance(doc, dict) or "operator" not in doc or "targets" not in doc:
         raise MalformedSpec(
@@ -443,18 +454,25 @@ def _cmd_construct_orbit(args) -> int:
         "verification": verification,
     }
     write_report(out / "orbit.json", payload, manifest)
-    rows = []
-    for row in construction.report["per_target"]:
-        j = row["target"]
-        bound = sum(
+    per_target = construction.report["per_target"]
+    bounds = [
+        sum(
             lk["bound"]
             for lk in construction.report["leakage"]
-            if lk["at_iterate_of_target"] == j
+            if lk["at_iterate_of_target"] == row["target"]
         )
-        rows.append([j, row["n"], row["achieved_error"], bound])
+        for row in per_target
+    ]
     csv_path = out / "orbit_errors.csv"
     write_csv(
-        csv_path, ["j", "n_j", "achieved_error", "leakage_bound"], rows
+        csv_path,
+        ["j", "n_j", "achieved_error", "leakage_bound"],
+        [
+            [row["target"] for row in per_target],
+            [row["n"] for row in per_target],
+            [row["achieved_error"] for row in per_target],
+            bounds,
+        ],
     )
     write_manifest_sidecar(csv_path, manifest)
     met = construction.report["all_targets_met"]
@@ -563,7 +581,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated lambda-set sizes, at most "
                         f"{COUNTS_MAX}, each 1..{LAMBDA_COUNT_MAX}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ridge", type=float, default=1e-10)
+    p.add_argument("--ridge", type=float, default=1e-10,
+                   help="Tikhonov ridge, finite and >= 0 (0: truncated SVD)")
     p.add_argument("--order", type=int, default=128,
                    help=f"series coefficients, 1..{ORDER_MAX}")
     p.add_argument("--radius", type=float, default=1.0)
@@ -577,7 +596,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"size of the expanding lambda set, 1..{LAMBDA_COUNT_MAX}")
     p.add_argument("--margin", type=float, default=2.0)
     p.add_argument("--gap-factor", type=float, default=1.25)
-    p.add_argument("--ridge", type=float, default=1e-10)
+    p.add_argument("--ridge", type=float, default=1e-10,
+                   help="Tikhonov ridge, finite and >= 0 (0: truncated SVD)")
     p.add_argument("--order", type=int, default=128,
                    help=f"series coefficients, 1..{ORDER_MAX}")
     p.set_defaults(func=_cmd_construct_orbit)

@@ -1,8 +1,11 @@
 """Bit-stable JSON/CSV serialization and run manifests.
 
 All floats are rendered with 17 significant digits and all JSON keys are
-sorted, so identical runs produce byte-identical artifacts.  Every report
-embeds (JSON) or accompanies (CSV) its :class:`RunManifest`.
+sorted, so identical runs produce byte-identical artifacts.  CSV tables
+are passed as columns: float and integer arrays are formatted as whole
+columns (an exact ``+0.0`` is written as ``0`` without the formatter,
+``-0.0`` as ``-0``) and written in blocks of rows.  Every report embeds
+(JSON) or accompanies (CSV) its :class:`RunManifest`.
 """
 
 from __future__ import annotations
@@ -150,22 +153,73 @@ def parse_operator_spec(doc: dict):
 # CSV
 
 
-def write_csv(path: Path, header: list, rows) -> None:
-    """CSV with .17g float cells, plain ints and strings."""
-    def cell(v):
-        if isinstance(v, (bool,)):
-            return "1" if v else "0"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return _fmt_float(float(v))
-        return str(v)
+#: rows formatted and written at a time; bounds the text held in memory
+CSV_BLOCK_ROWS = 4096
 
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _fmt_float(float(v))
+    return str(v)
+
+
+def _column(values):
+    """A float or integer array, flat and checked finite, kept for
+    formatting block by block; any other column formatted cell by cell."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        values = values.ravel()
+        if values.dtype.kind == "f":
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise ValueError(
+                    f"non-finite value {float(bad[0])} cannot be serialized"
+                )
+        return values
+    return [_cell(v) for v in values]
+
+
+def _block_cells(part) -> list:
+    """Text cells of one block of a column from :func:`_column`."""
+    if not isinstance(part, np.ndarray):
+        return part
+    if part.dtype.kind != "f":
+        return [str(v) for v in part.tolist()]
+    # most cells of a banded matrix are +0.0, whose f"{x:.17g}" is "0";
+    # -0.0 goes through the formatter to keep its sign
+    cells = ["0"] * part.size
+    idx = np.flatnonzero((part != 0) | np.signbit(part))
+    for i, x in zip(idx.tolist(), part[idx].tolist()):
+        cells[i] = f"{x:.17g}"
+    return cells
+
+
+def write_csv(path: Path, header: list, columns) -> None:
+    """CSV of equal-length columns, one per header name.
+
+    Arrays are read flattened in C order.  A float array is written as
+    ``f"{x:.17g}"`` of each value, an exact ``+0.0`` as ``0`` without
+    the formatter; an integer array as ``str`` of each value; any other
+    sequence cell by cell (bools as 1/0, ints, .17g floats, anything
+    else as ``str``).  Every column is checked
+    before the file is opened, so a non-finite float raises
+    ``ValueError`` and writes nothing.  Rows go out in blocks of
+    :data:`CSV_BLOCK_ROWS`.
+    """
+    cols = [_column(c) for c in columns]
+    if len(cols) != len(header) or len({len(c) for c in cols}) > 1:
+        raise ValueError("write_csv: expected one column per header name, "
+                         "all of one length")
+    n_rows = len(cols[0]) if cols else 0
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(cell(v) for v in row) + "\n")
+            for start in range(0, n_rows, CSV_BLOCK_ROWS):
+                block = [_block_cells(c[start:start + CSV_BLOCK_ROWS]) for c in cols]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*block)))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

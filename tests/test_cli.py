@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import weylcalc.eigen
 from weylcalc.cli import COUNTS_MAX, GRID_MAX, LAMBDA_COUNT_MAX, ORDER_MAX, main
+from weylcalc.operators import commutator_matrix, diff_op
+from weylcalc.serialize import parse_operator_spec
 
 D_MINUS_Z = '{"d":[[0,0],[1,0]],"a":[1,0]}'
 D2_MINUS_Z = '{"d":[[0,0],[0,0],[1,0]],"a":[1,0]}'
@@ -82,6 +84,20 @@ def test_commutator_check_report(tmp_path, capsys):
     assert doc["a_estimate"] == [1.0, 0.0]
     assert doc["offdiag_max"] <= 1e-12
     assert doc["diag_spread"] <= 1e-12
+
+
+def test_commutator_csv_matches_a_per_entry_rendering(tmp_path):
+    # the largest artifact the CLI writes; nearly every entry is +0.0
+    code = main(["commutator-check", "--op", D2_MINUS_Z, "--ncap", "256",
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    op = parse_operator_spec(json.loads(D2_MINUS_Z))
+    entries = commutator_matrix(op, diff_op(1), 256).entries
+    expected = "row,col,re,im\n" + "".join(
+        f"{r},{c},{float(v.real):.17g},{float(v.imag):.17g}\n"
+        for (r, c), v in np.ndenumerate(entries)
+    )
+    assert (tmp_path / "commutator_matrix.csv").read_bytes() == expected.encode()
 
 
 def test_eigencheck_with_composite(tmp_path):
@@ -311,6 +327,25 @@ def test_construct_orbit_bad_margin_or_gap_factor_exits_2(tmp_path, capsys, flag
     assert code == 2
     assert f"{flag}: expected a finite positive number" in capsys.readouterr().err
     assert not (tmp_path / "orbit.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", ["complete-fit", "construct-orbit"])
+def test_bad_ridge_exits_2(tmp_path, capsys, command, value):
+    if command == "complete-fit":
+        argv = ["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS]
+        artifact = "complete_fit.json"
+    else:
+        problem = json.dumps({
+            "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+            "targets": [{"coeffs": [[1, 0]]}],
+        })
+        argv = ["construct-orbit", "--problem", problem]
+        artifact = "orbit.json"
+    code = main(argv + [f"--ridge={value}", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "--ridge: expected a finite number >= 0" in capsys.readouterr().err
+    assert not (tmp_path / artifact).exists()
 
 
 @pytest.mark.parametrize("entries", [

@@ -1,8 +1,14 @@
 """Bit-stable serialization, operator specs and manifests."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from weylcalc import serialize
 from weylcalc.errors import MalformedSpec, ZeroOperator
 from weylcalc.operators import CompositeOperator, WeylOperator, diff_op
 from weylcalc.serialize import (
@@ -107,7 +113,81 @@ def test_write_report_embeds_manifest(tmp_path, monkeypatch):
 
 def test_write_csv_format(tmp_path):
     path = tmp_path / "table.csv"
-    write_csv(path, ["i", "x"], [(0, 0.1), (1, 2.0)])
+    write_csv(path, ["i", "x"], [[0, 1], [0.1, 2.0]])
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "i,x"
     assert lines[1] == "0,0.10000000000000001"
+
+
+# ---------------------------------------------------------------------------
+# column writer
+
+
+def _write_lines(header, columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, columns)
+        return path.read_text(encoding="utf-8").split("\n")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    col=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+    block=st.integers(1, 7),
+)
+@example(col=EDGE_FLOATS, block=4)
+@example(col=[], block=1)
+def test_float_column_renders_as_17g(col, block):
+    with mock.patch.object(serialize, "CSV_BLOCK_ROWS", block):
+        lines = _write_lines(["x"], [np.array(col, dtype=float)])
+    assert lines == ["x"] + [f"{x:.17g}" for x in col] + [""]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", [0, 5, 9])
+def test_non_finite_float_column_raises_and_writes_nothing(tmp_path, bad, where):
+    col = np.zeros(10)
+    col[where] = bad
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=f"^non-finite value {bad} cannot be serialized$"):
+        write_csv(path, ["i", "x"], [np.arange(10), col])
+    assert not path.exists()
+
+
+@given(col=st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
+@settings(deadline=None)
+def test_integer_column_renders_as_str(col):
+    lines = _write_lines(["n"], [np.array(col, dtype=np.int64)])
+    assert lines == ["n"] + [str(v) for v in col] + [""]
+
+
+def test_mixed_column_renders_cell_by_cell():
+    # as residual_curve.csv: a failed fit's residual is the text "inf"
+    col = [2.5e-3, "inf", 0.0, -0.0, 7, True, "conditioning-failure", np.float64(0.1)]
+    lines = _write_lines(["residual"], [col])
+    assert lines[1:] == ["0.0025000000000000001", "inf", "0", "-0", "7", "1",
+                         "conditioning-failure", "0.10000000000000001", ""]
+    with pytest.raises(ValueError, match="^non-finite value inf cannot be serialized$"):
+        _write_lines(["residual"], [[0.5, float("inf")]])
+
+
+def test_row_count_off_the_block_size(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 2 * serialize.CSV_BLOCK_ROWS + 5
+    x = rng.standard_normal(n)
+    x[rng.random(n) < 0.7] = 0.0
+    x[:3] = -0.0
+    lines = _write_lines(["i", "x", "tag"], [np.arange(n), x, ["a"] * n])
+    assert len(lines) == n + 2 and lines[-1] == ""
+    assert lines[1:-1] == [f"{i},{v:.17g},a" for i, v in enumerate(x.tolist())]
+
+
+def test_columns_must_match_the_header(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2]])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
