@@ -57,7 +57,7 @@ from .operators import (
     matrix_on_monomials,
     scalar_identity_diagnostics,
 )
-from .orbit import OrbitProblem, construct_orbit, verify_orbit
+from .orbit import OrbitProblem, construct_orbit, targets_met, verify_orbit
 from .serialize import (
     WORKDIR_ENV,
     build_manifest,
@@ -393,7 +393,6 @@ def _cmd_complete_fit(args) -> int:
 def _cmd_construct_orbit(args) -> int:
     _check_range("--lambda-count", args.lambda_count, LAMBDA_COUNT_MAX)
     _positive("--margin", args.margin)
-    _positive("--gap-factor", args.gap_factor)
     _check_ridge(args.ridge)
     doc, inputs = _load_json_arg(args.problem, "--problem")
     if not isinstance(doc, dict) or "operator" not in doc or "targets" not in doc:
@@ -409,6 +408,11 @@ def _cmd_construct_orbit(args) -> int:
     if not isinstance(doc["targets"], list) or not doc["targets"]:
         raise MalformedSpec("--problem: 'targets' must be a non-empty list")
     targets = [series_from_dict(d) for d in doc["targets"]]
+    if args.lambda_count * len(targets) > LAMBDA_COUNT_MAX:
+        raise MalformedSpec(
+            f"--lambda-count: {args.lambda_count} lambda points for each of "
+            f"{len(targets)} targets exceed the cap of {LAMBDA_COUNT_MAX} in all"
+        )
     radius = _positive("--problem: 'radius'", doc.get("radius", 1.0))
     epsilon = _positive("--problem: 'epsilon'", doc.get("epsilon", 0.1))
     family = _family_for(comp.base, args.order)
@@ -423,7 +427,6 @@ def _cmd_construct_orbit(args) -> int:
             "epsilon": epsilon,
             "lambda_count": args.lambda_count,
             "margin": args.margin,
-            "gap_factor": args.gap_factor,
             "ridge": args.ridge,
             "order": args.order,
         },
@@ -433,49 +436,38 @@ def _cmd_construct_orbit(args) -> int:
         problem,
         lambda_count=args.lambda_count,
         margin=args.margin,
-        gap_factor=args.gap_factor,
         ridge=args.ridge,
     )
     verification = verify_orbit(construction, problem)
+    met = targets_met(verification, epsilon)
     payload = {
         "f": series_to_dict(construction.f),
         "schedule": construction.schedule,
         "lambdas": [complex_pair(l) for l in construction.lambdas.points],
         "eigenvalues": [complex_pair(m) for m in construction.eigenvalues],
         "blocks": [
-            {
-                "target": blk.target_index,
-                "n": blk.n,
-                "weights": [complex_pair(w) for w in blk.weights],
-            }
-            for blk in construction.blocks
+            {"target": j, "n": n, "weights": [complex_pair(w) for w in weights]}
+            for j, n, weights in construction.blocks()
         ],
-        "report": construction.report,
+        "report": {**construction.report, "all_targets_met": met},
         "verification": verification,
     }
     write_report(out / "orbit.json", payload, manifest)
     per_target = construction.report["per_target"]
-    bounds = [
-        sum(
-            lk["bound"]
-            for lk in construction.report["leakage"]
-            if lk["at_iterate_of_target"] == row["target"]
-        )
-        for row in per_target
-    ]
     csv_path = out / "orbit_errors.csv"
+    # an iterate past DIRECT_CAP has no direct route: an empty cell
     write_csv(
         csv_path,
-        ["j", "n_j", "achieved_error", "leakage_bound"],
+        ["j", "n_j", "achieved_error", "method_discrepancy"],
         [
             [row["target"] for row in per_target],
             [row["n"] for row in per_target],
             [row["achieved_error"] for row in per_target],
-            bounds,
+            ["" if row["method_discrepancy"] is None else row["method_discrepancy"]
+             for row in verification],
         ],
     )
     write_manifest_sidecar(csv_path, manifest)
-    met = construction.report["all_targets_met"]
     print(f"orbit schedule {construction.schedule}, all targets met: {met}")
     return 0 if met else 1
 
@@ -593,9 +585,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True,
                    help="orbit problem JSON (path or inline)")
     p.add_argument("--lambda-count", type=int, default=16,
-                   help=f"size of the expanding lambda set, 1..{LAMBDA_COUNT_MAX}")
+                   help=f"expanding lambda points per target; times the "
+                        f"number of targets at most {LAMBDA_COUNT_MAX}")
     p.add_argument("--margin", type=float, default=2.0)
-    p.add_argument("--gap-factor", type=float, default=1.25)
     p.add_argument("--ridge", type=float, default=1e-10,
                    help="Tikhonov ridge, finite and >= 0 (0: truncated SVD)")
     p.add_argument("--order", type=int, default=128,
@@ -631,7 +623,11 @@ def main(argv=None) -> int:
                 payload["error"][attr] = getattr(exc, attr)
         try:
             out = _outdir(args)
-            manifest = build_manifest(args.command, {"argv": list(argv or sys.argv[1:])})
+            # the parsed parameters, as in the success manifests; the
+            # output directory is left out so the bytes do not depend on it
+            params = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "func", "outdir")}
+            manifest = build_manifest(args.command, params)
             write_report(out / f"{args.command.replace('-', '_')}_error.json",
                          payload, manifest)
         except OSError:

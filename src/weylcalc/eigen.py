@@ -267,24 +267,24 @@ def completeness_bases(
     return bases
 
 
-def completeness_fit(
-    basis: CompletenessBasis,
-    target: TaylorSeries,
-    ridge: float = RIDGE_DEFAULT,
-) -> FitReport:
-    """Ridge-regularized fit of target in span{f_lambda} on the disk.
+def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
+    """Ridge-regularized least squares a_mat @ w ~ b.
 
-    Escalates the ridge by factors of 10 up to RIDGE_MAX when the normal
-    system is numerically singular, and reports honest failure beyond
-    that.  The reported residual is the true sup norm on a denser
-    verification circle.
+    ``svd`` is the thin SVD of ``a_mat`` when the caller already has it.
+    A positive ridge is Tikhonov through SVD filter factors, escalated by
+    factors of 10 up to RIDGE_MAX when the system is numerically
+    singular; ridge 0 is a truncated SVD whose cutoff is auto-selected on
+    the sup residual over the rows of ``a_mat``.  Returns the weights, the
+    condition estimate and the ridge actually used.
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    if basis.svd is None:
-        raise SingularSystem(basis.svd_failure)
-    b = evaluate_grid(target, basis.points)
-    u, s, vh = basis.svd
+    if svd is None:
+        try:
+            svd = np.linalg.svd(a_mat, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"collocation SVD failed: {exc}") from exc
+    u, s, vh = svd
     beta = u.conj().T @ b
     if ridge > 0:
         # Tikhonov through SVD filter factors, escalating on breakdown
@@ -298,31 +298,46 @@ def completeness_fit(
             else:
                 raise SingularSystem(
                     f"regularized system stayed singular up to ridge "
-                    f"{RIDGE_MAX:.1e} for |Lambda| = {len(basis.lambdas)}"
+                    f"{RIDGE_MAX:.1e} for |Lambda| = {a_mat.shape[1]}"
                 )
-        cond = float((s[0] ** 2 + level) / (s[-1] ** 2 + level))
-    else:
-        # ridge 0: truncated SVD, cutoff auto-selected on the collocation
-        # sup residual (the reported residual still comes from the denser
-        # verification circle below)
-        level = 0.0
-        best = None
-        for cut in [0.0] + [10.0 ** e for e in range(-15, -7)]:
-            keep = s > cut * s[0]
-            if not np.any(keep):
-                continue
-            cand = vh.conj().T[:, keep] @ (beta[keep] / s[keep])
-            if not np.all(np.isfinite(cand.view(np.float64))):
-                continue
-            sel = float(np.abs(basis.collocation @ cand - b).max())
-            if best is None or sel < best[0]:
-                best = (sel, cand, float(s[0] / s[keep].min()))
-        if best is None:
-            raise SingularSystem(
-                f"no usable truncated-SVD solution for |Lambda| = "
-                f"{len(basis.lambdas)}"
-            )
-        _, w, cond = best
+        return w, float((s[0] ** 2 + level) / (s[-1] ** 2 + level)), level
+    # ridge 0: truncated SVD, cutoff auto-selected on the sup residual
+    best = None
+    for cut in [0.0] + [10.0 ** e for e in range(-15, -7)]:
+        keep = s > cut * s[0]
+        if not np.any(keep):
+            continue
+        cand = vh.conj().T[:, keep] @ (beta[keep] / s[keep])
+        if not np.all(np.isfinite(cand.view(np.float64))):
+            continue
+        sel = float(np.abs(a_mat @ cand - b).max())
+        if best is None or sel < best[0]:
+            best = (sel, cand, float(s[0] / s[keep].min()))
+    if best is None:
+        raise SingularSystem(
+            f"no usable truncated-SVD solution for |Lambda| = {a_mat.shape[1]}"
+        )
+    _, w, cond = best
+    return w, cond, 0.0
+
+
+def completeness_fit(
+    basis: CompletenessBasis,
+    target: TaylorSeries,
+    ridge: float = RIDGE_DEFAULT,
+) -> FitReport:
+    """Ridge-regularized fit of target in span{f_lambda} on the disk.
+
+    The solve is :func:`regularized_solve` on the collocation matrix; the
+    reported residual is the true sup norm on the denser verification
+    circle (never the regularized objective, nor the collocation residual
+    that picks a truncated-SVD cutoff).
+    """
+    if basis.svd is None:
+        raise SingularSystem(basis.svd_failure)
+    w, cond, level = regularized_solve(
+        basis.collocation, evaluate_grid(target, basis.points), ridge, basis.svd
+    )
     fitted = basis.verification @ w
     resid = float(np.abs(fitted - evaluate_grid(target, basis.verify_points)).max())
     return FitReport(

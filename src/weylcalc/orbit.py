@@ -1,40 +1,43 @@
 """Explicit approximate orbit construction for A = L(T).
 
 Given polynomial targets q_1..q_m, the constructor produces a truncated
-series f and a schedule n_1 < ... < n_m such that A^{n_j} applied to the
-partial sum of the first j blocks approximates q_j on a disk.  Each block
+series f and a schedule n_1 < ... < n_m such that A^{n_j} f approximates
+q_j on a disk.  f is one coordinate vector x over an expanding lambda set
+Lambda,
 
-    u_j = sum_i w_{j,i} mu_i^{-n_j} f_{lambda_i},
+    f = sum_i x_i f_{lambda_i},
 
 with mu_i the eigenvalue of A at f_{lambda_i}
-(:func:`~weylcalc.eigen.eigenvalue_of`), lives in the span of
-eigenfunctions with |mu_i| >= 1 + margin, so earlier iterates see it
-damped by at least (1+margin)^{-(n_j - n_k)}; the damping is what stands
-in for the small-eigenvalue half of the eigenfunction criterion.  Block
-j's weights fit the target corrected for the amplified earlier blocks; the
-correction is applied exactly in eigen-coordinates (the amplified earlier
-blocks already lie in the span, so refitting them numerically would only
-add noise).  The constructor builds one
-:class:`~weylcalc.eigen.CompletenessBasis` for its lambda set and uses it
-for every target's fit, for the member values behind the achieved errors
-and for the coefficients of f.  A^n multiplies each eigen-coordinate by
-mu_i^n, so the cancellation, the achieved errors, the leakage, the weights
-of f and the verification all read one sum, sum_b w_b mu^(n - n_b) over
-blocks b, computed in one place.
+(:func:`~weylcalc.eigen.eigenvalue_of`) and |mu_i| >= 1 + margin, so
+A^n f has eigen-coordinates x mu^n.  Lambda holds ``lambda_count`` points
+per target.  For the equispaced schedule n_j = j * step, step = 1, 2, ...,
+one least-squares fit of the stacked system
+
+    [E diag(mu^{n_1}); ...; E diag(mu^{n_m})] x ~ [q_1; ...; q_m],
+
+E the collocation matrix of the members, is solved through the same
+Tikhonov/TSVD code as every completeness fit
+(:func:`~weylcalc.eigen.regularized_solve`), and the first step at which
+every target is met within epsilon/2 on the verification circle wins.
+Because the fit is joint, no target's correction can spoil another's:
+what is checked is A^{n_j} applied to the whole of f.  The constructor
+builds one :class:`~weylcalc.eigen.CompletenessBasis` for Lambda and uses
+it for every per-target fit, the stacked system, the achieved errors and
+the coefficients of f.
 
 Verification never trusts the bookkeeping alone: it rebuilds the member
-values from (family, lambda) instead of taking the constructor's, achieved
-errors are recomputed on an independent grid, and every scheduled iterate
-up to DIRECT_CAP is cross-checked by direct repeated operator application.
-The direct route powers L(T) through the banded core of
-:mod:`weylcalc.operators` in exact Gaussian-integer arithmetic and rounds
-once, so it carries no precision setting.
+values from (family, lambda) instead of taking the constructor's,
+recomputes the error of the full vector at every scheduled iterate, and
+cross-checks every iterate up to DIRECT_CAP by direct repeated operator
+application; an iterate past DIRECT_CAP is unverified, and the orbit does
+not succeed (:func:`targets_met`).  The direct route powers L(T) through
+the banded core of :mod:`weylcalc.operators` in exact Gaussian-integer
+arithmetic and rounds once, so it carries no precision setting.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +52,7 @@ from .eigen import (
     completeness_fit,
     eigenfunction,
     eigenvalue_of,
+    regularized_solve,
 )
 from .operators import CompositeOperator, exact_power, from_gaussian, to_gaussian
 from .series import TaylorSeries, evaluate_grid, linear_combine
@@ -65,6 +69,10 @@ GUARD_BITS = 64
 
 #: radial search cap for expanding eigenvalue points
 SEARCH_RADIUS_CAP = 64.0
+
+#: largest entry of the stacked system; Tikhonov squares its singular
+#: values, which must stay finite
+STACKED_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -92,25 +100,26 @@ class OrbitProblem:
 
 
 @dataclass(frozen=True)
-class OrbitBlock:
-    """One target's contribution to the construction."""
-
-    target_index: int
-    n: int
-    weights: np.ndarray  # full block weights, correction included
-
-
-@dataclass(frozen=True)
 class OrbitConstruction:
-    """Constructed vector, schedule, blocks and honest per-target report."""
+    """Constructed vector, its coordinates, schedule and per-target report."""
 
     f: TaylorSeries
     schedule: list
     lambdas: LambdaSet
     eigenvalues: np.ndarray
-    blocks: list
+    coords: np.ndarray  # x: f = sum_i x_i f_{lambda_i}
     report: dict
     family: EigenFamily = field(compare=False, default=None)
+
+    def blocks(self) -> list:
+        """One (target, n_j, weights) entry per target, the block form
+        A^n f = sum_b w_b mu^(n - n_b) of the coordinates: all of f sits
+        in block 0 (w_0 = x mu^{n_1}) and the later blocks are zero."""
+        zero = np.zeros_like(self.coords)
+        return [
+            (j, n, _amplitudes(self.coords, self.eigenvalues, n) if j == 0 else zero)
+            for j, n in enumerate(self.schedule)
+        ]
 
 
 def direct_power_values(
@@ -139,16 +148,10 @@ def direct_power_values(
     return from_gaussian(acc_re, acc_im, e + GUARD_BITS)
 
 
-def _amplitudes(blocks, mu: np.ndarray, n: int) -> np.ndarray:
-    """Eigen-coordinates of A^n applied to the sum of ``blocks``.
-
-    Block b contributes w_b mu^(n - n_b); the exponent is a float, so
-    every caller rounds the powers the same way.
-    """
-    amp = np.zeros(len(mu), dtype=np.complex128)
-    for blk in blocks:
-        amp += blk.weights * mu ** float(n - blk.n)
-    return amp
+def _amplitudes(coords: np.ndarray, mu: np.ndarray, n: int) -> np.ndarray:
+    """Eigen-coordinates x mu^n of A^n f; the exponent is a float, so
+    every caller rounds the powers the same way."""
+    return coords * mu ** float(n)
 
 
 def select_expanding_lambdas(
@@ -198,119 +201,100 @@ def select_expanding_lambdas(
     return LambdaSet(np.array(points))
 
 
-def _schedule_gap(mass, m, epsilon, margin, gap_factor):
-    ratio = mass * 4 * m / epsilon
-    if ratio <= 1.0:
-        return 1
-    gap = gap_factor * math.log(ratio) / math.log(1.0 + margin)
-    # a gap that overflows a double exceeds every cap; clamped, it stays an int
-    return max(1, math.ceil(min(gap, sys.float_info.max)))
-
-
 def construct_orbit(
     problem: OrbitProblem,
     lambda_count: int = 16,
     margin: float = 2.0,
-    gap_factor: float = 1.25,
     ridge: float = 1e-10,
     schedule_cap: int = SCHEDULE_CAP,
 ) -> OrbitConstruction:
-    """Greedy block construction over the target list.
+    """One stacked fit over the target list.
 
-    Per target: fit the target in the expanding span, derive the iterate
-    gap from the fit's coefficient mass, cancel the amplified earlier
-    blocks exactly in eigen-coordinates, and record the achieved error of
-    A^{n_j} applied to the partial sum through block j together with the
-    leakage bounds of block j at all earlier scheduled times.
+    Lambda has ``lambda_count`` points per target.  Each target's own fit
+    in span{f_lambda} must meet epsilon/2 (else BudgetExceeded); then the
+    schedules n_j = j * step are tried for step = 1, 2, ... while
+    n_m <= ``schedule_cap`` and the largest mu^{n_m} keeps the stacked
+    system within STACKED_MAX, and the first whose stacked fit meets
+    every target within epsilon/2 on the verification circle is kept
+    (ScheduleOverflow when none does).
     """
     c = problem.operator
     family = problem.family
-    m_targets = len(problem.targets)
-    disk = DiskSpec(problem.radius, 64)
-    lambdas = select_expanding_lambdas(c, lambda_count, margin, family)
+    targets = problem.targets
+    m_targets = len(targets)
+    budget = problem.epsilon / 2
+    lambdas = select_expanding_lambdas(c, lambda_count * m_targets, margin, family)
     mu = np.array([eigenvalue_of(c, family, lam) for lam in lambdas.points])
-    [basis] = completeness_bases(family, [lambdas], disk)
-    # the first disk.grid_points collocation rows are disk.boundary()
-    maxnorm = float(np.abs(basis.collocation[: disk.grid_points]).max())
-    verify_pts = basis.verify_points
-    member_vals = basis.verification
+    [basis] = completeness_bases(family, [lambdas], DiskSpec(problem.radius, 64))
 
-    blocks = []
-    schedule = []
-    per_target = []
-    leakage = []
-    for j, q in enumerate(problem.targets):
+    fit_residuals = []
+    for j, q in enumerate(targets):
         fit = completeness_fit(basis, q, ridge)
-        if fit.residual_norm > problem.epsilon / 2:
+        if fit.residual_norm > budget:
             raise BudgetExceeded(
                 f"target {j}: fit residual {fit.residual_norm:.3e} exceeds "
-                f"epsilon/2 = {problem.epsilon / 2:.3e} with "
-                f"{lambda_count} lambda points",
+                f"epsilon/2 = {budget:.3e} with {len(lambdas)} lambda points",
                 target_index=j,
                 residual=fit.residual_norm,
-                budget=problem.epsilon / 2,
+                budget=budget,
             )
-        w = fit.weights
-        mass = float(np.abs(w).sum() * maxnorm)
-        n_prev = schedule[-1] if schedule else 0
-        n_j = n_prev + _schedule_gap(mass, m_targets, problem.epsilon, margin, gap_factor)
-        if n_j > schedule_cap:
-            raise ScheduleOverflow(
-                f"target {j}: iterate {n_j} exceeds cap {schedule_cap}",
-                target_index=j,
-                attempted=n_j,
-                cap=schedule_cap,
-            )
-        # exact eigen-coordinate cancellation of the amplified earlier blocks
-        v = w - _amplitudes(blocks, mu, n_j)
-        blocks.append(OrbitBlock(target_index=j, n=n_j, weights=v))
-        schedule.append(n_j)
-        # achieved error of A^{n_j} on the partial sum through block j
-        amp = _amplitudes(blocks, mu, n_j)
-        achieved = float(
-            np.abs(member_vals @ amp - evaluate_grid(q, verify_pts)).max()
-        )
-        mass_full = float(np.abs(v).sum() * maxnorm)
-        for k in range(j):
-            bound = (1.0 + margin) ** (-(n_j - schedule[k])) * mass_full
-            measured = float(
-                np.abs(member_vals @ _amplitudes(blocks[j:], mu, schedule[k])).max()
-            )
-            leakage.append(
-                {
-                    "block": j,
-                    "at_iterate_of_target": k,
-                    "bound": bound,
-                    "measured": measured,
-                }
-            )
-        per_target.append(
-            {
-                "target": j,
-                "n": n_j,
-                "achieved_error": achieved,
-                "fit_residual": fit.residual_norm,
-                "ridge": fit.ridge,
-                "block_mass": mass_full,
-                "success": achieved <= problem.epsilon,
-            }
-        )
+        fit_residuals.append(fit.residual_norm)
 
-    f = linear_combine(list(zip(_amplitudes(blocks, mu, 0), basis.members)))
+    rhs = np.concatenate([evaluate_grid(q, basis.points) for q in targets])
+    q_verify = [evaluate_grid(q, basis.verify_points) for q in targets]
+    room = math.log(STACKED_MAX / np.abs(basis.collocation).max())
+    cap = min(schedule_cap, max(0, int(room / math.log(np.abs(mu).max()))))
+    missed = m_targets - 1
+    for step in range(1, cap // m_targets + 1):
+        schedule = [(j + 1) * step for j in range(m_targets)]
+        stacked = np.vstack([basis.collocation * mu ** float(n) for n in schedule])
+        x, cond, level = regularized_solve(stacked, rhs, ridge)
+        errors = [
+            float(np.abs(basis.verification @ _amplitudes(x, mu, n) - qv).max())
+            for n, qv in zip(schedule, q_verify)
+        ]
+        misses = [j for j, err in enumerate(errors) if not err <= budget]
+        if not misses:
+            break
+        missed = misses[0]
+    else:
+        raise ScheduleOverflow(
+            f"target {missed}: no schedule n_j = j * step with n_m <= "
+            f"{cap} meets epsilon/2 = {budget:.3e} on every target",
+            target_index=missed,
+            attempted=m_targets * (cap // m_targets + 1),
+            cap=cap,
+        )
 
     report = {
-        "per_target": per_target,
-        "leakage": leakage,
-        "all_targets_met": all(row["success"] for row in per_target),
+        "per_target": [
+            {"target": j, "n": n, "achieved_error": err, "fit_residual": res}
+            for j, (n, err, res) in enumerate(zip(schedule, errors, fit_residuals))
+        ],
+        "ridge": level,
+        "condition": cond,
     }
     return OrbitConstruction(
-        f=f,
+        f=linear_combine(list(zip(x, basis.members))),
         schedule=schedule,
         lambdas=lambdas,
         eigenvalues=mu,
-        blocks=blocks,
+        coords=x,
         report=report,
         family=family,
+    )
+
+
+def targets_met(rows: list, epsilon: float) -> bool:
+    """Whether the verified orbit succeeds: at every scheduled iterate the
+    full vector is within epsilon of its target and the direct route agrees
+    with the eigen-sum within epsilon / 10.  An iterate past DIRECT_CAP has
+    no direct route, so it is unverified and the orbit does not succeed."""
+    return all(
+        row["eigen_error_full"] <= epsilon
+        and row["method_discrepancy"] is not None
+        and row["method_discrepancy"] <= epsilon / 10
+        for row in rows
     )
 
 
@@ -335,18 +319,12 @@ def verify_orbit(
     member_vals = np.column_stack([evaluate_grid(s, verify_pts) for s in members])
     rows = []
     for j, (q, n_j) in enumerate(zip(problem.targets, construction.schedule)):
-        amp_full = _amplitudes(construction.blocks, mu, n_j)
-        amp_partial = _amplitudes(
-            [blk for blk in construction.blocks if blk.target_index <= j], mu, n_j
-        )
-        eig_vals = member_vals @ amp_full
-        q_vals = evaluate_grid(q, verify_pts)
+        eig_vals = member_vals @ _amplitudes(construction.coords, mu, n_j)
         row = {
             "target": j,
             "n": n_j,
-            "eigen_error_full": float(np.abs(eig_vals - q_vals).max()),
-            "eigen_error_partial": float(
-                np.abs(member_vals @ amp_partial - q_vals).max()
+            "eigen_error_full": float(
+                np.abs(eig_vals - evaluate_grid(q, verify_pts)).max()
             ),
             "method_discrepancy": None,
         }

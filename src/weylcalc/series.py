@@ -25,8 +25,6 @@ from .errors import (
 #: default number of retained coefficients for transcendental truncations
 DEFAULT_ORDER = 128
 
-_EPS = np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class TaylorSeries:
@@ -110,24 +108,13 @@ def exponential_series(lam: complex, n_terms: int = DEFAULT_ORDER) -> TaylorSeri
 
 
 def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:
-    """Shifted series f(z + lam) by binomial resummation.
-
-    valid_order after the shift is set by a cancellation heuristic: the
-    largest m whose coefficient exceeds 1e3 * eps times the sum of the
-    absolute contributing terms (exact zeros from zero term sums count as
-    valid).
-    """
+    """Shifted series f(z + lam) by binomial resummation; ``valid_order``
+    is carried over from f."""
     lam = complex(lam)
     if lam == 0:
         return f
-    out, mags = translate_kernel(f.coeffs, lam)
-    ok = (np.abs(out) > 1e3 * _EPS * mags) | (mags == 0.0)
-    idx = np.nonzero(ok)[0]
-    valid = int(idx[-1]) + 1 if idx.size else 1
     return TaylorSeries(
-        out,
-        valid_order=max(1, min(valid, f.valid_order)),
-        label=f.label,
+        translate_kernel(f.coeffs, lam), valid_order=f.valid_order, label=f.label
     )
 
 

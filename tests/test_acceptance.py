@@ -244,6 +244,16 @@ def test_criterion_8_orbit_construction(capsys, gaussian_family):
             f"target {row['target']} error {row['achieved_error']:.2e}",
         )
     rows = verify_orbit(con, problem)
+    for row in rows:
+        crit.check(
+            row["eigen_error_full"] < 0.1,
+            f"full vector at n={row['n']}: error {row['eigen_error_full']:.2e}",
+        )
+        disc = row["method_discrepancy"]
+        crit.check(
+            disc is None or disc <= 0.1 / 10,
+            f"two-route discrepancy at n={row['n']}: {disc}",
+        )
     disc = rows[0]["method_discrepancy"]
     crit.check(
         disc is not None and disc <= 1e-6,

@@ -237,8 +237,21 @@ def test_construct_orbit_artifacts(tmp_path):
     assert doc["report"]["all_targets_met"] is True
     assert doc["schedule"] == sorted(doc["schedule"])
     lines = (tmp_path / "orbit_errors.csv").read_text().splitlines()
-    assert lines[0] == "j,n_j,achieved_error,leakage_bound"
+    assert lines[0] == "j,n_j,achieved_error,method_discrepancy"
     assert len(lines) == 3
+
+
+def test_construct_orbit_lambda_count_times_targets_capped(tmp_path, capsys):
+    # |Lambda| = --lambda-count x number of targets
+    problem = json.dumps({
+        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+        "targets": [{"coeffs": [[1, 0]]}, {"coeffs": [[0, 0], [1, 0]]}],
+    })
+    code = main(["construct-orbit", "--problem", problem, "--lambda-count",
+                 str(LAMBDA_COUNT_MAX // 2 + 1), "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "--lambda-count:" in capsys.readouterr().err
+    assert not (tmp_path / "orbit.json").exists()
 
 
 def test_construct_orbit_budget_failure_exits_1(tmp_path):
@@ -289,6 +302,24 @@ def test_workdir_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "w" / "commutator_check.json").exists()
 
 
+@pytest.mark.parametrize("outdir_form", ["separate", "joined"])
+def test_error_manifest_does_not_depend_on_outdir(tmp_path, monkeypatch, outdir_form):
+    # decompose of L(T) = T + T^2, T = D - zI, is not Weyl: exit 1 and an
+    # error manifest
+    monkeypatch.setenv("WEYLCALC_TIMESTAMP", "2026-01-01T00:00:00+00:00")
+    op = '{"d":[[0,0],[1,0]],"a":[1,0],"L":[[0,0],[1,0],[1,0]]}'
+    dirs = [tmp_path / "a", tmp_path / "some" / "other"]
+    for d in dirs:
+        where = (["--outdir", str(d)] if outdir_form == "separate"
+                 else [f"--outdir={d}"])
+        assert main(["decompose", "--op", op, *where]) == 1
+    first, second = (d / "decompose_error.json" for d in dirs)
+    assert first.read_bytes() == second.read_bytes()
+    assert str(tmp_path) not in first.read_text()
+    params = json.loads(first.read_text())["manifest"]["parameters"]
+    assert params == {"op": op, "matrix": None, "ncap": 64}
+
+
 def test_byte_identical_artifacts(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
@@ -315,7 +346,7 @@ def test_construct_orbit_bad_problem_number_exits_2(tmp_path, capsys, field, val
     assert not (tmp_path / "orbit.json").exists()
 
 
-@pytest.mark.parametrize("flag", ["--margin", "--gap-factor"])
+@pytest.mark.parametrize("flag", ["--margin"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
 def test_construct_orbit_bad_margin_or_gap_factor_exits_2(tmp_path, capsys, flag, value):
     problem = json.dumps({
@@ -327,6 +358,18 @@ def test_construct_orbit_bad_margin_or_gap_factor_exits_2(tmp_path, capsys, flag
     assert code == 2
     assert f"{flag}: expected a finite positive number" in capsys.readouterr().err
     assert not (tmp_path / "orbit.json").exists()
+
+
+def test_construct_orbit_has_no_gap_factor(tmp_path, capsys):
+    problem = json.dumps({
+        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+        "targets": [{"coeffs": [[1, 0]]}],
+    })
+    code = main(["construct-orbit", "--problem", problem, "--gap-factor=1.25",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "unrecognized arguments: --gap-factor=1.25" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
@@ -435,8 +478,7 @@ _COMMANDS = {
             optional={"radius": _JSON_VALUE, "epsilon": _JSON_VALUE},
         ).map(lambda doc: ["construct-orbit", "--problem", json.dumps(doc)]),
         _flags(**{"--lambda-count": _size(LAMBDA_COUNT_MAX, 8), "--margin": _REAL,
-                  "--gap-factor": _REAL, "--ridge": _REAL,
-                  "--order": _size(ORDER_MAX, 48)}),
+                  "--ridge": _REAL, "--order": _size(ORDER_MAX, 48)}),
     ),
     "decompose": st.tuples(
         st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3)).map(
