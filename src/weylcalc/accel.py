@@ -1,8 +1,12 @@
 """Coefficient-level hot loops, vectorized with numpy.
 
 The two kernels that dominate runtime are the binomial resummation behind
-series translation (O(N^2) per shift) and batch evaluation of a truncated
-series on collocation grids.
+series translation (one loop of N steps per batch of K shifts, O(K N^2)
+arithmetic) and evaluation of truncated series on collocation grids.
+Both take a batch at once: a 1-d array of shifts, or a ``(K, N)`` matrix
+of coefficient rows.  Each row is formed with the same products summed in
+the same order as a single series, so a batched row holds the same bits
+as the one-at-a-time result.
 """
 
 from __future__ import annotations
@@ -15,23 +19,36 @@ def backend() -> str:
     return "numpy"
 
 
-def translate_kernel(coeffs: np.ndarray, lam: complex) -> np.ndarray:
-    """Binomial resummation of a coefficient vector shifted by ``lam``."""
+def translate_kernel(coeffs: np.ndarray, lam) -> np.ndarray:
+    """Binomial resummation of a coefficient vector shifted by ``lam``.
+
+    A scalar ``lam`` gives the ``(N,)`` shifted coefficients; a 1-d array
+    of K shifts gives a ``(K, N)`` matrix, one row per shift.
+    """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    lam = np.asarray(lam, dtype=np.complex128)
     n_len = coeffs.shape[0]
-    out = np.empty_like(coeffs)
-    lam_pow = complex(lam) ** np.arange(n_len)
+    out = np.empty((n_len,) + lam.shape, dtype=np.complex128)  # row m: b_m per shift
+    lam_pow = lam[..., None] ** np.arange(n_len)
     n = np.arange(n_len, dtype=np.float64)
     binom = np.ones(n_len)  # C(n, m) for the current m
     for m in range(n_len):
         # b_m = sum_{n>=m} C(n, m) c_n lam^(n-m)
-        out[m] = (binom[m:] * coeffs[m:] * lam_pow[: n_len - m]).sum()
+        out[m] = (binom[m:] * coeffs[m:] * lam_pow[..., : n_len - m]).sum(-1)
         binom = binom * (n - m) / (m + 1)  # C(n, m+1) = C(n, m) (n-m)/(m+1)
-    return out
+    return np.ascontiguousarray(out.T)
 
 
 def eval_grid(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate the truncated series at every point of ``points``."""
+    """Evaluate truncated series at every point of ``points`` by Horner.
+
+    ``(N,)`` coefficients give the ``(P,)`` values; a ``(K, N)`` matrix of
+    coefficient rows gives ``(P, K)``, one column per row.
+    """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     points = np.ascontiguousarray(points, dtype=np.complex128)
-    return np.polyval(coeffs[::-1], points)
+    x = points if coeffs.ndim == 1 else points[:, None]
+    y = np.zeros(points.shape + coeffs.shape[:-1], dtype=np.complex128)
+    for pv in coeffs.T[::-1]:
+        y = y * x + pv
+    return y

@@ -16,7 +16,7 @@ verification circle (never the regularized objective).  The work that
 does not depend on the target is split off: :func:`completeness_bases`
 builds one :class:`CompletenessBasis` (members, collocation and
 verification matrices, SVD) per lambda set, translating and evaluating
-every distinct lambda of all the sets once, and
+the distinct lambdas of all the sets once, in one batch, and
 :func:`completeness_fit` solves for one target on a basis.
 """
 
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accel import eval_grid, translate_kernel
 from .errors import KernelResidualTooLarge, SingularSystem
 from .kernel_solver import KERNEL_MEMBERSHIP_TOL, kernel_residual
 from .operators import CompositeOperator, WeylOperator, apply_composite, apply_weyl
@@ -120,11 +121,45 @@ def eigenfunction(family: EigenFamily, lam: complex) -> TaylorSeries:
     return exponential_series(lam, family.n_terms)
 
 
-def eigenvalue_of(op, family: EigenFamily, lam: complex) -> complex:
+def _product(x, y):
+    """Elementwise complex product x * y with every real product rounded
+    on its own, as Python and numpy scalars round it; numpy's array
+    multiply may fuse them, which moves the last bit."""
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    re = x.real * y.real - x.imag * y.imag
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out[()]
+
+
+def _member_coeffs(family: EigenFamily, lams: np.ndarray) -> np.ndarray:
+    """Coefficient rows of f_lambda for a 1-d array of lambdas, ``(K, N)``.
+
+    Row k holds the bits of ``eigenfunction(family, lams[k])``: the
+    batched translate for a translate family (f0 itself at lambda = 0),
+    the recurrence of :func:`exponential_series` across the lambdas for
+    an exponential one.
+    """
+    lams = np.asarray(lams, dtype=np.complex128)
+    if family.kind == "translate":
+        rows = translate_kernel(family.f0.coeffs, lams)
+        rows[lams == 0] = family.f0.coeffs
+        return rows
+    rows = np.empty((lams.size, family.n_terms), dtype=np.complex128)
+    rows[:, 0] = 1.0
+    for n in range(1, family.n_terms):
+        rows[:, n] = _product(rows[:, n - 1], lams) / n
+    return rows
+
+
+def eigenvalue_of(op, family: EigenFamily, lam):
     """Eigenvalue of op = T or L(T) at f_lambda: for T, a*lambda on a
-    translate or L_M(lambda) on e^{lambda z} (a = 0); for L(T), L of it."""
+    translate or L_M(lambda) on e^{lambda z} (a = 0); for L(T), L of it.
+    Elementwise when ``lam`` is an array."""
     t = op.base if isinstance(op, CompositeOperator) else op
-    mu = t.a * lam if family.kind == "translate" else t.m.characteristic(lam)
+    mu = _product(t.a, lam) if family.kind == "translate" else t.m.characteristic(lam)
     return op.eigenvalue(mu) if isinstance(op, CompositeOperator) else mu
 
 
@@ -225,8 +260,9 @@ def completeness_bases(
 ) -> list:
     """One :class:`CompletenessBasis` per lambda set, in order.
 
-    Each distinct lambda of the union of the sets is turned into its
-    eigenfunction and evaluated on both grids exactly once; a set's
+    The distinct lambdas of the union of the sets are turned into their
+    eigenfunctions in one batch and evaluated on each grid in one call, so
+    every lambda is translated and evaluated exactly once; a set's
     matrices are C-contiguous column gathers of the shared ones, so they
     hold the same bits as matrices built for that set alone.
     """
@@ -238,9 +274,15 @@ def completeness_bases(
     for lams in lambda_sets:
         for lam in lams.points:
             column.setdefault(complex(lam), (len(column), lam))
-    members = [eigenfunction(family, lam) for _, lam in column.values()]
-    colloc_all = np.column_stack([evaluate_grid(s, pts) for s in members])
-    verify_all = np.column_stack([evaluate_grid(s, verify_pts) for s in members])
+    lams = np.array([lam for _, lam in column.values()], dtype=np.complex128)
+    rows = _member_coeffs(family, lams)
+    if family.kind == "translate":
+        valid, labels = family.f0.valid_order, [family.f0.label] * lams.size
+    else:
+        valid, labels = family.n_terms, [f"exp({lam}*z)" for lam in lams]
+    members = [TaylorSeries(row, valid, label) for row, label in zip(rows, labels)]
+    colloc_all = eval_grid(rows, pts)
+    verify_all = eval_grid(rows, verify_pts)
     bases = []
     for lams in lambda_sets:
         idx = [column[complex(lam)][0] for lam in lams.points]

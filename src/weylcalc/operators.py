@@ -73,9 +73,9 @@ class ConvolutionOperator:
     def order(self) -> int:
         return int(np.nonzero(self.d)[0][-1])
 
-    def characteristic(self, lam: complex) -> complex:
-        """L(lambda) = sum_k d_k lambda^k."""
-        return complex(np.polyval(self.d[::-1], lam))
+    def characteristic(self, lam):
+        """L(lambda) = sum_k d_k lambda^k, elementwise on an array."""
+        return np.polyval(self.d[::-1], lam)
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,10 @@ class CompositeOperator:
         nz = np.nonzero(self.l)[0]
         return int(nz[-1]) if nz.size else 0
 
-    def eigenvalue(self, t_eigenvalue: complex) -> complex:
-        """L evaluated at an eigenvalue of the base operator."""
-        return complex(np.polyval(self.l[::-1], t_eigenvalue))
+    def eigenvalue(self, t_eigenvalue):
+        """L evaluated at an eigenvalue of the base operator, elementwise
+        on an array."""
+        return np.polyval(self.l[::-1], t_eigenvalue)
 
 
 @dataclass(frozen=True)

@@ -42,15 +42,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .accel import eval_grid
 from .errors import BudgetExceeded, ScheduleOverflow, SearchExhausted
 from .eigen import (
     DiskSpec,
     EigenFamily,
     LambdaSet,
     VERIFY_POINTS,
+    _member_coeffs,
     completeness_bases,
     completeness_fit,
-    eigenfunction,
     eigenvalue_of,
     regularized_solve,
 )
@@ -164,41 +165,45 @@ def select_expanding_lambdas(
     """``count`` points where the eigenvalue of c has modulus >= 1 + margin,
     one per equispaced ray.
 
-    Each ray is marched outward from the origin and the first crossing of
-    the level 1 + margin is bisected, so the points cluster near the level
-    set (large spread in |eigenvalue| would wreck the conditioning of the
-    later fits).
+    All rays are marched outward from the origin over the same radii, and
+    each ray's first crossing of the level 1 + margin is bisected, all rays
+    at once, so the points cluster near the level set (large spread in
+    |eigenvalue| would wreck the conditioning of the later fits).
     """
     if not 1.0 + margin > 1.0:
         raise ValueError(f"1 + margin must exceed 1, got margin {margin}")
     if count < 1:
         raise ValueError("count must be >= 1")
     level = 1.0 + margin
-    points = []
-    for i in range(count):
-        theta = 2 * math.pi * i / count
-        direction = complex(math.cos(theta), math.sin(theta))
-        lo, hi = 0.0, None
-        r = 0.05
-        while r <= radius_cap:
-            if abs(eigenvalue_of(c, family, r * direction)) >= level:
-                hi = r
-                break
-            lo = r
-            r *= 1.25
-        if hi is None:
-            raise SearchExhausted(
-                f"no |symbol| >= {level} within radius {radius_cap} on ray "
-                f"{i}/{count}"
-            )
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if abs(eigenvalue_of(c, family, mid * direction)) >= level:
-                hi = mid
-            else:
-                lo = mid
-        points.append(hi * direction)
-    return LambdaSet(np.array(points))
+    thetas = [2 * math.pi * i / count for i in range(count)]
+    directions = np.array([complex(math.cos(t), math.sin(t)) for t in thetas])
+
+    def reached(r) -> np.ndarray:
+        # np.hypot rounds |mu| as abs() does on a Python complex
+        mu = eigenvalue_of(c, family, r * directions)
+        return np.hypot(mu.real, mu.imag) >= level
+
+    lo = np.zeros(count)
+    hi = np.full(count, np.nan)
+    r = 0.05
+    while r <= radius_cap and np.isnan(hi).any():
+        marching = np.isnan(hi)
+        hit = marching & reached(r)
+        hi[hit] = r
+        lo[marching & ~hit] = r
+        r *= 1.25
+    exhausted = np.flatnonzero(np.isnan(hi))
+    if exhausted.size:
+        raise SearchExhausted(
+            f"no |symbol| >= {level} within radius {radius_cap} on ray "
+            f"{exhausted[0]}/{count}"
+        )
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        hit = reached(mid)
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, mid)
+    return LambdaSet(hi * directions)
 
 
 def construct_orbit(
@@ -224,7 +229,7 @@ def construct_orbit(
     m_targets = len(targets)
     budget = problem.epsilon / 2
     lambdas = select_expanding_lambdas(c, lambda_count * m_targets, margin, family)
-    mu = np.array([eigenvalue_of(c, family, lam) for lam in lambdas.points])
+    mu = eigenvalue_of(c, family, lambdas.points)
     [basis] = completeness_bases(family, [lambdas], DiskSpec(problem.radius, 64))
 
     fit_residuals = []
@@ -312,11 +317,9 @@ def verify_orbit(
     c = problem.operator
     mu = construction.eigenvalues
     verify_pts = DiskSpec(problem.radius, VERIFY_POINTS).boundary()
-    members = [
-        eigenfunction(construction.family, lam)
-        for lam in construction.lambdas.points
-    ]
-    member_vals = np.column_stack([evaluate_grid(s, verify_pts) for s in members])
+    member_vals = eval_grid(
+        _member_coeffs(construction.family, construction.lambdas.points), verify_pts
+    )
     rows = []
     for j, (q, n_j) in enumerate(zip(problem.targets, construction.schedule)):
         eig_vals = member_vals @ _amplitudes(construction.coords, mu, n_j)

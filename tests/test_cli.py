@@ -186,13 +186,13 @@ def test_complete_fit_translates_each_lambda_once(tmp_path, monkeypatch):
     # the union of 1/k for k <= 40 has 40 points; per-fit bases would
     # translate 3 x (5 + 10 + 20 + 40) = 225 times
     calls = []
-    translate = weylcalc.eigen.translate
+    member_coeffs = weylcalc.eigen._member_coeffs
 
-    def counted(f, lam):
-        calls.append(lam)
-        return translate(f, lam)
+    def counted(family, lams):
+        calls.extend(lams)
+        return member_coeffs(family, lams)
 
-    monkeypatch.setattr(weylcalc.eigen, "translate", counted)
+    monkeypatch.setattr(weylcalc.eigen, "_member_coeffs", counted)
     targets = json.dumps(json.loads(TARGETS) + [{"coeffs": [[0, 0], [0, 0], [1, 0]]}])
     code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", targets,
                  "--preset", "inverse", "--counts", "5,10,20,40",

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylcalc.eigen import (
+    _member_coeffs,
     VERIFY_POINTS,
     CompletenessBasis,
     EigenFamily,
@@ -27,8 +29,10 @@ from weylcalc.series import (
     UNIT_DISK,
     DiskSpec,
     evaluate_grid,
+    exponential_series,
     gaussian_series,
     make_series,
+    translate,
 )
 
 
@@ -83,6 +87,61 @@ def test_exponential_family_for_convolution_operator():
 def test_eigenvalue_of_translate_family(gaussian_family):
     t, family = gaussian_family
     assert eigenvalue_of(t, family, 1.5j) == pytest.approx(1.5j)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.float64)
+
+
+@pytest.mark.parametrize("kind", ["translate", "exponential"])
+def test_eigenvalue_of_an_array_equals_each_lambda(kind):
+    # a genuinely complex a: numpy's array multiply may round a complex
+    # product differently from a scalar one
+    t = WeylOperator(diff_op(1) if kind == "translate" else diff_op(2),
+                     0.6 - 0.8j if kind == "translate" else 0.0)
+    family = (EigenFamily(f0=gaussian_series(8), a=t.a) if kind == "translate"
+              else exponential_family(16))
+    rng = np.random.default_rng(3)
+    lams = 4 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    for op in (t, CompositeOperator(t, np.array([0.0, 1.0, 0.5 + 0.25j]))):
+        batch = eigenvalue_of(op, family, lams)
+        each = np.array([eigenvalue_of(op, family, complex(lam)) for lam in lams])
+        assert np.array_equal(_bits(batch), _bits(each))
+
+
+coeff_lists = st.integers(1, 160).flatmap(
+    lambda n: st.lists(
+        st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+        min_size=n,
+        max_size=n,
+    )
+)
+shift_lists = st.lists(
+    st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists, shift_lists)
+def test_translate_rows_equal_per_lambda_translate(coeffs, lams):
+    # the lambda = 0 row is f0 itself, as translate returns it
+    f0 = make_series(coeffs)
+    lams = np.array(lams + [0.0], dtype=np.complex128)
+    rows = _member_coeffs(EigenFamily(f0=f0, a=1.0), lams)
+    assert rows.shape == (lams.size, len(coeffs))
+    for row, lam in zip(rows, lams):
+        assert np.array_equal(_bits(row), _bits(translate(f0, lam).coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 160), shift_lists)
+def test_exponential_rows_equal_exponential_series(n_terms, lams):
+    lams = np.array(lams, dtype=np.complex128)
+    rows = _member_coeffs(exponential_family(n_terms), lams)
+    for row, lam in zip(rows, lams):
+        assert np.array_equal(_bits(row), _bits(exponential_series(lam, n_terms).coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 
 import weylcalc.eigen
 from weylcalc.cli import main
-from weylcalc.eigen import eigenfunction, eigenvalue_of, family_from_kernel
+from weylcalc.eigen import (
+    EigenFamily,
+    eigenfunction,
+    eigenvalue_of,
+    exponential_family,
+    family_from_kernel,
+)
 from weylcalc.errors import BudgetExceeded, ScheduleOverflow, SearchExhausted
 from weylcalc.operators import (
     CompositeOperator,
@@ -20,6 +27,7 @@ from weylcalc.operators import (
 )
 from weylcalc.orbit import (
     SCHEDULE_CAP,
+    SEARCH_RADIUS_CAP,
     OrbitProblem,
     construct_orbit,
     direct_power_values,
@@ -74,11 +82,62 @@ def test_search_exhausted_with_tiny_radius_cap(setting):
         )
 
 
+def test_search_exhausted_names_the_first_failing_ray(setting):
+    # |lambda + lambda^2| >= 2 needs r = 1 on ray 0, about 1.25 on rays 1
+    # and 3, and r = 2 on ray 2 (lambda = -r)
+    _, family, _, quad = setting
+    with pytest.raises(SearchExhausted, match="on ray 2/4"):
+        select_expanding_lambdas(quad, 4, margin=1.0, family=family, radius_cap=1.5)
+
+
+def _select_ray_by_ray(c, count, margin, family):
+    # every ray marched and bisected on its own, in Python complex scalars
+    level = 1.0 + margin
+    points = []
+    for i in range(count):
+        theta = 2 * math.pi * i / count
+        direction = complex(math.cos(theta), math.sin(theta))
+        lo, hi, r = 0.0, None, 0.05
+        while hi is None and r <= SEARCH_RADIUS_CAP:
+            if abs(eigenvalue_of(c, family, r * direction)) >= level:
+                hi = r
+            else:
+                lo, r = r, r * 1.25
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if abs(eigenvalue_of(c, family, mid * direction)) >= level:
+                hi = mid
+            else:
+                lo = mid
+        points.append(hi * direction)
+    return np.array(points)
+
+
+@pytest.mark.parametrize("case", ["ident", "quad", "complex_a", "exponential"])
+def test_selection_of_all_rays_at_once_equals_ray_by_ray(setting, case):
+    t, family, ident, quad = setting
+    l_quad = np.array([0.0, 1.0, 1.0])
+    c, family = {
+        "ident": (ident, family),
+        "quad": (quad, family),
+        "complex_a": (
+            CompositeOperator(WeylOperator(diff_op(1), 0.6 - 0.8j), l_quad),
+            EigenFamily(f0=gaussian_series(8), a=0.6 - 0.8j),
+        ),
+        "exponential": (
+            CompositeOperator(WeylOperator(diff_op(1), 0.0), l_quad),
+            exponential_family(16),
+        ),
+    }[case]
+    lams = select_expanding_lambdas(c, 24, margin=2.0, family=family)
+    expected = _select_ray_by_ray(c, 24, 2.0, family)
+    assert np.array_equal(lams.points.view(np.float64), expected.view(np.float64))
+
+
 def test_exponential_family_symbol_composes():
     # a = 0, T = D: symbol of L(T) at e^{lambda z} is L(lambda)
     t = WeylOperator(diff_op(1), 0.0)
     c = CompositeOperator(t, np.array([0.0, 1.0, 1.0]))
-    from weylcalc.eigen import exponential_family
 
     assert eigenvalue_of(c, exponential_family(64), 2.0) == pytest.approx(6.0)
 
@@ -109,13 +168,13 @@ def test_construct_orbit_translates_each_lambda_once(setting, monkeypatch):
     # not 16 for the members plus 16 for the fit
     _, family, ident, _ = setting
     calls = []
-    translate = weylcalc.eigen.translate
+    member_coeffs = weylcalc.eigen._member_coeffs
 
-    def counted(f, lam):
-        calls.append(lam)
-        return translate(f, lam)
+    def counted(family, lams):
+        calls.extend(lams)
+        return member_coeffs(family, lams)
 
-    monkeypatch.setattr(weylcalc.eigen, "translate", counted)
+    monkeypatch.setattr(weylcalc.eigen, "_member_coeffs", counted)
     construct_orbit(OrbitProblem(ident, family, [make_series([0.0, 1.0])]))
     assert len(calls) == 16
 
