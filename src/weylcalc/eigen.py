@@ -139,19 +139,17 @@ def _member_coeffs(family: EigenFamily, lams: np.ndarray) -> np.ndarray:
 
     Row k holds the bits of ``eigenfunction(family, lams[k])``: the
     batched translate for a translate family (f0 itself at lambda = 0),
-    the recurrence of :func:`exponential_series` across the lambdas for
-    an exponential one.
+    :func:`exponential_series` per lambda for an exponential one.
     """
     lams = np.asarray(lams, dtype=np.complex128)
     if family.kind == "translate":
         rows = translate_kernel(family.f0.coeffs, lams)
         rows[lams == 0] = family.f0.coeffs
         return rows
-    rows = np.empty((lams.size, family.n_terms), dtype=np.complex128)
-    rows[:, 0] = 1.0
-    for n in range(1, family.n_terms):
-        rows[:, n] = _product(rows[:, n - 1], lams) / n
-    return rows
+    return np.array(
+        [exponential_series(lam, family.n_terms).coeffs for lam in lams],
+        dtype=np.complex128,
+    ).reshape(-1, family.n_terms)
 
 
 def eigenvalue_of(op, family: EigenFamily, lam):

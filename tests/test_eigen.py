@@ -29,7 +29,6 @@ from weylcalc.series import (
     UNIT_DISK,
     DiskSpec,
     evaluate_grid,
-    exponential_series,
     gaussian_series,
     make_series,
     translate,
@@ -133,15 +132,6 @@ def test_translate_rows_equal_per_lambda_translate(coeffs, lams):
     assert rows.shape == (lams.size, len(coeffs))
     for row, lam in zip(rows, lams):
         assert np.array_equal(_bits(row), _bits(translate(f0, lam).coeffs))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 160), shift_lists)
-def test_exponential_rows_equal_exponential_series(n_terms, lams):
-    lams = np.array(lams, dtype=np.complex128)
-    rows = _member_coeffs(exponential_family(n_terms), lams)
-    for row, lam in zip(rows, lams):
-        assert np.array_equal(_bits(row), _bits(exponential_series(lam, n_terms).coeffs))
 
 
 # ---------------------------------------------------------------------------
