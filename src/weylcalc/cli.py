@@ -150,10 +150,10 @@ def _positive(what: str, value) -> float:
     return float(value)
 
 
-def _check_ridge(ridge: float) -> None:
-    if not 0 <= ridge <= sys.float_info.max:
+def _nonnegative(flag: str, value: float) -> None:
+    if not 0 <= value <= sys.float_info.max:
         raise MalformedSpec(
-            f"--ridge: expected a finite number >= 0, got {ridge!r}"
+            f"{flag}: expected a finite number >= 0, got {value!r}"
         )
 
 
@@ -243,6 +243,7 @@ def _cmd_commutator_check(args) -> int:
 
 def _cmd_eigencheck(args) -> int:
     _check_range("--grid", args.grid, GRID_MAX)
+    _nonnegative("--lam-max", args.lam_max)
     doc, inputs = _load_json_arg(args.op, "--op")
     op = parse_operator_spec(doc)
     t = _base_weyl(op)
@@ -302,7 +303,7 @@ def _preset_lambdas(preset: str, count: int, seed: int):
 
 
 def _cmd_complete_fit(args) -> int:
-    _check_ridge(args.ridge)
+    _nonnegative("--ridge", args.ridge)
     doc, inputs = _load_json_arg(args.op, "--op")
     op = parse_operator_spec(doc)
     t = _base_weyl(op)
@@ -310,11 +311,14 @@ def _cmd_complete_fit(args) -> int:
     if not isinstance(tdoc, list) or not tdoc:
         raise MalformedSpec("--targets: expected a non-empty JSON list of series")
     targets = [series_from_dict(d) for d in tdoc]
-    counts = [int(v) for v in args.counts.split(",") if v.strip()]
+    try:
+        counts = [int(v) for v in args.counts.split(",") if v.strip()]
+    except ValueError:
+        counts = []
     if not 1 <= len(counts) <= COUNTS_MAX:
         raise MalformedSpec(
             f"--counts: expected a comma-separated list of 1..{COUNTS_MAX} "
-            f"integers, got {len(counts)}"
+            f"integers, got {args.counts!r}"
         )
     for count in counts:
         _check_range("--counts", count, LAMBDA_COUNT_MAX)
@@ -393,7 +397,7 @@ def _cmd_complete_fit(args) -> int:
 def _cmd_construct_orbit(args) -> int:
     _check_range("--lambda-count", args.lambda_count, LAMBDA_COUNT_MAX)
     _positive("--margin", args.margin)
-    _check_ridge(args.ridge)
+    _nonnegative("--ridge", args.ridge)
     doc, inputs = _load_json_arg(args.problem, "--problem")
     if not isinstance(doc, dict) or "operator" not in doc or "targets" not in doc:
         raise MalformedSpec(
@@ -443,7 +447,7 @@ def _cmd_construct_orbit(args) -> int:
     payload = {
         "f": series_to_dict(construction.f),
         "schedule": construction.schedule,
-        "lambdas": [complex_pair(l) for l in construction.lambdas.points],
+        "lambdas": [complex_pair(l) for l in construction.basis.lambdas.points],
         "eigenvalues": [complex_pair(m) for m in construction.eigenvalues],
         "blocks": [
             {"target": j, "n": n, "weights": [complex_pair(w) for w in weights]}

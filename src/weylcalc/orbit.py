@@ -25,31 +25,29 @@ builds one :class:`~weylcalc.eigen.CompletenessBasis` for Lambda and uses
 it for every per-target fit, the stacked system, the achieved errors and
 the coefficients of f.
 
-Verification never trusts the bookkeeping alone: it rebuilds the member
-values from (family, lambda) instead of taking the constructor's,
-recomputes the error of the full vector at every scheduled iterate, and
-cross-checks every iterate up to DIRECT_CAP by direct repeated operator
-application; an iterate past DIRECT_CAP is unverified, and the orbit does
-not succeed (:func:`targets_met`).  The direct route powers L(T) through
-the banded core of :mod:`weylcalc.operators` in exact Gaussian-integer
-arithmetic and rounds once, so it carries no precision setting.
+Verification has two routes.  The eigen route reads the members' values
+on the verification circle from the constructor's basis and measures the
+full vector at every scheduled iterate.  The direct route, the check that
+does not depend on the constructor, applies A to the coefficients of f up
+to DIRECT_CAP and must agree; an iterate past DIRECT_CAP is unverified,
+and the orbit does not succeed (:func:`targets_met`).  It powers L(T)
+through the banded core of :mod:`weylcalc.operators` exactly, on
+Gaussian integers, and rounds once, so it carries no precision setting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import eval_grid
 from .errors import BudgetExceeded, ScheduleOverflow, SearchExhausted
 from .eigen import (
+    CompletenessBasis,
     DiskSpec,
     EigenFamily,
     LambdaSet,
-    VERIFY_POINTS,
-    _member_coeffs,
     completeness_bases,
     completeness_fit,
     eigenvalue_of,
@@ -89,10 +87,10 @@ class OrbitProblem:
     def __post_init__(self):
         if self.operator.poly_degree < 1:
             raise ValueError("L must be non-constant")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and positive")
         if not self.targets:
             raise ValueError("at least one target is required")
         for q in self.targets:
@@ -102,15 +100,14 @@ class OrbitProblem:
 
 @dataclass(frozen=True)
 class OrbitConstruction:
-    """Constructed vector, its coordinates, schedule and per-target report."""
+    """Constructed vector, its basis, coordinates, schedule and report."""
 
     f: TaylorSeries
     schedule: list
-    lambdas: LambdaSet
+    basis: CompletenessBasis
     eigenvalues: np.ndarray
     coords: np.ndarray  # x: f = sum_i x_i f_{lambda_i}
     report: dict
-    family: EigenFamily = field(compare=False, default=None)
 
     def blocks(self) -> list:
         """One (target, n_j, weights) entry per target, the block form
@@ -282,11 +279,10 @@ def construct_orbit(
     return OrbitConstruction(
         f=linear_combine(list(zip(x, basis.members))),
         schedule=schedule,
-        lambdas=lambdas,
+        basis=basis,
         eigenvalues=mu,
         coords=x,
         report=report,
-        family=family,
     )
 
 
@@ -310,19 +306,17 @@ def verify_orbit(
 ) -> list:
     """Two-route check of every scheduled iterate on the full vector.
 
-    Eigenvalue bookkeeping is compared against direct repeated operator
-    application (where the iterate is small enough to run), and both are
-    compared against the target; rows are data, not judgements.
+    The eigen-sum on the constructor's basis is compared against direct
+    repeated operator application (where the iterate is small enough to
+    run), and both against the target; rows are data, not judgements.
     """
     c = problem.operator
     mu = construction.eigenvalues
-    verify_pts = DiskSpec(problem.radius, VERIFY_POINTS).boundary()
-    member_vals = eval_grid(
-        _member_coeffs(construction.family, construction.lambdas.points), verify_pts
-    )
+    basis = construction.basis
+    verify_pts = basis.verify_points
     rows = []
     for j, (q, n_j) in enumerate(zip(problem.targets, construction.schedule)):
-        eig_vals = member_vals @ _amplitudes(construction.coords, mu, n_j)
+        eig_vals = basis.verification @ _amplitudes(construction.coords, mu, n_j)
         row = {
             "target": j,
             "n": n_j,

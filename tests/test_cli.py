@@ -122,10 +122,13 @@ def test_complete_fit_curve(tmp_path):
     assert all(fit["status"] == "ok" for fit in doc["fits"])
 
 
-def test_complete_fit_bad_counts_exits_2(tmp_path):
-    code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
-                 "--counts", "", "--outdir", str(tmp_path)])
-    assert code == 2
+def test_complete_fit_bad_counts_exits_2(tmp_path, capsys):
+    for counts in ("", "a", "5,x", "1.5"):
+        code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
+                     "--counts", counts, "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "--counts: expected" in capsys.readouterr().err
+    assert not (tmp_path / "complete_fit.json").exists()
 
 
 @pytest.mark.parametrize("counts", ["0", "5,0", "-3", "100000"])
@@ -220,6 +223,15 @@ def test_eigencheck_grid_out_of_range_exits_2(tmp_path, capsys, grid):
                  "--outdir", str(tmp_path)])
     assert code == 2
     assert f"--grid: expected a value in 1..{GRID_MAX}" in capsys.readouterr().err
+    assert not (tmp_path / "eigencheck.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-2"])
+def test_eigencheck_bad_lam_max_exits_2(tmp_path, capsys, value):
+    code = main(["eigencheck", "--op", D_MINUS_Z, f"--lam-max={value}",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "--lam-max: expected a finite number >= 0" in capsys.readouterr().err
     assert not (tmp_path / "eigencheck.json").exists()
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import weylcalc.eigen
+import weylcalc.orbit
 from weylcalc.cli import main
 from weylcalc.eigen import (
     EigenFamily,
@@ -164,8 +165,8 @@ def test_schedule_strictly_increasing(setting):
 
 
 def test_construct_orbit_translates_each_lambda_once(setting, monkeypatch):
-    # one basis serves the fit, the member values and f: 16 translates,
-    # not 16 for the members plus 16 for the fit
+    # one basis serves the fit, the member values, f and the verification,
+    # so the 16 lambdas are translated once
     _, family, ident, _ = setting
     calls = []
     member_coeffs = weylcalc.eigen._member_coeffs
@@ -174,8 +175,12 @@ def test_construct_orbit_translates_each_lambda_once(setting, monkeypatch):
         calls.extend(lams)
         return member_coeffs(family, lams)
 
-    monkeypatch.setattr(weylcalc.eigen, "_member_coeffs", counted)
-    construct_orbit(OrbitProblem(ident, family, [make_series([0.0, 1.0])]))
+    # patched wherever the name is bound, so a rebuild outside eigen counts
+    for module in (weylcalc.eigen, weylcalc.orbit):
+        if hasattr(module, "_member_coeffs"):
+            monkeypatch.setattr(module, "_member_coeffs", counted)
+    problem = OrbitProblem(ident, family, [make_series([0.0, 1.0])])
+    verify_orbit(construct_orbit(problem), problem)
     assert len(calls) == 16
 
 
@@ -373,6 +378,11 @@ def test_problem_validation(setting):
         OrbitProblem(ident, family, [], epsilon=0.1)
     with pytest.raises(ValueError):
         OrbitProblem(ident, family, [make_series([1.0])], epsilon=-1.0)
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            OrbitProblem(ident, family, [make_series([1.0])], epsilon=bad)
+        with pytest.raises(ValueError):
+            OrbitProblem(ident, family, [make_series([1.0])], radius=bad)
     const = CompositeOperator(
         WeylOperator(diff_op(1), 1.0), np.array([2.0])
     )
