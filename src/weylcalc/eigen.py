@@ -274,11 +274,7 @@ def completeness_bases(
             column.setdefault(complex(lam), (len(column), lam))
     lams = np.array([lam for _, lam in column.values()], dtype=np.complex128)
     rows = _member_coeffs(family, lams)
-    if family.kind == "translate":
-        valid, labels = family.f0.valid_order, [family.f0.label] * lams.size
-    else:
-        valid, labels = family.n_terms, [f"exp({lam}*z)" for lam in lams]
-    members = [TaylorSeries(row, valid, label) for row, label in zip(rows, labels)]
+    members = [TaylorSeries(row) for row in rows]
     colloc_all = eval_grid(rows, pts)
     verify_all = eval_grid(rows, verify_pts)
     bases = []

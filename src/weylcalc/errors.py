@@ -23,7 +23,7 @@ class NonFiniteCoefficient(WeylcalcError):
 
 
 class OrderExhausted(WeylcalcError):
-    """An operation needs more trustworthy coefficients than the series has."""
+    """An operation needs more coefficients than the series has."""
 
 
 class EmptyCombination(WeylcalcError):

@@ -57,7 +57,6 @@ def kernel_basis(
     for j in range(p):
         c = np.zeros(n_terms, dtype=np.complex128)
         c[j] = 1.0
-        usable = n_terms
         for n in range(n_terms - p):
             rhs = t.a * c[n - 1] if n >= 1 else 0.0
             fall = 1.0  # (n+k)! / n!, updated incrementally
@@ -67,12 +66,9 @@ def kernel_basis(
                 fall *= n + k + 1
             c[n + p] = rhs / (d[p] * fall)
             if abs(c[n + p]) > OVERFLOW_GUARD:
-                usable = n + p
-                c = c[:usable]
+                c = c[: n + p]
                 break
-        sol = TaylorSeries(c, valid_order=usable if usable < n_terms else n_terms,
-                           label=f"ker[{j}]")
-        solutions.append(sol)
+        solutions.append(TaylorSeries(c, f"ker[{j}]"))
     residuals = [kernel_residual(t, s, disk) for s in solutions]
     return KernelBasis(solutions=solutions, residuals=residuals)
 

@@ -368,16 +368,15 @@ def commutator_matrix(op_a, op_b, n_cap: int) -> OperatorMatrix:
 def _series_image(op, f: TaylorSeries, drop: int) -> TaylorSeries:
     """op f on the coefficients that do not reach past the truncation.
 
-    ``drop`` is the number of derivative levels op takes; valid_order drops
-    by it.
+    ``drop`` is the number of derivative levels op takes; the image is
+    that many coefficients shorter than f.
     """
-    if drop >= f.valid_order:
+    if drop >= len(f):
         raise OrderExhausted(
-            f"operator needs {drop} derivative levels, series valid_order "
-            f"is {f.valid_order}"
+            f"operator needs {drop} derivative levels, series has "
+            f"{len(f)} coefficients"
         )
-    image = op_on_poly(op, f.coeffs)[: len(f) - drop]
-    return TaylorSeries(image, valid_order=f.valid_order - drop)
+    return TaylorSeries(op_on_poly(op, f.coeffs)[: len(f) - drop])
 
 
 def apply_conv(m: ConvolutionOperator, f: TaylorSeries) -> TaylorSeries:
@@ -436,9 +435,10 @@ def ladder_check(
     Index 0 holds the kernel residual of f itself; f must pass the kernel
     membership threshold first.
     """
-    if n_max + t.m.order >= f.valid_order:
+    if n_max + t.m.order >= len(f):
         raise OrderExhausted(
-            f"ladder to n={n_max} needs valid_order > {n_max + t.m.order}"
+            f"ladder to n={n_max} needs more than {n_max + t.m.order} "
+            f"coefficients"
         )
     base = disk_sup_norm(apply_weyl(t, f), disk)
     if base > kernel_tol:

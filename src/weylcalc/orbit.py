@@ -94,7 +94,8 @@ class OrbitProblem:
         if not self.targets:
             raise ValueError("at least one target is required")
         for q in self.targets:
-            if len(q) > 33:
+            nonzero = np.flatnonzero(q.coeffs)
+            if nonzero.size and nonzero[-1] > 32:
                 raise ValueError("targets must be polynomials of degree <= 32")
 
 

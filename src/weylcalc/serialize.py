@@ -92,7 +92,7 @@ def series_to_dict(s: TaylorSeries) -> dict:
     return {
         "label": s.label,
         "coeffs": [complex_pair(c) for c in s.coeffs],
-        "valid_order": int(s.valid_order),
+        "valid_order": len(s),
     }
 
 
@@ -106,9 +106,7 @@ def series_from_dict(d: dict) -> TaylorSeries:
     if not isinstance(valid, int) or not (1 <= valid <= len(coeffs)):
         raise MalformedSpec(f"series.valid_order out of range: {valid!r}")
     return TaylorSeries(
-        np.array(coeffs, dtype=np.complex128),
-        valid_order=valid,
-        label=str(d.get("label", "")),
+        np.array(coeffs[:valid], dtype=np.complex128), str(d.get("label", ""))
     )
 
 

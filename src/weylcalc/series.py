@@ -1,10 +1,10 @@
 """Truncated Taylor-series calculus for entire functions.
 
 A :class:`TaylorSeries` stores the coefficients c_0..c_N of an expansion
-about the origin together with ``valid_order``, the number of leading
-coefficients still considered trustworthy after lossy operations (shifts
-in particular degrade the tail).  All operations are pure and all values
-immutable, so series can be shared freely across threads.
+about the origin: the truncated polynomial is the representative, and how
+far it is from the entire function is a question about the tail, not a
+field of the series.  All operations are pure and all values immutable,
+so series can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class TaylorSeries:
     """Truncated power-series representative of an entire function."""
 
     coeffs: np.ndarray
-    valid_order: int
     label: str = ""
 
     def __post_init__(self):
@@ -42,17 +41,9 @@ class TaylorSeries:
             raise NonFiniteCoefficient("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-        if not (1 <= self.valid_order <= arr.size):
-            raise ValueError(
-                f"valid_order {self.valid_order} out of range 1..{arr.size}"
-            )
 
     def __len__(self) -> int:
         return self.coeffs.size
-
-    @property
-    def degree_cap(self) -> int:
-        return self.coeffs.size - 1
 
 
 @dataclass(frozen=True)
@@ -77,15 +68,11 @@ UNIT_DISK = DiskSpec(1.0, 64)
 
 
 def make_series(coeffs, label: str = "") -> TaylorSeries:
-    """Build a fully-trusted series from explicit coefficients."""
+    """Build a series from explicit coefficients."""
     arr = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
     if arr.size == 0:
         raise EmptyCoefficients("coefficient list must be non-empty")
-    return TaylorSeries(arr, valid_order=arr.size, label=label)
-
-
-def zero_series(n_terms: int = 1, label: str = "") -> TaylorSeries:
-    return make_series(np.zeros(max(1, n_terms)), label=label)
+    return TaylorSeries(arr, label)
 
 
 def gaussian_series(n_terms: int = DEFAULT_ORDER, scale: complex = 0.5) -> TaylorSeries:
@@ -95,7 +82,7 @@ def gaussian_series(n_terms: int = DEFAULT_ORDER, scale: complex = 0.5) -> Taylo
     for k in range(0, (n_terms + 1) // 2):
         c[2 * k] = term
         term *= scale / (k + 1)
-    return TaylorSeries(c, valid_order=n_terms, label=f"exp({scale}*z^2)")
+    return TaylorSeries(c, f"exp({scale}*z^2)")
 
 
 def exponential_series(lam: complex, n_terms: int = DEFAULT_ORDER) -> TaylorSeries:
@@ -104,18 +91,15 @@ def exponential_series(lam: complex, n_terms: int = DEFAULT_ORDER) -> TaylorSeri
     c[0] = 1.0
     for n in range(1, n_terms):
         c[n] = c[n - 1] * lam / n
-    return TaylorSeries(c, valid_order=n_terms, label=f"exp({lam}*z)")
+    return TaylorSeries(c, f"exp({lam}*z)")
 
 
 def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:
-    """Shifted series f(z + lam) by binomial resummation; ``valid_order``
-    is carried over from f."""
+    """Shifted series f(z + lam) by binomial resummation."""
     lam = complex(lam)
     if lam == 0:
         return f
-    return TaylorSeries(
-        translate_kernel(f.coeffs, lam), valid_order=f.valid_order, label=f.label
-    )
+    return TaylorSeries(translate_kernel(f.coeffs, lam), f.label)
 
 
 def evaluate(f: TaylorSeries, z: complex) -> complex:
@@ -143,28 +127,16 @@ def linear_combine(terms) -> TaylorSeries:
     if not terms:
         raise EmptyCombination("linear_combine needs at least one term")
     n_len = min(len(s) for _, s in terms)
-    valid = min(s.valid_order for _, s in terms)
     out = np.zeros(n_len, dtype=np.complex128)
     for w, s in terms:
         out += complex(w) * s.coeffs[:n_len]
-    return TaylorSeries(out, valid_order=min(valid, n_len))
+    return TaylorSeries(out)
 
 
-def multiply_by_poly(f: TaylorSeries, p, max_len: int | None = None) -> TaylorSeries:
-    """Product with a polynomial given by its coefficient list.
-
-    The degree grows by deg(p); pass ``max_len`` to truncate at a working
-    cap.  valid_order is preserved on the overlap (coefficient n of the
-    product only involves c_{n-deg(p)}..c_n).
-    """
+def multiply_by_poly(f: TaylorSeries, p) -> TaylorSeries:
+    """Product with a polynomial given by its coefficient list; the degree
+    grows by deg(p)."""
     parr = np.atleast_1d(np.asarray(p, dtype=np.complex128))
     if parr.size == 0:
         raise EmptyCoefficients("polynomial multiplier must be non-empty")
-    out = np.convolve(f.coeffs, parr)
-    if max_len is not None:
-        out = out[:max_len]
-    return TaylorSeries(
-        out,
-        valid_order=min(f.valid_order, out.size),
-        label=f.label,
-    )
+    return TaylorSeries(np.convolve(f.coeffs, parr), f.label)

@@ -69,6 +69,15 @@ def test_kernel_artifacts(tmp_path, capsys):
     assert (tmp_path / "kernel_residuals.csv.manifest.json").exists()
 
 
+def test_kernel_cut_by_overflow_guard_writes_its_length(tmp_path, capsys):
+    # d_1 = 1e-60 makes the recurrence pass OVERFLOW_GUARD within a few terms
+    code = main(["kernel", "--op", '{"d":[[0,0],[1e-60,0]],"a":[1,0]}',
+                 "--terms", "200", "--outdir", str(tmp_path)])
+    assert code == 0
+    (sol,) = json.loads((tmp_path / "kernel_basis.json").read_text())["solutions"]
+    assert sol["valid_order"] == len(sol["coeffs"]) < 200
+
+
 def test_kernel_convolution_case_exits_1(tmp_path, capsys):
     code = main(["kernel", "--op", '{"d":[[0,0],[1,0]]}',
                  "--outdir", str(tmp_path)])
@@ -278,6 +287,19 @@ def test_construct_orbit_budget_failure_exits_1(tmp_path):
     err = json.loads((tmp_path / "construct_orbit_error.json").read_text())
     assert err["error"]["type"] == "BudgetExceeded"
     assert err["error"]["target_index"] == 0
+
+
+def test_construct_orbit_target_degree_ignores_trailing_zeros(tmp_path, capsys):
+    op = {"d": [[0, 0], [1, 0]], "a": [1, 0]}
+    padded = {"operator": op, "targets": [{"coeffs": [[1, 0]] + [[0, 0]] * 40}]}
+    code = main(["construct-orbit", "--problem", json.dumps(padded),
+                 "--outdir", str(tmp_path / "padded")])
+    assert code == 0
+    degree_33 = {"operator": op, "targets": [{"coeffs": [[0, 0]] * 33 + [[1, 0]]}]}
+    code = main(["construct-orbit", "--problem", json.dumps(degree_33),
+                 "--outdir", str(tmp_path / "degree_33")])
+    assert code == 2
+    assert "degree <= 32" in capsys.readouterr().err
 
 
 def test_decompose_round_trip_via_cli(tmp_path):

@@ -42,7 +42,6 @@ from weylcalc.series import (
     gaussian_series,
     linear_combine,
     make_series,
-    zero_series,
 )
 
 
@@ -149,7 +148,7 @@ def test_exponential_family_symbol_composes():
 
 def test_zero_target_yields_negligible_block(setting):
     _, family, ident, _ = setting
-    problem = OrbitProblem(ident, family, [zero_series(4)], epsilon=0.1)
+    problem = OrbitProblem(ident, family, [make_series(np.zeros(4))], epsilon=0.1)
     con = construct_orbit(problem)
     assert con.schedule == [1]
     assert np.abs(con.coords).max() <= 1e-8

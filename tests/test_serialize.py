@@ -42,7 +42,7 @@ def test_series_round_trip():
     s = make_series([1.0, 0.5 - 0.25j, 3.0], label="probe")
     back = series_from_dict(series_to_dict(s))
     assert np.array_equal(back.coeffs, s.coeffs)
-    assert back.valid_order == s.valid_order
+    assert len(back) == len(s)
     assert back.label == s.label
 
 
@@ -53,6 +53,16 @@ def test_series_from_dict_validation():
         series_from_dict({"coeffs": [[1.0]]})
     with pytest.raises(MalformedSpec):
         series_from_dict({"coeffs": [[1.0, 0.0]], "valid_order": 7})
+
+
+def test_series_from_dict_keeps_the_valid_prefix():
+    doc = {"coeffs": [[1.0, 0.0], [0.0, 0.0], [5.0, 0.0]], "valid_order": 1}
+    s = series_from_dict(doc)
+    assert np.array_equal(s.coeffs, [1.0])
+    assert series_to_dict(s)["valid_order"] == 1
+    for valid in (0, 4):
+        with pytest.raises(MalformedSpec):
+            series_from_dict({**doc, "valid_order": valid})
 
 
 def test_operator_round_trip_weyl():

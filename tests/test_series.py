@@ -26,7 +26,6 @@ from weylcalc.series import (
     make_series,
     multiply_by_poly,
     translate,
-    zero_series,
 )
 
 
@@ -36,8 +35,7 @@ from weylcalc.series import (
 
 def test_make_series_trusts_all_coefficients():
     s = make_series([1.0, 2.0, 3.0])
-    assert s.valid_order == 3
-    assert s.degree_cap == 2
+    assert len(s) == 3
 
 
 def test_empty_coefficients_rejected():
@@ -47,16 +45,9 @@ def test_empty_coefficients_rejected():
 
 def test_non_finite_coefficients_rejected():
     with pytest.raises(NonFiniteCoefficient):
-        TaylorSeries(np.array([1.0, np.nan]), valid_order=2)
+        TaylorSeries(np.array([1.0, np.nan]))
     with pytest.raises(NonFiniteCoefficient):
-        TaylorSeries(np.array([np.inf, 1.0]), valid_order=2)
-
-
-def test_valid_order_range_enforced():
-    with pytest.raises(ValueError):
-        TaylorSeries(np.array([1.0, 2.0]), valid_order=3)
-    with pytest.raises(ValueError):
-        TaylorSeries(np.array([1.0, 2.0]), valid_order=0)
+        TaylorSeries(np.array([np.inf, 1.0]))
 
 
 def test_coefficients_are_immutable():
@@ -70,12 +61,6 @@ def test_disk_spec_validation():
         DiskSpec(-1.0)
     with pytest.raises(InvalidDisk):
         DiskSpec(1.0, 4)
-
-
-def test_zero_series():
-    s = zero_series(5)
-    assert np.all(s.coeffs == 0)
-    assert len(s) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +189,7 @@ def test_linear_combine_oracle():
     b = make_series([0.0, 2.0, 5.0])
     c = linear_combine([(2.0, a), (-1.0, b)])
     assert np.allclose(c.coeffs, [2.0, 0.0])
-    assert c.valid_order == 2
+    assert len(c) == 2
 
 
 def test_linear_combine_empty_rejected():
@@ -217,12 +202,6 @@ def test_multiply_by_poly_oracle():
     s = make_series([1.0, 1.0])
     p = multiply_by_poly(s, [1.0, -1.0])
     assert np.allclose(p.coeffs, [1.0, 0.0, -1.0])
-
-
-def test_multiply_by_poly_max_len():
-    s = make_series([1.0] * 10)
-    p = multiply_by_poly(s, [0.0, 1.0], max_len=5)
-    assert len(p) == 5
 
 
 # ---------------------------------------------------------------------------
