@@ -12,7 +12,6 @@ from .series import (
     DiskSpec,
     TaylorSeries,
     disk_sup_norm,
-    evaluate,
     gaussian_series,
     linear_combine,
     make_series,
@@ -60,7 +59,6 @@ __all__ = [
     "DiskSpec",
     "TaylorSeries",
     "disk_sup_norm",
-    "evaluate",
     "gaussian_series",
     "linear_combine",
     "make_series",

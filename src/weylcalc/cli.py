@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigen import (
+    RIDGE_DEFAULT,
     EigenFamily,
     completeness_bases,
     completeness_fit,
@@ -57,7 +58,14 @@ from .operators import (
     matrix_on_monomials,
     scalar_identity_diagnostics,
 )
-from .orbit import OrbitProblem, construct_orbit, targets_met, verify_orbit
+from .orbit import (
+    LAMBDA_COUNT_DEFAULT,
+    MARGIN_DEFAULT,
+    OrbitProblem,
+    construct_orbit,
+    targets_met,
+    verify_orbit,
+)
 from .serialize import (
     WORKDIR_ENV,
     build_manifest,
@@ -70,7 +78,7 @@ from .serialize import (
     write_manifest_sidecar,
     write_report,
 )
-from .series import DiskSpec
+from .series import DEFAULT_ORDER, DiskSpec
 
 #: errors that indicate malformed input rather than a scientific outcome
 _INPUT_ERRORS = (
@@ -561,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=5,
                    help=f"grid side, 1..{GRID_MAX} (grid x grid lambda points)")
     p.add_argument("--lam-max", type=float, default=2.0)
-    p.add_argument("--order", type=int, default=128,
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                    help=f"series coefficients, 1..{ORDER_MAX}")
     p.add_argument("--radius", type=float, default=1.0)
     p.set_defaults(func=_cmd_eigencheck)
@@ -577,9 +585,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated lambda-set sizes, at most "
                         f"{COUNTS_MAX}, each 1..{LAMBDA_COUNT_MAX}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ridge", type=float, default=1e-10,
+    p.add_argument("--ridge", type=float, default=RIDGE_DEFAULT,
                    help="Tikhonov ridge, finite and >= 0 (0: truncated SVD)")
-    p.add_argument("--order", type=int, default=128,
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                    help=f"series coefficients, 1..{ORDER_MAX}")
     p.add_argument("--radius", type=float, default=1.0)
     p.set_defaults(func=_cmd_complete_fit)
@@ -588,13 +596,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--problem", required=True,
                    help="orbit problem JSON (path or inline)")
-    p.add_argument("--lambda-count", type=int, default=16,
+    p.add_argument("--lambda-count", type=int, default=LAMBDA_COUNT_DEFAULT,
                    help=f"expanding lambda points per target; times the "
                         f"number of targets at most {LAMBDA_COUNT_MAX}")
-    p.add_argument("--margin", type=float, default=2.0)
-    p.add_argument("--ridge", type=float, default=1e-10,
+    p.add_argument("--margin", type=float, default=MARGIN_DEFAULT)
+    p.add_argument("--ridge", type=float, default=RIDGE_DEFAULT,
                    help="Tikhonov ridge, finite and >= 0 (0: truncated SVD)")
-    p.add_argument("--order", type=int, default=128,
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                    help=f"series coefficients, 1..{ORDER_MAX}")
     p.set_defaults(func=_cmd_construct_orbit)
 
@@ -620,11 +628,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WeylcalcError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        for attr in ("offdiag_max", "diag_spread", "target_index", "residual",
-                     "budget", "attempted", "cap"):
-            if hasattr(exc, attr):
-                payload["error"][attr] = getattr(exc, attr)
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc),
+                             **exc.fields}}
         try:
             out = _outdir(args)
             # the parsed parameters, as in the success manifests; the

@@ -28,9 +28,16 @@ import numpy as np
 
 from .accel import eval_grid, translate_kernel
 from .errors import KernelResidualTooLarge, SingularSystem
-from .kernel_solver import KERNEL_MEMBERSHIP_TOL, kernel_residual
-from .operators import CompositeOperator, WeylOperator, apply_composite, apply_weyl
+from .kernel_solver import kernel_residual
+from .operators import (
+    KERNEL_MEMBERSHIP_TOL,
+    CompositeOperator,
+    WeylOperator,
+    apply_composite,
+    apply_weyl,
+)
 from .series import (
+    DEFAULT_ORDER,
     DiskSpec,
     TaylorSeries,
     UNIT_DISK,
@@ -51,23 +58,21 @@ VERIFY_POINTS = 128
 
 @dataclass(frozen=True)
 class EigenFamily:
-    """Eigenfunction family of a Weyl operator.
+    """Eigenfunction family of a Weyl operator, given by its generator.
 
-    kind 'translate' shifts the kernel generator f0; kind 'exponential'
-    (a = 0) uses e^{lambda z} truncations of ``n_terms`` coefficients.
+    A kernel generator ``f0`` (a != 0) gives the translate family
+    f0(z + lambda); ``f0`` None (a = 0) gives the exponential family of
+    e^{lambda z} truncations of ``n_terms`` coefficients, by default
+    series.DEFAULT_ORDER.
     """
 
     f0: TaylorSeries | None
-    a: complex
-    kind: str = "translate"
-    n_terms: int = 128
+    n_terms: int = DEFAULT_ORDER
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        if self.kind not in ("translate", "exponential"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "translate" and self.f0 is None:
-            raise ValueError("translate family needs a kernel generator")
+    @property
+    def kind(self) -> str:
+        """'translate' when there is a generator f0, else 'exponential'."""
+        return "translate" if self.f0 is not None else "exponential"
 
 
 @dataclass(frozen=True)
@@ -97,22 +102,21 @@ class FitReport:
     ridge: float
 
 
-def family_from_kernel(
-    t: WeylOperator, f0: TaylorSeries, disk: DiskSpec = UNIT_DISK
-) -> EigenFamily:
-    """Validated translate family for a != 0 (kernel membership enforced)."""
-    res = kernel_residual(t, f0, disk)
+def family_from_kernel(t: WeylOperator, f0: TaylorSeries) -> EigenFamily:
+    """Validated translate family for a != 0: the unit-disk kernel residual
+    of f0 must not exceed KERNEL_MEMBERSHIP_TOL."""
+    res = kernel_residual(t, f0)
     if res > KERNEL_MEMBERSHIP_TOL:
         raise KernelResidualTooLarge(
             f"generator kernel residual {res:.3e} exceeds "
             f"{KERNEL_MEMBERSHIP_TOL:.1e}"
         )
-    return EigenFamily(f0=f0, a=t.a, kind="translate")
+    return EigenFamily(f0)
 
 
-def exponential_family(n_terms: int = 128) -> EigenFamily:
+def exponential_family(n_terms: int = DEFAULT_ORDER) -> EigenFamily:
     """a = 0 family of exponential eigenfunctions."""
-    return EigenFamily(f0=None, a=0.0, kind="exponential", n_terms=n_terms)
+    return EigenFamily(None, n_terms)
 
 
 def eigenfunction(family: EigenFamily, lam: complex) -> TaylorSeries:
@@ -199,10 +203,10 @@ def inverse_integer_lambdas(count: int) -> LambdaSet:
     return LambdaSet(pts)
 
 
-def segment_lambdas(count: int, length: float = 1.0) -> LambdaSet:
-    """Equispaced points on (0, length]: every point accumulates in the
+def segment_lambdas(count: int) -> LambdaSet:
+    """Equispaced points on (0, 1]: every point accumulates in the
     continuum limit; a finite approximation thereof."""
-    pts = length * np.arange(1, count + 1) / count
+    pts = np.arange(1, count + 1) / count
     return LambdaSet(pts)
 
 

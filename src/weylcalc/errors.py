@@ -7,7 +7,18 @@ failures from bad input.
 
 
 class WeylcalcError(Exception):
-    """Base class for all weylcalc errors."""
+    """Base class for all weylcalc errors.
+
+    Keyword ``fields`` are diagnostics of the failure: each is kept as an
+    attribute and in the ``fields`` mapping, which the CLI writes into the
+    error artifact next to the type and message.
+    """
+
+    def __init__(self, message, **fields):
+        super().__init__(message)
+        self.fields = fields
+        for name, value in fields.items():
+            setattr(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -43,12 +54,10 @@ class ZeroOperator(WeylcalcError):
 
 
 class NotWeyl(WeylcalcError):
-    """A monomial matrix does not commute with D to a scalar multiple of I."""
+    """A monomial matrix does not commute with D to a scalar multiple of I.
 
-    def __init__(self, message, offdiag_max=None, diag_spread=None):
-        super().__init__(message)
-        self.offdiag_max = offdiag_max
-        self.diag_spread = diag_spread
+    Fields: ``offdiag_max``, ``diag_spread``.
+    """
 
 
 class InconsistentConvolution(WeylcalcError):
@@ -86,23 +95,17 @@ class SearchExhausted(WeylcalcError):
 
 
 class BudgetExceeded(WeylcalcError):
-    """A per-target fit could not meet its error budget."""
+    """A per-target fit could not meet its error budget.
 
-    def __init__(self, message, target_index=None, residual=None, budget=None):
-        super().__init__(message)
-        self.target_index = target_index
-        self.residual = residual
-        self.budget = budget
+    Fields: ``target_index``, ``residual``, ``budget``.
+    """
 
 
 class ScheduleOverflow(WeylcalcError):
-    """The iterate schedule exceeded its cap."""
+    """The iterate schedule exceeded its cap.
 
-    def __init__(self, message, target_index=None, attempted=None, cap=None):
-        super().__init__(message)
-        self.target_index = target_index
-        self.attempted = attempted
-        self.cap = cap
+    Fields: ``target_index``, ``attempted``, ``cap``.
+    """
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,6 @@ from .errors import ConvolutionCase, ZeroOrderOperator
 from .operators import WeylOperator, apply_weyl
 from .series import DiskSpec, TaylorSeries, UNIT_DISK, disk_sup_norm
 
-#: downstream membership threshold on the unit-disk sup norm
-KERNEL_MEMBERSHIP_TOL = 1e-8
-
 #: recurrence halts once a coefficient magnitude passes this guard
 OVERFLOW_GUARD = 1e150
 

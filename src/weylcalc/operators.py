@@ -37,13 +37,7 @@ from .errors import (
     OrderExhausted,
     ZeroOperator,
 )
-from .series import (
-    DiskSpec,
-    TaylorSeries,
-    UNIT_DISK,
-    disk_sup_norm,
-    linear_combine,
-)
+from .series import TaylorSeries, disk_sup_norm, linear_combine
 
 #: dense monomial matrices are capped at this degree
 N_CAP_MAX = 512
@@ -52,6 +46,9 @@ N_CAP_MAX = 512
 #: diagonal spread are checked separately so "not Weyl" can be told apart
 #: from "numerically noisy Weyl")
 DECOMPOSE_TOL = 1e-9
+
+#: kernel membership threshold on the unit-disk sup norm of T f
+KERNEL_MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,8 @@ def _quotient(num: int, den: int) -> float:
     try:
         return num / den  # correctly rounded
     except OverflowError:
-        return math.copysign(math.inf, num)
+        # an int past the double range has no float to copy a sign from
+        return math.inf if num > 0 else -math.inf
 
 
 def from_gaussian(re, im, e: int) -> np.ndarray:
@@ -423,34 +421,28 @@ def scalar_identity_diagnostics(mat: OperatorMatrix):
 # ladder identity
 
 
-def ladder_check(
-    t: WeylOperator,
-    f: TaylorSeries,
-    n_max: int,
-    disk: DiskSpec = UNIT_DISK,
-    kernel_tol: float = 1e-8,
-):
-    """Residuals of T f^(n) = a n f^(n-1) for n = 0..n_max.
+def ladder_check(t: WeylOperator, f: TaylorSeries, n_max: int):
+    """Unit-disk residuals of T f^(n) = a n f^(n-1) for n = 0..n_max.
 
-    Index 0 holds the kernel residual of f itself; f must pass the kernel
-    membership threshold first.
+    Index 0 holds the kernel residual of f itself, which must not exceed
+    KERNEL_MEMBERSHIP_TOL.
     """
     if n_max + t.m.order >= len(f):
         raise OrderExhausted(
             f"ladder to n={n_max} needs more than {n_max + t.m.order} "
             f"coefficients"
         )
-    base = disk_sup_norm(apply_weyl(t, f), disk)
-    if base > kernel_tol:
+    base = disk_sup_norm(apply_weyl(t, f))
+    if base > KERNEL_MEMBERSHIP_TOL:
         raise KernelResidualTooLarge(
-            f"kernel residual {base:.3e} exceeds {kernel_tol:.1e}"
+            f"kernel residual {base:.3e} exceeds {KERNEL_MEMBERSHIP_TOL:.1e}"
         )
     residuals = [base]
     for n in range(1, n_max + 1):
         lhs = apply_weyl(t, differentiate(f, n))
         rhs = differentiate(f, n - 1)
         residuals.append(
-            disk_sup_norm(linear_combine([(1.0, lhs), (-t.a * n, rhs)]), disk)
+            disk_sup_norm(linear_combine([(1.0, lhs), (-t.a * n, rhs)]))
         )
     return residuals
 
@@ -473,14 +465,14 @@ def _commutator_with_diff(mat: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(out, mat.n_cap)
 
 
-def decompose(mat: OperatorMatrix, tol: float = DECOMPOSE_TOL):
+def decompose(mat: OperatorMatrix):
     """Recover (a, M) from the monomial matrix of an unknown operator.
 
     Raises NotWeyl when [Op, D] is not a scalar multiple of the identity
-    within ``tol``, and InconsistentConvolution when the residual operator
-    Op + a z I does not act with constant coefficients.
+    within the tolerance, and InconsistentConvolution when the residual
+    operator Op + a z I does not act with constant coefficients.
 
-    The commutator check is made against ``max(tol, noise floor)``, where
+    The tolerance is ``max(DECOMPOSE_TOL, noise floor)``, where
     the floor is the cancellation error of a genuinely Weyl matrix whose
     entries (of size d_k n!/(n-k)!) were themselves rounded to doubles:
     below that floor non-Weyl-ness is not detectable from the matrix.
@@ -489,7 +481,7 @@ def decompose(mat: OperatorMatrix, tol: float = DECOMPOSE_TOL):
     a_est, offdiag_max, diag_spread = scalar_identity_diagnostics(comm)
     scale = float(np.abs(mat.entries).max())
     noise_floor = 8 * np.finfo(float).eps * (mat.n_cap + 1) * scale
-    tol = max(tol, noise_floor)
+    tol = max(DECOMPOSE_TOL, noise_floor)
     if offdiag_max > tol or diag_spread > tol:
         raise NotWeyl(
             f"[Op, D] is not a scalar identity: off-diagonal max "

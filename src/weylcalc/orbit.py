@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ScheduleOverflow, SearchExhausted
 from .eigen import (
+    RIDGE_DEFAULT,
     CompletenessBasis,
     DiskSpec,
     EigenFamily,
@@ -56,7 +57,13 @@ from .eigen import (
 from .operators import CompositeOperator, exact_power, from_gaussian, to_gaussian
 from .series import TaylorSeries, evaluate_grid, linear_combine
 
-#: default cap on the largest scheduled iterate
+#: expanding lambda points per target
+LAMBDA_COUNT_DEFAULT = 16
+
+#: the expanding points have |eigenvalue| >= 1 + margin
+MARGIN_DEFAULT = 2.0
+
+#: cap on the largest scheduled iterate
 SCHEDULE_CAP = 200
 
 #: direct operator-power verification is run only up to this iterate
@@ -154,19 +161,16 @@ def _amplitudes(coords: np.ndarray, mu: np.ndarray, n: int) -> np.ndarray:
 
 
 def select_expanding_lambdas(
-    c: CompositeOperator,
-    count: int,
-    margin: float,
-    family: EigenFamily,
-    radius_cap: float = SEARCH_RADIUS_CAP,
+    c: CompositeOperator, count: int, margin: float, family: EigenFamily
 ) -> LambdaSet:
     """``count`` points where the eigenvalue of c has modulus >= 1 + margin,
     one per equispaced ray.
 
-    All rays are marched outward from the origin over the same radii, and
-    each ray's first crossing of the level 1 + margin is bisected, all rays
-    at once, so the points cluster near the level set (large spread in
-    |eigenvalue| would wreck the conditioning of the later fits).
+    All rays are marched outward from the origin over the same radii, up
+    to SEARCH_RADIUS_CAP (else SearchExhausted), and each ray's first
+    crossing of the level 1 + margin is bisected, all rays at once, so the
+    points cluster near the level set (large spread in |eigenvalue| would
+    wreck the conditioning of the later fits).
     """
     if not 1.0 + margin > 1.0:
         raise ValueError(f"1 + margin must exceed 1, got margin {margin}")
@@ -184,7 +188,7 @@ def select_expanding_lambdas(
     lo = np.zeros(count)
     hi = np.full(count, np.nan)
     r = 0.05
-    while r <= radius_cap and np.isnan(hi).any():
+    while r <= SEARCH_RADIUS_CAP and np.isnan(hi).any():
         marching = np.isnan(hi)
         hit = marching & reached(r)
         hi[hit] = r
@@ -193,7 +197,7 @@ def select_expanding_lambdas(
     exhausted = np.flatnonzero(np.isnan(hi))
     if exhausted.size:
         raise SearchExhausted(
-            f"no |symbol| >= {level} within radius {radius_cap} on ray "
+            f"no |symbol| >= {level} within radius {SEARCH_RADIUS_CAP} on ray "
             f"{exhausted[0]}/{count}"
         )
     for _ in range(60):
@@ -206,17 +210,16 @@ def select_expanding_lambdas(
 
 def construct_orbit(
     problem: OrbitProblem,
-    lambda_count: int = 16,
-    margin: float = 2.0,
-    ridge: float = 1e-10,
-    schedule_cap: int = SCHEDULE_CAP,
+    lambda_count: int = LAMBDA_COUNT_DEFAULT,
+    margin: float = MARGIN_DEFAULT,
+    ridge: float = RIDGE_DEFAULT,
 ) -> OrbitConstruction:
     """One stacked fit over the target list.
 
     Lambda has ``lambda_count`` points per target.  Each target's own fit
     in span{f_lambda} must meet epsilon/2 (else BudgetExceeded); then the
     schedules n_j = j * step are tried for step = 1, 2, ... while
-    n_m <= ``schedule_cap`` and the largest mu^{n_m} keeps the stacked
+    n_m <= SCHEDULE_CAP and the largest mu^{n_m} keeps the stacked
     system within STACKED_MAX, and the first whose stacked fit meets
     every target within epsilon/2 on the verification circle is kept
     (ScheduleOverflow when none does).
@@ -246,7 +249,7 @@ def construct_orbit(
     rhs = np.concatenate([evaluate_grid(q, basis.points) for q in targets])
     q_verify = [evaluate_grid(q, basis.verify_points) for q in targets]
     room = math.log(STACKED_MAX / np.abs(basis.collocation).max())
-    cap = min(schedule_cap, max(0, int(room / math.log(np.abs(mu).max()))))
+    cap = min(SCHEDULE_CAP, max(0, int(room / math.log(np.abs(mu).max()))))
     missed = m_targets - 1
     for step in range(1, cap // m_targets + 1):
         schedule = [(j + 1) * step for j in range(m_targets)]
@@ -300,16 +303,13 @@ def targets_met(rows: list, epsilon: float) -> bool:
     )
 
 
-def verify_orbit(
-    construction: OrbitConstruction,
-    problem: OrbitProblem,
-    direct_cap: int = DIRECT_CAP,
-) -> list:
+def verify_orbit(construction: OrbitConstruction, problem: OrbitProblem) -> list:
     """Two-route check of every scheduled iterate on the full vector.
 
     The eigen-sum on the constructor's basis is compared against direct
-    repeated operator application (where the iterate is small enough to
-    run), and both against the target; rows are data, not judgements.
+    repeated operator application (for iterates up to DIRECT_CAP; a later
+    row has ``method_discrepancy`` None), and both against the target;
+    rows are data, not judgements.
     """
     c = problem.operator
     mu = construction.eigenvalues
@@ -326,7 +326,7 @@ def verify_orbit(
             ),
             "method_discrepancy": None,
         }
-        if n_j <= direct_cap:
+        if n_j <= DIRECT_CAP:
             direct_vals = direct_power_values(c, construction.f, n_j, verify_pts)
             row["method_discrepancy"] = float(
                 np.abs(direct_vals - eig_vals).max()

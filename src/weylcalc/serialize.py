@@ -103,7 +103,11 @@ def series_from_dict(d: dict) -> TaylorSeries:
     if not coeffs:
         raise MalformedSpec("series.coeffs must be non-empty")
     valid = d.get("valid_order", len(coeffs))
-    if not isinstance(valid, int) or not (1 <= valid <= len(coeffs)):
+    if (
+        not isinstance(valid, int)
+        or isinstance(valid, bool)
+        or not 1 <= valid <= len(coeffs)
+    ):
         raise MalformedSpec(f"series.valid_order out of range: {valid!r}")
     return TaylorSeries(
         np.array(coeffs[:valid], dtype=np.complex128), str(d.get("label", ""))

@@ -75,14 +75,14 @@ def make_series(coeffs, label: str = "") -> TaylorSeries:
     return TaylorSeries(arr, label)
 
 
-def gaussian_series(n_terms: int = DEFAULT_ORDER, scale: complex = 0.5) -> TaylorSeries:
-    """Truncation of exp(scale * z^2); scale=0.5 gives exp(z^2/2)."""
+def gaussian_series(n_terms: int = DEFAULT_ORDER) -> TaylorSeries:
+    """Truncation of exp(z^2/2), the kernel generator of D - zI."""
     c = np.zeros(n_terms, dtype=np.complex128)
     term = 1.0 + 0j
     for k in range(0, (n_terms + 1) // 2):
         c[2 * k] = term
-        term *= scale / (k + 1)
-    return TaylorSeries(c, f"exp({scale}*z^2)")
+        term *= 0.5 / (k + 1)
+    return TaylorSeries(c, "exp(0.5*z^2)")
 
 
 def exponential_series(lam: complex, n_terms: int = DEFAULT_ORDER) -> TaylorSeries:
@@ -100,11 +100,6 @@ def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:
     if lam == 0:
         return f
     return TaylorSeries(translate_kernel(f.coeffs, lam), f.label)
-
-
-def evaluate(f: TaylorSeries, z: complex) -> complex:
-    """Value of the truncated polynomial at z."""
-    return complex(eval_grid(f.coeffs, np.array([z], dtype=np.complex128))[0])
 
 
 def evaluate_grid(f: TaylorSeries, points: np.ndarray) -> np.ndarray:

@@ -55,6 +55,16 @@ def test_commutator_ncap_above_cap_exits_2(tmp_path):
     assert not (tmp_path / "commutator_check.json").exists()
 
 
+def test_commutator_past_the_double_range_exits_2(tmp_path, capsys):
+    # d_1 = 1e300 and L(T) = T^3: entries of [L(T), D] round to infinity
+    op = '{"d":[[0,0],[1e300,0]],"a":[1,0],"L":[[0,0],[0,0],[0,0],[1,0]]}'
+    code = main(["commutator-check", "--op", op, "--ncap", "8",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "non-finite value inf cannot be serialized" in capsys.readouterr().err
+    assert not (tmp_path / "commutator_check.json").exists()
+
+
 def test_kernel_artifacts(tmp_path, capsys):
     code = main(["kernel", "--op", D2_MINUS_Z, "--terms", "40",
                  "--outdir", str(tmp_path)])
@@ -287,6 +297,35 @@ def test_construct_orbit_budget_failure_exits_1(tmp_path):
     err = json.loads((tmp_path / "construct_orbit_error.json").read_text())
     assert err["error"]["type"] == "BudgetExceeded"
     assert err["error"]["target_index"] == 0
+    assert set(err["error"]) == {
+        "type", "message", "target_index", "residual", "budget"
+    }
+
+
+def _orbit_error(tmp_path, margin):
+    problem = json.dumps({
+        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+        "targets": [{"coeffs": [[1, 0]]}, {"coeffs": [[0, 0], [1, 0]]}],
+    })
+    code = main(["construct-orbit", "--problem", problem, "--margin", margin,
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    return json.loads((tmp_path / "construct_orbit_error.json").read_text())["error"]
+
+
+def test_construct_orbit_schedule_overflow_exits_1(tmp_path):
+    # |mu| = 51: the stacked system leaves the double range past n_m = 23
+    err = _orbit_error(tmp_path, "50")
+    assert err["type"] == "ScheduleOverflow"
+    assert set(err) == {"type", "message", "target_index", "attempted", "cap"}
+    assert err["cap"] == 23
+
+
+def test_construct_orbit_search_exhausted_exits_1(tmp_path):
+    # |mu| = |lambda| >= 1001 lies past SEARCH_RADIUS_CAP on every ray
+    err = _orbit_error(tmp_path, "1000")
+    assert err["type"] == "SearchExhausted"
+    assert set(err) == {"type", "message"}
 
 
 def test_construct_orbit_target_degree_ignores_trailing_zeros(tmp_path, capsys):
@@ -321,6 +360,7 @@ def test_decompose_non_weyl_matrix_exits_1(tmp_path):
     assert code == 1
     err = json.loads((tmp_path / "decompose_error.json").read_text())
     assert err["error"]["type"] == "NotWeyl"
+    assert set(err["error"]) == {"type", "message", "offdiag_max", "diag_spread"}
 
 
 def test_decompose_requires_exactly_one_source(tmp_path):

@@ -98,7 +98,7 @@ def test_eigenvalue_of_an_array_equals_each_lambda(kind):
     # product differently from a scalar one
     t = WeylOperator(diff_op(1) if kind == "translate" else diff_op(2),
                      0.6 - 0.8j if kind == "translate" else 0.0)
-    family = (EigenFamily(f0=gaussian_series(8), a=t.a) if kind == "translate"
+    family = (EigenFamily(f0=gaussian_series(8)) if kind == "translate"
               else exponential_family(16))
     rng = np.random.default_rng(3)
     lams = 4 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
@@ -128,7 +128,7 @@ def test_translate_rows_equal_per_lambda_translate(coeffs, lams):
     # the lambda = 0 row is f0 itself, as translate returns it
     f0 = make_series(coeffs)
     lams = np.array(lams + [0.0], dtype=np.complex128)
-    rows = _member_coeffs(EigenFamily(f0=f0, a=1.0), lams)
+    rows = _member_coeffs(EigenFamily(f0=f0), lams)
     assert rows.shape == (lams.size, len(coeffs))
     for row, lam in zip(rows, lams):
         assert np.array_equal(_bits(row), _bits(translate(f0, lam).coeffs))

@@ -23,6 +23,7 @@ from weylcalc.operators import (
     decompose,
     diff_op,
     differentiate,
+    from_gaussian,
     ladder_check,
     matrix_on_monomials,
     op_on_poly,
@@ -229,3 +230,11 @@ def test_decompose_rejects_variable_coefficients():
         entries[n, n] = n * n
     with pytest.raises((NotWeyl, InconsistentConvolution)):
         decompose(OperatorMatrix(entries, n_cap))
+
+
+def test_from_gaussian_past_the_double_range_is_a_signed_infinity():
+    # 2**1100 / 2 has no double; the sign comes from the integer itself
+    huge = 1 << 1100
+    out = from_gaussian([huge, -huge, 3], [-huge, 0, huge], 1)
+    assert np.array_equal(out.real, [np.inf, -np.inf, 1.5])
+    assert np.array_equal(out.imag, [-np.inf, 0.0, np.inf])

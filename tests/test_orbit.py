@@ -74,20 +74,21 @@ def test_select_respects_count_and_distinctness(setting):
     assert np.unique(lams.points).size == 7
 
 
-def test_search_exhausted_with_tiny_radius_cap(setting):
+def test_search_exhausted_beyond_the_radius_cap(setting):
+    # L = T has |mu| = |lambda|; the last radius marched below
+    # SEARCH_RADIUS_CAP = 64 is 0.05 * 1.25^32 = 63.1, short of 1 + 63
     _, family, ident, _ = setting
-    with pytest.raises(SearchExhausted):
-        select_expanding_lambdas(
-            ident, 4, margin=0.5, family=family, radius_cap=0.01
-        )
+    with pytest.raises(SearchExhausted, match="on ray 0/4"):
+        select_expanding_lambdas(ident, 4, margin=63.0, family=family)
 
 
 def test_search_exhausted_names_the_first_failing_ray(setting):
-    # |lambda + lambda^2| >= 2 needs r = 1 on ray 0, about 1.25 on rays 1
-    # and 3, and r = 2 on ray 2 (lambda = -r)
+    # |lambda + lambda^2| >= 3950 needs r = 62.4 on ray 0, about 62.8 on
+    # rays 1 and 3, and r = 63.4 on ray 2 (lambda = -r), past the last
+    # radius marched below SEARCH_RADIUS_CAP = 64, 0.05 * 1.25^32 = 63.1
     _, family, _, quad = setting
     with pytest.raises(SearchExhausted, match="on ray 2/4"):
-        select_expanding_lambdas(quad, 4, margin=1.0, family=family, radius_cap=1.5)
+        select_expanding_lambdas(quad, 4, margin=3949.0, family=family)
 
 
 def _select_ray_by_ray(c, count, margin, family):
@@ -122,7 +123,7 @@ def test_selection_of_all_rays_at_once_equals_ray_by_ray(setting, case):
         "quad": (quad, family),
         "complex_a": (
             CompositeOperator(WeylOperator(diff_op(1), 0.6 - 0.8j), l_quad),
-            EigenFamily(f0=gaussian_series(8), a=0.6 - 0.8j),
+            EigenFamily(f0=gaussian_series(8)),
         ),
         "exponential": (
             CompositeOperator(WeylOperator(diff_op(1), 0.0), l_quad),
@@ -192,14 +193,13 @@ def test_budget_exceeded_carries_diagnostics(setting):
     assert exc.value.residual > exc.value.budget
 
 
-def test_schedule_overflow_raised(setting):
+def test_schedule_overflow_raised(setting, monkeypatch):
     # measured: the schedule is [5, 10], so every cap below 10 overflows
     _, family, ident, _ = setting
     targets = [make_series([1.0]), make_series([0.0, 1.0])]
+    monkeypatch.setattr("weylcalc.orbit.SCHEDULE_CAP", 9)
     with pytest.raises(ScheduleOverflow) as info:
-        construct_orbit(
-            OrbitProblem(ident, family, targets, epsilon=0.1), schedule_cap=9
-        )
+        construct_orbit(OrbitProblem(ident, family, targets, epsilon=0.1))
     assert info.value.attempted > info.value.cap == 9
 
 
@@ -303,14 +303,15 @@ def test_acceptance_instance_two_routes(setting):
             assert row["method_discrepancy"] <= 0.1 / 10
 
 
-def test_iterate_past_the_direct_route_is_unverified(setting):
+def test_iterate_past_the_direct_route_is_unverified(setting, monkeypatch):
     # the eigen-sum error repeats the constructor's bookkeeping; an iterate
     # the direct route did not check does not count as met
     _, family, ident, _ = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
     problem = OrbitProblem(ident, family, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
-    rows = verify_orbit(con, problem, direct_cap=con.schedule[0])
+    monkeypatch.setattr("weylcalc.orbit.DIRECT_CAP", con.schedule[0])
+    rows = verify_orbit(con, problem)
     assert rows[-1]["method_discrepancy"] is None
     assert rows[-1]["eigen_error_full"] <= 0.1
     assert not targets_met(rows, 0.1)

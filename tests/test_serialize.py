@@ -60,7 +60,8 @@ def test_series_from_dict_keeps_the_valid_prefix():
     s = series_from_dict(doc)
     assert np.array_equal(s.coeffs, [1.0])
     assert series_to_dict(s)["valid_order"] == 1
-    for valid in (0, 4):
+    # JSON true passes isinstance(v, int); it is no coefficient count
+    for valid in (0, 4, True, False):
         with pytest.raises(MalformedSpec):
             series_from_dict({**doc, "valid_order": valid})
 

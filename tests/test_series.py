@@ -18,7 +18,6 @@ from weylcalc.series import (
     DiskSpec,
     TaylorSeries,
     disk_sup_norm,
-    evaluate,
     evaluate_grid,
     exponential_series,
     gaussian_series,
@@ -161,7 +160,7 @@ def test_translate_gaussian_against_convolution_oracle():
 def test_evaluate_matches_polyval():
     s = make_series([1.0, -2.0, 0.5, 3.0])
     for z in (0.3 + 0.4j, -1.0, 2.0j):
-        assert evaluate(s, z) == pytest.approx(
+        assert evaluate_grid(s, np.array([z]))[0] == pytest.approx(
             complex(np.polyval(s.coeffs[::-1], z)), abs=1e-14
         )
 
@@ -261,6 +260,7 @@ def test_sup_norm_subadditive(ca, cb):
 def test_evaluate_linear_in_coefficients(coeffs, w, z):
     f = make_series(coeffs)
     scaled = make_series(np.array(coeffs) * w)
-    assert evaluate(scaled, z) == pytest.approx(
-        w * evaluate(f, z), abs=1e-9 * (1 + abs(w))
+    pts = np.array([z])
+    assert evaluate_grid(scaled, pts)[0] == pytest.approx(
+        w * evaluate_grid(f, pts)[0], abs=1e-9 * (1 + abs(w))
     )
