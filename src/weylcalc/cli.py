@@ -9,10 +9,14 @@ Six subcommands expose the computational workflows::
     weylcalc construct-orbit  --problem FILE
     weylcalc decompose        --op OP | --matrix FILE
 
-Every artifact embeds or accompanies a :class:`RunManifest`; with the
+Every artifact embeds or accompanies a run manifest; with the
 ``WEYLCALC_TIMESTAMP`` override set, identical invocations produce
-byte-identical files.  Exit codes: 0 success, 1 validated negative
-outcome (e.g. a budget failure or a non-Weyl matrix), 2 bad input.
+byte-identical files.  The exception's class decides the exit code: 0
+success; 2 for an :class:`~weylcalc.errors.InputError` (bad input,
+nothing written); 1 for any other
+:class:`~weylcalc.errors.WeylcalcError`, a validated negative outcome
+such as a budget failure, a non-Weyl matrix or a result that leaves the
+double range, with ``<command>_error.json`` written.
 """
 
 from __future__ import annotations
@@ -39,18 +43,16 @@ from .eigen import (
     segment_lambdas,
 )
 from .errors import (
-    EmptyCoefficients,
-    InvalidDisk,
+    InputError,
     IoFailure,
     MalformedSpec,
     NonFiniteCoefficient,
+    SingularSystem,
     WeylcalcError,
-    ZeroOperator,
 )
 from .kernel_solver import kernel_basis
 from .operators import (
     CompositeOperator,
-    OperatorMatrix,
     WeylOperator,
     commutator_matrix,
     decompose,
@@ -71,6 +73,7 @@ from .serialize import (
     build_manifest,
     complex_pair,
     operator_to_dict,
+    pair_to_complex,
     parse_operator_spec,
     series_from_dict,
     series_to_dict,
@@ -79,17 +82,6 @@ from .serialize import (
     write_report,
 )
 from .series import DEFAULT_ORDER, DiskSpec
-
-#: errors that indicate malformed input rather than a scientific outcome
-_INPUT_ERRORS = (
-    MalformedSpec,
-    IoFailure,
-    ZeroOperator,
-    EmptyCoefficients,
-    NonFiniteCoefficient,
-    InvalidDisk,
-    ValueError,
-)
 
 #: largest lambda set accepted by ``complete-fit --counts`` and
 #: ``construct-orbit --lambda-count``
@@ -116,19 +108,21 @@ def _load_json_arg(text: str, what: str):
         path = Path(text)
         try:
             source = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, a NUL
             raise MalformedSpec(f"{what}: cannot read {text}: {exc}") from exc
         inputs = [path]
     try:
         return json.loads(source), inputs
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep
         raise MalformedSpec(f"{what}: invalid JSON: {exc}") from exc
 
 
 def _outdir(args) -> Path:
-    base = args.outdir or os.environ.get(WORKDIR_ENV) or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.outdir or os.environ.get(WORKDIR_ENV) or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {path}: {exc}") from exc
     return path
 
 
@@ -232,17 +226,13 @@ def _cmd_commutator_check(args) -> int:
             "a_estimate": a_est,
             "offdiag_max": offdiag_max,
             "diag_spread": diag_spread,
-            "n_cap": comm.n_cap,
+            "n_cap": comm.shape[1] - 1,
         },
         manifest,
     )
     csv_path = out / "commutator_matrix.csv"
-    rows, cols = np.indices(comm.entries.shape)
-    write_csv(
-        csv_path,
-        ["row", "col", "re", "im"],
-        [rows, cols, comm.entries.real, comm.entries.imag],
-    )
+    rows, cols = np.indices(comm.shape)
+    write_csv(csv_path, ["row", "col", "re", "im"], [rows, cols, comm.real, comm.imag])
     write_manifest_sidecar(csv_path, manifest)
     print(f"commutator with D: a = {a_est}, off-diagonal max "
           f"{offdiag_max:.3e}, diagonal spread {diag_spread:.3e}")
@@ -255,8 +245,8 @@ def _cmd_eigencheck(args) -> int:
     doc, inputs = _load_json_arg(args.op, "--op")
     op = parse_operator_spec(doc)
     t = _base_weyl(op)
-    family = _family_for(t, args.order)
     disk = DiskSpec(args.radius, 64)
+    family = _family_for(t, args.order)
     lams = _square_grid(args.grid, args.lam_max)
     composite = isinstance(op, CompositeOperator)
     residuals, comp_residuals = [], []
@@ -312,6 +302,8 @@ def _preset_lambdas(preset: str, count: int, seed: int):
 
 def _cmd_complete_fit(args) -> int:
     _nonnegative("--ridge", args.ridge)
+    if args.seed < 0:
+        raise MalformedSpec(f"--seed: expected an integer >= 0, got {args.seed}")
     doc, inputs = _load_json_arg(args.op, "--op")
     op = parse_operator_spec(doc)
     t = _base_weyl(op)
@@ -330,8 +322,8 @@ def _cmd_complete_fit(args) -> int:
         )
     for count in counts:
         _check_range("--counts", count, LAMBDA_COUNT_MAX)
-    family = _family_for(t, args.order)
     disk = DiskSpec(args.radius, 64)
+    family = _family_for(t, args.order)
     bases = completeness_bases(
         family,
         [_preset_lambdas(args.preset, count, args.seed) for count in counts],
@@ -344,7 +336,7 @@ def _cmd_complete_fit(args) -> int:
         for count, basis in zip(counts, bases):
             try:
                 fit = completeness_fit(basis, target, args.ridge)
-            except WeylcalcError as exc:
+            except SingularSystem as exc:
                 reports.append({
                     "target": ti,
                     "label": label,
@@ -484,25 +476,26 @@ def _cmd_construct_orbit(args) -> int:
     return 0 if met else 1
 
 
-def _matrix_from_doc(doc) -> OperatorMatrix:
+def _matrix_from_doc(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise MalformedSpec("--matrix: expected {'entries': [[ [re,im], ...], ...]}")
     rows = doc["entries"]
-    if not isinstance(rows, list) or not rows:
-        raise MalformedSpec("--matrix: 'entries' must be a non-empty list of rows")
-    try:
-        entries = np.array(
-            [[complex(p[0], p[1]) for p in row] for row in rows],
-            dtype=np.complex128,
+    if not isinstance(rows, list) or not rows or not all(
+        isinstance(row, list) and len(row) == len(rows[0]) for row in rows
+    ):
+        raise MalformedSpec(
+            "--matrix: 'entries' must be a non-empty list of rows of one length"
         )
-    except (TypeError, IndexError, KeyError) as exc:
-        raise MalformedSpec(f"--matrix: malformed entries: {exc}") from exc
-    if entries.ndim != 2 or not 2 <= entries.shape[1] <= entries.shape[0]:
+    entries = np.array(
+        [[pair_to_complex(p, "--matrix: entries") for p in row] for row in rows],
+        dtype=np.complex128,
+    )
+    if not 2 <= entries.shape[1] <= entries.shape[0]:
         raise MalformedSpec(
             "--matrix: entries must form a matrix with >= 2 columns and at "
             "least as many rows as columns"
         )
-    return OperatorMatrix(entries, entries.shape[1] - 1)
+    return entries
 
 
 def _cmd_decompose(args) -> int:
@@ -516,7 +509,7 @@ def _cmd_decompose(args) -> int:
     else:
         doc, inputs = _load_json_arg(args.matrix, "--matrix")
         mat = _matrix_from_doc(doc)
-        params = {"matrix_shape": list(mat.entries.shape), "ncap": mat.n_cap}
+        params = {"matrix_shape": list(mat.shape), "ncap": mat.shape[1] - 1}
     a_est, m = decompose(mat)
     out = _outdir(args)
     manifest = build_manifest("decompose", params, inputs)
@@ -624,7 +617,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WeylcalcError as exc:
@@ -639,8 +632,8 @@ def main(argv=None) -> int:
             manifest = build_manifest(args.command, params)
             write_report(out / f"{args.command.replace('-', '_')}_error.json",
                          payload, manifest)
-        except OSError:
-            pass
+        except (IoFailure, NonFiniteCoefficient):
+            pass  # no artifact: the directory failed, or a diagnostic is not finite
         print(f"negative result: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import eval_grid, translate_kernel
-from .errors import KernelResidualTooLarge, SingularSystem
+from .errors import KernelResidualTooLarge, MalformedSpec, SingularSystem
 from .kernel_solver import kernel_residual
 from .operators import (
     KERNEL_MEMBERSHIP_TOL,
@@ -84,7 +84,7 @@ class LambdaSet:
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.points, dtype=np.complex128))
         if arr.size != np.unique(arr).size:
-            raise ValueError("lambda points must be distinct")
+            raise MalformedSpec("lambda points must be distinct")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
@@ -318,7 +318,7 @@ def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
     condition estimate and the ridge actually used.
     """
     if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+        raise MalformedSpec("ridge must be >= 0")
     if svd is None:
         try:
             svd = np.linalg.svd(a_mat, full_matrices=False)

@@ -1,8 +1,11 @@
 """Exception hierarchy for weylcalc.
 
-Every error raised by the library derives from :class:`WeylcalcError` so
-callers (in particular the CLI) can distinguish validated scientific
-failures from bad input.
+Every error raised by the library derives from :class:`WeylcalcError`,
+and its class says whose fault it is.  An :class:`InputError` means the
+input is malformed or out of range: the CLI exits 2 and writes nothing.
+Any other :class:`WeylcalcError` is a validated outcome of valid input,
+a result that leaves the double range included: the CLI exits 1 and
+writes ``<command>_error.json``.
 """
 
 
@@ -21,16 +24,21 @@ class WeylcalcError(Exception):
             setattr(self, name, value)
 
 
+class InputError(WeylcalcError, ValueError):
+    """The input is malformed or out of range; the CLI exits 2."""
+
+
 # ---------------------------------------------------------------------------
 # series construction / arithmetic
 
 
-class EmptyCoefficients(WeylcalcError):
+class EmptyCoefficients(InputError):
     """A coefficient list was empty where at least one entry is required."""
 
 
-class NonFiniteCoefficient(WeylcalcError):
-    """A coefficient was NaN or infinite."""
+class NonFiniteCoefficient(WeylcalcError, ValueError):
+    """A coefficient or a computed value to be serialized was NaN or
+    infinite: a result outside the double range, not bad input."""
 
 
 class OrderExhausted(WeylcalcError):
@@ -41,7 +49,7 @@ class EmptyCombination(WeylcalcError):
     """linear_combine was called with no terms."""
 
 
-class InvalidDisk(WeylcalcError):
+class InvalidDisk(InputError):
     """DiskSpec parameters out of range."""
 
 
@@ -49,7 +57,7 @@ class InvalidDisk(WeylcalcError):
 # operator algebra
 
 
-class ZeroOperator(WeylcalcError):
+class ZeroOperator(InputError):
     """All convolution coefficients are zero (multiplication by zero)."""
 
 
@@ -112,9 +120,9 @@ class ScheduleOverflow(WeylcalcError):
 # CLI / I/O
 
 
-class MalformedSpec(WeylcalcError):
-    """An operator or problem JSON document failed validation."""
+class MalformedSpec(InputError):
+    """An input document, flag or library parameter failed validation."""
 
 
-class IoFailure(WeylcalcError):
+class IoFailure(InputError):
     """Writing an artifact failed."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvolutionCase, ZeroOrderOperator
+from .errors import ConvolutionCase, MalformedSpec, ZeroOrderOperator
 from .operators import WeylOperator, apply_weyl
 from .series import DiskSpec, TaylorSeries, UNIT_DISK, disk_sup_norm
 
@@ -48,7 +48,7 @@ def kernel_basis(
             "exponential eigenfamily instead of the recurrence"
         )
     if n_terms < p + 2:
-        raise ValueError(f"n_terms must be >= {p + 2}")
+        raise MalformedSpec(f"n_terms must be >= {p + 2}")
     d = t.m.d[: p + 1]
     solutions = []
     for j in range(p):

@@ -33,6 +33,7 @@ from .errors import (
     EmptyCoefficients,
     InconsistentConvolution,
     KernelResidualTooLarge,
+    MalformedSpec,
     NotWeyl,
     OrderExhausted,
     ZeroOperator,
@@ -109,14 +110,6 @@ class CompositeOperator:
         """L evaluated at an eigenvalue of the base operator, elementwise
         on an array."""
         return np.polyval(self.l[::-1], t_eigenvalue)
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Action on the monomial basis: column n = coefficients of Op[z^n]."""
-
-    entries: np.ndarray
-    n_cap: int
 
 
 def diff_op(order: int = 1) -> ConvolutionOperator:
@@ -325,26 +318,27 @@ def exact_power(op, coeffs, n: int):
     return g, e + n * scale
 
 
-def matrix_on_monomials(op, n_cap: int) -> OperatorMatrix:
-    """Exact action on z^0..z^n_cap as a dense matrix."""
+def matrix_on_monomials(op, n_cap: int) -> np.ndarray:
+    """Exact action on z^0..z^n_cap as a dense matrix: column n holds the
+    coefficients of op z^n."""
     if not (1 <= n_cap <= N_CAP_MAX):
-        raise ValueError(f"n_cap must be in 1..{N_CAP_MAX}, got {n_cap}")
+        raise MalformedSpec(f"n_cap must be in 1..{N_CAP_MAX}, got {n_cap}")
     rows = n_cap + 1 + max(1, _polynomial_form(op)[3])
     section, _ = _bands(op, rows, exact=False)
-    return OperatorMatrix(_dense(section, rows, n_cap + 1), n_cap)
+    return _dense(section, rows, n_cap + 1)
 
 
-def commutator_matrix(op_a, op_b, n_cap: int) -> OperatorMatrix:
+def commutator_matrix(op_a, op_b, n_cap: int) -> np.ndarray:
     """Matrix of op_a op_b - op_b op_a on monomials of degree <= n_cap - 1.
 
     Composed in exact Gaussian-integer arithmetic (the inputs are dyadic
     rationals) and rounded once per entry, so algebraic identities like
     [M - a z I, D] = a I come out bit-exact instead of drowning in the
     factorial growth of the intermediate compositions.  One degree is
-    sacrificed to the composition, so the stored cap is n_cap - 1.
+    sacrificed to the composition, so the matrix has n_cap columns.
     """
     if not (2 <= n_cap <= N_CAP_MAX):
-        raise ValueError(f"n_cap must be in 2..{N_CAP_MAX}, got {n_cap}")
+        raise MalformedSpec(f"n_cap must be in 2..{N_CAP_MAX}, got {n_cap}")
     rise = _polynomial_form(op_a)[3] + _polynomial_form(op_b)[3]
     rows = n_cap + max(1, rise)
     sec_a, e_a = _bands(op_a, rows, exact=True)
@@ -356,7 +350,7 @@ def commutator_matrix(op_a, op_b, n_cap: int) -> OperatorMatrix:
         s: from_gaussian([x.real for x in v], [x.imag for x in v], e_a + e_b)
         for s, v in comm.items()
     }
-    return OperatorMatrix(_dense(rounded, rows, n_cap), n_cap - 1)
+    return _dense(rounded, rows, n_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +379,7 @@ def apply_conv(m: ConvolutionOperator, f: TaylorSeries) -> TaylorSeries:
 def differentiate(f: TaylorSeries, k: int = 1) -> TaylorSeries:
     """k-th derivative f^(k), the series image of D^k."""
     if k < 0:
-        raise ValueError("derivative order must be >= 0")
+        raise MalformedSpec("derivative order must be >= 0")
     return apply_conv(diff_op(k), f)
 
 
@@ -399,14 +393,13 @@ def apply_composite(c: CompositeOperator, f: TaylorSeries) -> TaylorSeries:
     return _series_image(c, f, c.poly_degree * c.base.m.order)
 
 
-def scalar_identity_diagnostics(mat: OperatorMatrix):
+def scalar_identity_diagnostics(e: np.ndarray):
     """Test a monomial matrix against a * I.
 
     Returns (a_estimate, offdiag_max, diag_spread) where the estimate is
     the mean diagonal of the square top block and both deviations cover
     the full stored matrix including overflow rows.
     """
-    e = mat.entries
     ncols = e.shape[1]
     diag = np.diagonal(e[:ncols, :ncols])
     a_est = complex(diag.mean())
@@ -451,21 +444,20 @@ def ladder_check(t: WeylOperator, f: TaylorSeries, n_max: int):
 # decomposition diagnostic
 
 
-def _commutator_with_diff(mat: OperatorMatrix) -> OperatorMatrix:
+def _commutator_with_diff(e: np.ndarray) -> np.ndarray:
     """[Op, D] computed from the monomial matrix alone.
 
     [Op, D] z^n = n Op[z^{n-1}] - D(Op[z^n]); both terms are available from
     the stored columns.
     """
-    e = mat.entries
     rows, cols = e.shape
     out = np.zeros((rows, cols), dtype=np.complex128)
     out[:, 1:] += e[:, :-1] * np.arange(1, cols)
     out[:-1, :] -= e[1:, :] * np.arange(1, rows)[:, None]
-    return OperatorMatrix(out, mat.n_cap)
+    return out
 
 
-def decompose(mat: OperatorMatrix):
+def decompose(e: np.ndarray):
     """Recover (a, M) from the monomial matrix of an unknown operator.
 
     Raises NotWeyl when [Op, D] is not a scalar multiple of the identity
@@ -477,10 +469,11 @@ def decompose(mat: OperatorMatrix):
     entries (of size d_k n!/(n-k)!) were themselves rounded to doubles:
     below that floor non-Weyl-ness is not detectable from the matrix.
     """
-    comm = _commutator_with_diff(mat)
+    cols = e.shape[1]
+    comm = _commutator_with_diff(e)
     a_est, offdiag_max, diag_spread = scalar_identity_diagnostics(comm)
-    scale = float(np.abs(mat.entries).max())
-    noise_floor = 8 * np.finfo(float).eps * (mat.n_cap + 1) * scale
+    scale = float(np.abs(e).max())
+    noise_floor = 8 * np.finfo(float).eps * cols * scale
     tol = max(DECOMPOSE_TOL, noise_floor)
     if offdiag_max > tol or diag_spread > tol:
         raise NotWeyl(
@@ -489,21 +482,17 @@ def decompose(mat: OperatorMatrix):
             offdiag_max=offdiag_max,
             diag_spread=diag_spread,
         )
-    n_cap = mat.n_cap
-    e = mat.entries
     # M = Op + a z I acts on z^n with constant coefficients:
-    # M z^n = sum_k d_k n!/(n-k)! z^{n-k}
-    estimates = np.full((n_cap + 1, n_cap + 1), np.nan + 0j, dtype=np.complex128)
-    for n in range(n_cap + 1):
-        mcol = e[:, n].copy()
-        if n + 1 < mcol.size:
-            mcol[n + 1] += a_est  # cancel the -a z^{n+1} term
+    # M z^n = sum_k d_k n!/(n-k)! z^{n-k}, rows n..0 of column n, which
+    # the -a z^{n+1} term (row n + 1) does not reach
+    estimates = np.full((cols, cols), np.nan + 0j, dtype=np.complex128)
+    for n in range(cols):
         fall = 1.0  # n! / (n-k)!
         for k in range(n + 1):
-            estimates[k, n] = mcol[n - k] / fall
+            estimates[k, n] = e[n - k, n] / fall
             fall *= n - k
-    d = np.zeros(n_cap + 1, dtype=np.complex128)
-    for k in range(n_cap + 1):
+    d = np.zeros(cols, dtype=np.complex128)
+    for k in range(cols):
         vals = estimates[k, k:]
         d[k] = vals[-1]  # widest column carries the most context
         if np.abs(vals - d[k]).max() > tol:

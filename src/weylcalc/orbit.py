@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, ScheduleOverflow, SearchExhausted
+from .errors import BudgetExceeded, MalformedSpec, ScheduleOverflow, SearchExhausted
 from .eigen import (
     RIDGE_DEFAULT,
     CompletenessBasis,
@@ -93,17 +93,17 @@ class OrbitProblem:
 
     def __post_init__(self):
         if self.operator.poly_degree < 1:
-            raise ValueError("L must be non-constant")
+            raise MalformedSpec("L must be non-constant")
         if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
+            raise MalformedSpec("epsilon must be finite and positive")
         if not 0 < self.radius < math.inf:
-            raise ValueError("radius must be finite and positive")
+            raise MalformedSpec("radius must be finite and positive")
         if not self.targets:
-            raise ValueError("at least one target is required")
+            raise MalformedSpec("at least one target is required")
         for q in self.targets:
             nonzero = np.flatnonzero(q.coeffs)
             if nonzero.size and nonzero[-1] > 32:
-                raise ValueError("targets must be polynomials of degree <= 32")
+                raise MalformedSpec("targets must be polynomials of degree <= 32")
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,9 @@ def select_expanding_lambdas(
     wreck the conditioning of the later fits).
     """
     if not 1.0 + margin > 1.0:
-        raise ValueError(f"1 + margin must exceed 1, got margin {margin}")
+        raise MalformedSpec(f"1 + margin must exceed 1, got margin {margin}")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise MalformedSpec("count must be >= 1")
     level = 1.0 + margin
     thetas = [2 * math.pi * i / count for i in range(count)]
     directions = np.array([complex(math.cos(t), math.sin(t)) for t in thetas])

@@ -5,21 +5,25 @@ sorted, so identical runs produce byte-identical artifacts.  CSV tables
 are passed as columns: float and integer arrays are formatted as whole
 columns (an exact ``+0.0`` is written as ``0`` without the formatter,
 ``-0.0`` as ``-0``) and written in blocks of rows.  Every report embeds
-(JSON) or accompanies (CSV) its :class:`RunManifest`.
+(JSON) or accompanies (CSV) its run manifest, the dict of
+:func:`build_manifest`.  A NaN or infinite value cannot be serialized:
+:class:`~weylcalc.errors.NonFiniteCoefficient`, a result outside the
+double range.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+import reprlib
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import IoFailure, MalformedSpec
+from .errors import IoFailure, MalformedSpec, NonFiniteCoefficient
 from .operators import CompositeOperator, ConvolutionOperator, WeylOperator
 from .series import TaylorSeries
 
@@ -33,7 +37,7 @@ WORKDIR_ENV = "WEYLCALC_WORKDIR"
 
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value {x} cannot be serialized")
+        raise NonFiniteCoefficient(f"non-finite value {x} cannot be serialized")
     return f"{x:.17g}"
 
 
@@ -76,15 +80,26 @@ def complex_pair(z) -> list:
     return [z.real, z.imag]
 
 
-def _pair_to_complex(pair, what: str) -> complex:
+def pair_to_complex(pair, what: str) -> complex:
+    """The complex number of a JSON ``[re, im]`` pair of finite doubles.
+
+    JSON ``true`` (a Python int), NaN, infinities and integers past the
+    double range are rejected; a long value is shortened in the message.
+    """
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
         or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
+            isinstance(v, (int, float))
+            and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max
+            for v in pair
         )
     ):
-        raise MalformedSpec(f"{what}: expected [re, im] pair, got {pair!r}")
+        raise MalformedSpec(
+            f"{what}: expected an [re, im] pair of finite numbers, "
+            f"got {reprlib.repr(pair)}"
+        )
     return complex(pair[0], pair[1])
 
 
@@ -97,9 +112,9 @@ def series_to_dict(s: TaylorSeries) -> dict:
 
 
 def series_from_dict(d: dict) -> TaylorSeries:
-    if not isinstance(d, dict) or "coeffs" not in d:
-        raise MalformedSpec("series: expected an object with a 'coeffs' field")
-    coeffs = [_pair_to_complex(p, "series.coeffs") for p in d["coeffs"]]
+    if not isinstance(d, dict) or not isinstance(d.get("coeffs"), list):
+        raise MalformedSpec("series: expected an object with a 'coeffs' list")
+    coeffs = [pair_to_complex(p, "series.coeffs") for p in d["coeffs"]]
     if not coeffs:
         raise MalformedSpec("series.coeffs must be non-empty")
     valid = d.get("valid_order", len(coeffs))
@@ -135,9 +150,9 @@ def parse_operator_spec(doc: dict):
         raise MalformedSpec("operator: expected an object with a 'd' field")
     if not isinstance(doc["d"], list) or not doc["d"]:
         raise MalformedSpec("operator.d must be a non-empty list of [re, im]")
-    d = [_pair_to_complex(p, "operator.d") for p in doc["d"]]
+    d = [pair_to_complex(p, "operator.d") for p in doc["d"]]
     a = (
-        _pair_to_complex(doc["a"], "operator.a")
+        pair_to_complex(doc["a"], "operator.a")
         if "a" in doc
         else complex(0.0)
     )
@@ -146,7 +161,7 @@ def parse_operator_spec(doc: dict):
     if "L" in doc:
         if not isinstance(doc["L"], list) or not doc["L"]:
             raise MalformedSpec("operator.L must be a non-empty list of [re, im]")
-        l = [_pair_to_complex(p, "operator.L") for p in doc["L"]]
+        l = [pair_to_complex(p, "operator.L") for p in doc["L"]]
         return CompositeOperator(t, np.array(l, dtype=np.complex128))
     return t
 
@@ -177,7 +192,7 @@ def _column(values):
         if values.dtype.kind == "f":
             bad = values[~np.isfinite(values)]
             if bad.size:
-                raise ValueError(
+                raise NonFiniteCoefficient(
                     f"non-finite value {float(bad[0])} cannot be serialized"
                 )
         return values
@@ -208,7 +223,7 @@ def write_csv(path: Path, header: list, columns) -> None:
     sequence cell by cell (bools as 1/0, ints, .17g floats, anything
     else as ``str``).  Every column is checked
     before the file is opened, so a non-finite float raises
-    ``ValueError`` and writes nothing.  Rows go out in blocks of
+    ``NonFiniteCoefficient`` and writes nothing.  Rows go out in blocks of
     :data:`CSV_BLOCK_ROWS`.
     """
     cols = [_column(c) for c in columns]
@@ -230,24 +245,6 @@ def write_csv(path: Path, header: list, columns) -> None:
 # manifests
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    tool_version: str = __version__
-    timestamp: str = ""
-    input_hashes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-            "input_hashes": list(self.input_hashes),
-        }
-
-
 def _default_timestamp() -> str:
     env = os.environ.get(TIMESTAMP_ENV)
     if env:
@@ -263,32 +260,34 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(command: str, parameters: dict, inputs=()) -> RunManifest:
-    hashes = [f"sha256:{file_digest(p)}" for p in inputs]
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        timestamp=_default_timestamp(),
-        input_hashes=hashes,
-    )
+def build_manifest(command: str, parameters: dict, inputs=()) -> dict:
+    """Run manifest: the command, its parameters, the tool version, the
+    timestamp and the sha256 of each input file."""
+    return {
+        "command": command,
+        "parameters": parameters,
+        "tool_version": __version__,
+        "timestamp": _default_timestamp(),
+        "input_hashes": [f"sha256:{file_digest(p)}" for p in inputs],
+    }
 
 
-def write_report(path: Path, payload: dict, manifest: RunManifest) -> None:
+def write_report(path: Path, payload: dict, manifest: dict) -> None:
     """JSON artifact with the manifest embedded."""
     doc = dict(payload)
-    doc["manifest"] = manifest.to_dict()
+    doc["manifest"] = manifest
     try:
         Path(path).write_text(stable_json_dumps(doc) + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def write_manifest_sidecar(path: Path, manifest: RunManifest) -> None:
+def write_manifest_sidecar(path: Path, manifest: dict) -> None:
     """Companion manifest for CSV artifacts."""
     side = Path(str(path) + ".manifest.json")
     try:
         side.write_text(
-            stable_json_dumps(manifest.to_dict()) + "\n", encoding="utf-8"
+            stable_json_dumps(manifest) + "\n", encoding="utf-8"
         )
     except OSError as exc:
         raise IoFailure(f"cannot write {side}: {exc}") from exc

@@ -25,7 +25,6 @@ from weylcalc.eigen import (
 from weylcalc.errors import NotWeyl
 from weylcalc.operators import (
     CompositeOperator,
-    OperatorMatrix,
     WeylOperator,
     apply_weyl,
     commutator_matrix,
@@ -116,7 +115,7 @@ def test_criterion_2_decompose_round_trip(capsys):
     for n in range(n_cap + 1):
         entries[n + 2, n] = 1.0
     try:
-        decompose(OperatorMatrix(entries, n_cap))
+        decompose(entries)
         crit.check(False, "z^2 I not flagged as NotWeyl")
     except NotWeyl:
         pass

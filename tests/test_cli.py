@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,14 +59,110 @@ def test_commutator_ncap_above_cap_exits_2(tmp_path):
     assert not (tmp_path / "commutator_check.json").exists()
 
 
-def test_commutator_past_the_double_range_exits_2(tmp_path, capsys):
-    # d_1 = 1e300 and L(T) = T^3: entries of [L(T), D] round to infinity
+def test_commutator_past_the_double_range_exits_1(tmp_path, capsys):
+    # d_1 = 1e300 and L(T) = T^3: the input is valid, but entries of
+    # [L(T), D] round to infinity, an outcome rather than bad input
     op = '{"d":[[0,0],[1e300,0]],"a":[1,0],"L":[[0,0],[0,0],[0,0],[1,0]]}'
     code = main(["commutator-check", "--op", op, "--ncap", "8",
                  "--outdir", str(tmp_path)])
-    assert code == 2
+    assert code == 1
     assert "non-finite value inf cannot be serialized" in capsys.readouterr().err
     assert not (tmp_path / "commutator_check.json").exists()
+    err = json.loads((tmp_path / "commutator_check_error.json").read_text())
+    assert err["error"]["type"] == "NonFiniteCoefficient"
+
+
+def _cli_process(argv, outdir):
+    """The CLI in a process of its own: numpy warns on an overflow, and the
+    suite makes a RuntimeWarning an error."""
+    src = str(Path(weylcalc.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "weylcalc.cli", *argv, "--outdir", str(outdir)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigencheck", "--op", D_MINUS_Z, "--lam-max", "600"],
+    ["kernel", "--op", D_MINUS_Z, "--radius", "1e300"],
+])
+def test_result_past_the_double_range_exits_1(tmp_path, argv):
+    proc = _cli_process(argv, tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    err = json.loads((tmp_path / f"{argv[0]}_error.json").read_text())
+    assert err["error"]["type"] == "NonFiniteCoefficient"
+
+
+def test_outcome_with_an_infinite_diagnostic_exits_1(tmp_path):
+    # [Op, D] of a finite matrix overflows: NotWeyl with an infinite
+    # off-diagonal max, which no artifact can hold
+    entries = [[[0.0, 0.0]] * 2 for _ in range(3)]
+    entries[2][0] = [1.7e308, 0.0]
+    proc = _cli_process(["decompose", "--matrix", json.dumps({"entries": entries})],
+                        tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "negative result: [Op, D] is not a scalar identity" in proc.stderr
+
+
+_BAD_PAIR_FIELDS = {
+    "operator.d": ["commutator-check", "--op", '{"d":[[0,0],[X,0]],"a":[1,0]}'],
+    "operator.a": ["commutator-check", "--op", '{"d":[[0,0],[1,0]],"a":[1,X]}'],
+    "operator.L": ["commutator-check", "--op",
+                   '{"d":[[0,0],[1,0]],"a":[1,0],"L":[[0,0],[X,0]]}'],
+    "series.coeffs": ["complete-fit", "--op", D_MINUS_Z,
+                      "--targets", '[{"coeffs":[[1,0],[X,0]]}]'],
+    "--matrix: entries": ["decompose", "--matrix",
+                          '{"entries":[[[1,0],[0,0]],[[-1,0],[X,0]],[[0,0],[-1,0]]]}'],
+}
+
+
+@pytest.mark.parametrize("value", ["1" + "0" * 400, "NaN", "Infinity", "-Infinity",
+                                   "true"],
+                         ids=["10**400", "NaN", "Infinity", "-Infinity", "true"])
+@pytest.mark.parametrize("field", sorted(_BAD_PAIR_FIELDS))
+def test_pair_outside_the_doubles_exits_2(tmp_path, capsys, field, value):
+    argv = [a.replace("X", value) for a in _BAD_PAIR_FIELDS[field]]
+    code = main(argv + ["--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: expected an [re, im] pair of finite numbers" in err
+    assert len(err) < 200  # a long value is not echoed in full
+    assert not any(tmp_path.iterdir())
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
+                 "--preset", "random", "--seed", "-1", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "--seed: expected an integer >= 0, got -1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_coefficients_that_are_not_a_list_exit_2(tmp_path, capsys):
+    problem = json.dumps({"operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+                          "targets": [{"coeffs": 5}]})
+    code = main(["construct-orbit", "--problem", problem, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "series: expected an object with a 'coeffs' list" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("content", [
+    b'{"d": [[0, 0], [1' + b"0" * 5000 + b', 0]]}',  # past the int-parsing limit
+    b"[" * 100000,  # nested past the recursion limit
+    b'{"d": [[0, 0], [1, 0]], "label": "\xff"}',  # not UTF-8
+], ids=["long-integer", "deep-nesting", "not-utf8"])
+def test_unreadable_operator_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "op.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    code = main(["commutator-check", "--op", str(path), "--outdir", str(out)])
+    assert code == 2
+    assert "error: --op:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kernel_artifacts(tmp_path, capsys):
@@ -111,7 +211,7 @@ def test_commutator_csv_matches_a_per_entry_rendering(tmp_path):
                  "--outdir", str(tmp_path)])
     assert code == 0
     op = parse_operator_spec(json.loads(D2_MINUS_Z))
-    entries = commutator_matrix(op, diff_op(1), 256).entries
+    entries = commutator_matrix(op, diff_op(1), 256)
     expected = "row,col,re,im\n" + "".join(
         f"{r},{c},{float(v.real):.17g},{float(v.imag):.17g}\n"
         for (r, c), v in np.ndenumerate(entries)
@@ -528,7 +628,8 @@ _COMMANDS = {
         _flags(**{"--terms": _size(ORDER_MAX, 48), "--radius": _REAL}),
     ),
     "commutator-check": st.tuples(
-        st.just(["commutator-check", "--op", D_MINUS_Z]),
+        _JSON_VALUE.map(lambda v: ["commutator-check", "--op", json.dumps(
+            {"d": [[0, 0], [v, 0]], "a": [1, 0]})]),
         _flags(**{"--ncap": _size(512, 12)}),
     ),
     "eigencheck": st.tuples(
@@ -555,9 +656,11 @@ _COMMANDS = {
                   "--ridge": _REAL, "--order": _size(ORDER_MAX, 48)}),
     ),
     "decompose": st.tuples(
-        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3)).map(
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3),
+                  _JSON_VALUE).map(
             lambda s: ["decompose", "--matrix", json.dumps({"entries": [
-                [[float((r + c * s[2]) % 3 == 0), 0.0] for c in range(s[1])]
+                [[float((r + c * s[2]) % 3 == 0), s[3] if r == c == 0 else 0.0]
+                 for c in range(s[1])]
                 for r in range(s[0])]})]),
         st.just([]),
     ),

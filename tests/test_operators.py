@@ -14,7 +14,6 @@ from weylcalc.errors import (
 from weylcalc.operators import (
     CompositeOperator,
     ConvolutionOperator,
-    OperatorMatrix,
     WeylOperator,
     apply_composite,
     apply_conv,
@@ -110,8 +109,7 @@ def test_op_on_poly_oracle():
 
 def test_matrix_on_monomials_columns():
     # column n of D - zI holds n z^{n-1} - z^{n+1}
-    mat = matrix_on_monomials(d_minus_z(), 3)
-    e = mat.entries
+    e = matrix_on_monomials(d_minus_z(), 3)
     for n in range(4):
         col = np.zeros(e.shape[0], dtype=np.complex128)
         if n >= 1:
@@ -135,14 +133,14 @@ def test_commutator_of_polynomial_is_exact_derivative():
     # of I + 2T, entry by entry
     c = CompositeOperator(d_minus_z(), np.array([0.0, 1.0, 1.0]))
     comm = commutator_matrix(c, diff_op(1), 256)
-    want = np.zeros_like(comm.entries)
+    want = np.zeros_like(comm)
     for n in range(256):
         want[n, n] = 1.0
         if n >= 1:
             want[n - 1, n] = 2.0 * n
         want[n + 1, n] = -2.0
-    assert comm.entries.shape == (258, 256)
-    assert np.array_equal(comm.entries, want)
+    assert comm.shape == (258, 256)
+    assert np.array_equal(comm, want)
 
 
 def test_commutation_relation_random_operators():
@@ -217,7 +215,7 @@ def test_decompose_rejects_z_squared_identity():
     for n in range(n_cap + 1):
         entries[n + 2, n] = 1.0
     with pytest.raises(NotWeyl) as exc:
-        decompose(OperatorMatrix(entries, n_cap))
+        decompose(entries)
     assert exc.value.offdiag_max > 1e-9
 
 
@@ -229,7 +227,7 @@ def test_decompose_rejects_variable_coefficients():
     for n in range(n_cap + 1):
         entries[n, n] = n * n
     with pytest.raises((NotWeyl, InconsistentConvolution)):
-        decompose(OperatorMatrix(entries, n_cap))
+        decompose(entries)
 
 
 def test_from_gaussian_past_the_double_range_is_a_signed_infinity():

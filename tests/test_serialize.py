@@ -100,16 +100,16 @@ def test_parse_operator_named_examples():
 def test_manifest_timestamp_env(monkeypatch):
     monkeypatch.setenv("WEYLCALC_TIMESTAMP", "fixed-stamp")
     m = build_manifest("probe", {"x": 1})
-    assert m.timestamp == "fixed-stamp"
-    assert m.command == "probe"
+    assert m["timestamp"] == "fixed-stamp"
+    assert m["command"] == "probe"
 
 
 def test_manifest_input_hashes(tmp_path):
     p = tmp_path / "input.json"
     p.write_text("{}", encoding="utf-8")
     m = build_manifest("probe", {}, inputs=[p])
-    assert len(m.input_hashes) == 1
-    assert m.input_hashes[0].startswith("sha256:")
+    assert len(m["input_hashes"]) == 1
+    assert m["input_hashes"][0].startswith("sha256:")
 
 
 def test_write_report_embeds_manifest(tmp_path, monkeypatch):
