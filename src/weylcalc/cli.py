@@ -249,13 +249,11 @@ def _cmd_eigencheck(args) -> int:
     family = _family_for(t, args.order)
     lams = _square_grid(args.grid, args.lam_max)
     composite = isinstance(op, CompositeOperator)
-    residuals, comp_residuals = [], []
-    for lam in lams:
-        residuals.append(eigen_residual(t, family, lam, disk))
-        if composite:
-            comp_residuals.append(composite_eigencheck(op, family, lam, disk))
-    columns = [lams.real, lams.imag, np.array(residuals)]
-    worst_eigen = max(residuals)
+    residuals = eigen_residual(t, family, lams, disk)
+    if composite:
+        comp_residuals = composite_eigencheck(op, family, lams, disk)
+    columns = [lams.real, lams.imag, residuals]
+    worst_eigen = float(residuals.max())
     out = _outdir(args)
     manifest = build_manifest(
         "eigencheck",
@@ -275,10 +273,10 @@ def _cmd_eigencheck(args) -> int:
     }
     header = ["lam_re", "lam_im", "eigen_residual"]
     if composite:
-        worst_comp = max(comp_residuals)
+        worst_comp = float(comp_residuals.max())
         payload["worst_composite_residual"] = worst_comp
         header.append("composite_residual")
-        columns.append(np.array(comp_residuals))
+        columns.append(comp_residuals)
     write_report(out / "eigencheck.json", payload, manifest)
     csv_path = out / "eigencheck_grid.csv"
     write_csv(csv_path, header, columns)

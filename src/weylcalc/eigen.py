@@ -7,7 +7,11 @@ e^{lambda z} take over with eigenvalue L(lambda), L the characteristic
 polynomial of M.  A polynomial L(T) has eigenvalue L(mu) at an
 eigenfunction of T with eigenvalue mu.  :func:`eigenvalue_of` is the one
 map from lambda to the eigenvalue, of T or of L(T); the eigen-relation
-checks and the orbit constructor all read it.
+checks and the orbit constructor all read it.  Like it, the eigen-relation
+checks :func:`eigen_residual` and :func:`composite_eigencheck` take a
+scalar lambda or a 1-d array of them: an array's members are built,
+acted on and evaluated in one batch, each residual with the bits of its
+one-at-a-time value.
 
 The completeness side is probed numerically: a ridge-regularized least
 squares fit of a target in span{f_lambda} over a collocation grid, with
@@ -27,24 +31,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import eval_grid, translate_kernel
-from .errors import KernelResidualTooLarge, MalformedSpec, SingularSystem
+from .errors import (
+    KernelResidualTooLarge,
+    MalformedSpec,
+    NonFiniteCoefficient,
+    SingularSystem,
+)
 from .kernel_solver import kernel_residual
 from .operators import (
     KERNEL_MEMBERSHIP_TOL,
     CompositeOperator,
     WeylOperator,
-    apply_composite,
-    apply_weyl,
+    truncated_image,
 )
 from .series import (
     DEFAULT_ORDER,
     DiskSpec,
     TaylorSeries,
     UNIT_DISK,
-    disk_sup_norm,
     evaluate_grid,
     exponential_series,
-    linear_combine,
     translate,
 )
 
@@ -165,32 +171,58 @@ def eigenvalue_of(op, family: EigenFamily, lam):
     return op.eigenvalue(mu) if isinstance(op, CompositeOperator) else mu
 
 
+def _require_finite(
+    values: np.ndarray, message: str = "coefficients must be finite"
+) -> None:
+    """NonFiniteCoefficient unless every value is finite; the default
+    message is the one a TaylorSeries gives."""
+    if not np.isfinite(values).all():
+        raise NonFiniteCoefficient(message)
+
+
+def _relation_residuals(op, family: EigenFamily, lam, disk: DiskSpec):
+    """Sup norms on the disk of op f_lambda - mu f_lambda, mu the
+    eigenvalue of op at f_lambda, for every lambda at once.
+
+    The member rows are built in one batch, acted on by the banded core
+    and combined as ``linear_combine([(1.0, op f), (-mu, f)])`` combines
+    one member, so each entry holds the bits of the one-at-a-time
+    residual.  A scalar ``lam`` gives a float, a 1-d array an array.
+    """
+    scalar = np.ndim(lam) == 0
+    lams = np.asarray(lam, dtype=np.complex128).reshape(-1)
+    rows = _member_coeffs(family, lams)
+    _require_finite(rows)
+    image = truncated_image(op, rows)
+    mu = eigenvalue_of(op, family, lams)
+    combined = np.zeros(image.shape, dtype=np.complex128)
+    combined += image
+    combined += -mu[:, None] * rows[:, : image.shape[1]]
+    _require_finite(combined)
+    sup = np.abs(eval_grid(combined, disk.boundary())).max(axis=0)
+    return float(sup[0]) if scalar else sup
+
+
 def eigen_residual(
     t: WeylOperator,
     family: EigenFamily,
-    lam: complex,
+    lam,
     disk: DiskSpec = UNIT_DISK,
-) -> float:
-    """Sup norm of T f_lambda - mu f_lambda on the disk."""
-    f_lam = eigenfunction(family, lam)
-    mu = eigenvalue_of(t, family, lam)
-    return disk_sup_norm(
-        linear_combine([(1.0, apply_weyl(t, f_lam)), (-mu, f_lam)]), disk
-    )
+) -> float | np.ndarray:
+    """Sup norm of T f_lambda - mu f_lambda on the disk; elementwise when
+    ``lam`` is an array."""
+    return _relation_residuals(t, family, lam, disk)
 
 
 def composite_eigencheck(
     c: CompositeOperator,
     family: EigenFamily,
-    lam: complex,
+    lam,
     disk: DiskSpec = UNIT_DISK,
-) -> float:
-    """Sup norm of L(T) f_lambda - L(mu) f_lambda on the disk."""
-    f_lam = eigenfunction(family, lam)
-    mu = eigenvalue_of(c, family, lam)
-    return disk_sup_norm(
-        linear_combine([(1.0, apply_composite(c, f_lam)), (-mu, f_lam)]), disk
-    )
+) -> float | np.ndarray:
+    """Sup norm of L(T) f_lambda - L(mu) f_lambda on the disk; elementwise
+    when ``lam`` is an array."""
+    return _relation_residuals(c, family, lam, disk)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +313,13 @@ def completeness_bases(
     members = [TaylorSeries(row) for row in rows]
     colloc_all = eval_grid(rows, pts)
     verify_all = eval_grid(rows, verify_pts)
+    for values in (colloc_all, verify_all):
+        # an overflow would reach the SVD as a failure to converge
+        _require_finite(
+            values,
+            f"member values on the disk of radius {disk.radius:g} leave "
+            f"the double range",
+        )
     bases = []
     for lams in lambda_sets:
         idx = [column[complex(lam)][0] for lam in lams.points]

@@ -16,7 +16,9 @@ compositions and a subtraction.  The same numpy code runs on complex128
 arrays and on object arrays of exact Gaussian integers at one power-of-two
 scale: operator and series coefficients are doubles, hence dyadic
 rationals, so commutators and operator powers are formed exactly and
-rounded once.  Truncated-series application (differentiation included),
+rounded once.  The rounded core acts on one coefficient vector or on a
+``(K, N)`` stack of them, row by row with the same bits.
+Truncated-series application (differentiation included),
 monomial matrices, commutators, the ladder check and the direct orbit
 route all read the core; the decomposition diagnostic recovers (a, M)
 from a monomial matrix.
@@ -34,6 +36,7 @@ from .errors import (
     InconsistentConvolution,
     KernelResidualTooLarge,
     MalformedSpec,
+    NonFiniteCoefficient,
     NotWeyl,
     OrderExhausted,
     ZeroOperator,
@@ -279,12 +282,13 @@ def _bands(op, size: int, exact: bool):
 
 
 def _act(section: dict, x: np.ndarray) -> np.ndarray:
-    """Image of the coefficient vector x under the section."""
-    size = x.size
-    out = np.zeros(size, dtype=x.dtype)
+    """Image of the coefficient vector x, or of each row of a ``(K, N)``
+    stack x, under the section."""
+    size = x.shape[-1]
+    out = np.zeros(x.shape, dtype=x.dtype)
     for s, v in section.items():
         lo, hi = max(0, s), size + min(0, s)
-        out[lo - s : hi - s] += v[lo:hi] * x[lo:hi]
+        out[..., lo - s : hi - s] += v[lo:hi] * x[..., lo:hi]
     return out
 
 
@@ -298,11 +302,16 @@ def _dense(section: dict, rows: int, cols: int) -> np.ndarray:
 
 
 def op_on_poly(op, p) -> np.ndarray:
-    """Image of the polynomial p (coefficient array) under op, untruncated."""
+    """Image of the polynomial p (coefficient array) under op, untruncated.
+
+    A ``(K, N)`` stack of coefficient rows gives the ``(K, N + rise)``
+    images, each row the bits of its own image.
+    """
     p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
-    x = np.zeros(p.size + _polynomial_form(op)[3], dtype=np.complex128)
-    x[: p.size] = p
-    return _act(_bands(op, x.size, exact=False)[0], x)
+    size = p.shape[-1] + _polynomial_form(op)[3]
+    x = np.zeros(p.shape[:-1] + (size,), dtype=np.complex128)
+    x[..., : p.shape[-1]] = p
+    return _act(_bands(op, size, exact=False)[0], x)
 
 
 def exact_power(op, coeffs, n: int):
@@ -357,23 +366,28 @@ def commutator_matrix(op_a, op_b, n_cap: int) -> np.ndarray:
 # application to truncated series
 
 
-def _series_image(op, f: TaylorSeries, drop: int) -> TaylorSeries:
-    """op f on the coefficients that do not reach past the truncation.
+def truncated_image(op, coeffs: np.ndarray) -> np.ndarray:
+    """op on a truncated series' coefficients, or on each row of a
+    ``(K, N)`` stack, on the coefficients that do not reach past the
+    truncation.
 
-    ``drop`` is the number of derivative levels op takes; the image is
-    that many coefficients shorter than f.
+    Every factor of T takes ord M derivative levels, so L(T) of degree q
+    in T leaves an image q ord M coefficients shorter than its input.
     """
-    if drop >= len(f):
+    d, _, l, _ = _polynomial_form(op)
+    drop = (l.size - 1) * int(np.nonzero(d)[0][-1])
+    size = coeffs.shape[-1]
+    if drop >= size:
         raise OrderExhausted(
             f"operator needs {drop} derivative levels, series has "
-            f"{len(f)} coefficients"
+            f"{size} coefficients"
         )
-    return TaylorSeries(op_on_poly(op, f.coeffs)[: len(f) - drop])
+    return op_on_poly(op, coeffs)[..., : size - drop]
 
 
 def apply_conv(m: ConvolutionOperator, f: TaylorSeries) -> TaylorSeries:
     """sum_k d_k f^(k)."""
-    return _series_image(m, f, m.order)
+    return TaylorSeries(truncated_image(m, f.coeffs))
 
 
 def differentiate(f: TaylorSeries, k: int = 1) -> TaylorSeries:
@@ -385,12 +399,12 @@ def differentiate(f: TaylorSeries, k: int = 1) -> TaylorSeries:
 
 def apply_weyl(t: WeylOperator, f: TaylorSeries) -> TaylorSeries:
     """(M - a z I) f on the overlapping coefficient range."""
-    return _series_image(t, f, t.m.order)
+    return TaylorSeries(truncated_image(t, f.coeffs))
 
 
 def apply_composite(c: CompositeOperator, f: TaylorSeries) -> TaylorSeries:
     """L(T) f, a polynomial of degree q in T taking q times the order of M."""
-    return _series_image(c, f, c.poly_degree * c.base.m.order)
+    return TaylorSeries(truncated_image(c, f.coeffs))
 
 
 def scalar_identity_diagnostics(e: np.ndarray):
@@ -460,9 +474,10 @@ def _commutator_with_diff(e: np.ndarray) -> np.ndarray:
 def decompose(e: np.ndarray):
     """Recover (a, M) from the monomial matrix of an unknown operator.
 
-    Raises NotWeyl when [Op, D] is not a scalar multiple of the identity
-    within the tolerance, and InconsistentConvolution when the residual
-    operator Op + a z I does not act with constant coefficients.
+    Raises NonFiniteCoefficient when [Op, D] leaves the double range,
+    NotWeyl when it is not a scalar multiple of the identity within the
+    tolerance, and InconsistentConvolution when the residual operator
+    Op + a z I does not act with constant coefficients.
 
     The tolerance is ``max(DECOMPOSE_TOL, noise floor)``, where
     the floor is the cancellation error of a genuinely Weyl matrix whose
@@ -471,6 +486,12 @@ def decompose(e: np.ndarray):
     """
     cols = e.shape[1]
     comm = _commutator_with_diff(e)
+    if not np.isfinite(comm).all():
+        # no artifact can hold an inf diagnostic, and a NaN one passes
+        # every tolerance test below
+        raise NonFiniteCoefficient(
+            "[Op, D] of the matrix leaves the double range"
+        )
     a_est, offdiag_max, diag_spread = scalar_identity_diagnostics(comm)
     scale = float(np.abs(e).max())
     noise_floor = 8 * np.finfo(float).eps * cols * scale

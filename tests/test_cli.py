@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import weylcalc.eigen
+import weylcalc.series
 from weylcalc.cli import COUNTS_MAX, GRID_MAX, LAMBDA_COUNT_MAX, ORDER_MAX, main
 from weylcalc.operators import commutator_matrix, diff_op
 from weylcalc.serialize import parse_operator_spec
@@ -95,16 +96,53 @@ def test_result_past_the_double_range_exits_1(tmp_path, argv):
     assert err["error"]["type"] == "NonFiniteCoefficient"
 
 
-def test_outcome_with_an_infinite_diagnostic_exits_1(tmp_path):
-    # [Op, D] of a finite matrix overflows: NotWeyl with an infinite
-    # off-diagonal max, which no artifact can hold
-    entries = [[[0.0, 0.0]] * 2 for _ in range(3)]
-    entries[2][0] = [1.7e308, 0.0]
+def _decompose_past_the_double_range(tmp_path, entries):
     proc = _cli_process(["decompose", "--matrix", json.dumps({"entries": entries})],
                         tmp_path)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert "negative result: [Op, D] is not a scalar identity" in proc.stderr
+    assert "negative result: [Op, D] of the matrix leaves the double range" in proc.stderr
+    err = json.loads((tmp_path / "decompose_error.json").read_text())
+    assert err["error"]["type"] == "NonFiniteCoefficient"
+
+
+def test_outcome_with_an_infinite_diagnostic_exits_1(tmp_path):
+    # [Op, D] of a finite matrix overflows to inf: no diagnostic could
+    # hold it, so the overflow itself is the outcome
+    entries = [[[0.0, 0.0]] * 2 for _ in range(3)]
+    entries[2][0] = [1.7e308, 0.0]
+    _decompose_past_the_double_range(tmp_path, entries)
+
+
+def test_decompose_with_a_nan_commutator_exits_1(tmp_path):
+    # finite entries, but [Op, D] at row 1, column 2 is 2 e[1][1] - 2 e[2][2]
+    # = inf - inf; a NaN off-diagonal max would pass the NotWeyl test
+    entries = [[[0.0, 0.0]] * 3 for _ in range(4)]
+    entries[1][1] = entries[2][2] = [1.7e308, 0.0]
+    _decompose_past_the_double_range(tmp_path, entries)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct-orbit", "--problem", json.dumps({
+        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+        "targets": [{"coeffs": [[1, 0], [1, 0]]}],
+        "radius": 1e6,
+    })],
+    ["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS, "--radius", "1e6"],
+])
+def test_member_values_past_the_double_range_exit_1(tmp_path, argv):
+    # the members overflow on the radius-1e6 circles: an overflow, not a
+    # collocation SVD that failed to converge
+    proc = _cli_process(argv, tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    name = argv[0].replace("-", "_")
+    err = json.loads((tmp_path / f"{name}_error.json").read_text())
+    assert err["error"] == {
+        "type": "NonFiniteCoefficient",
+        "message": "member values on the disk of radius 1e+06 leave the double range",
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}_error.json"]
 
 
 _BAD_PAIR_FIELDS = {
@@ -321,6 +359,38 @@ def test_complete_fit_translates_each_lambda_once(tmp_path, monkeypatch):
                  "--outdir", str(tmp_path)])
     assert code == 0
     assert len(calls) == 40
+
+
+@pytest.mark.parametrize("op, batches", [
+    (D_MINUS_Z, [49]),
+    ('{"d":[[0,0],[1,0]],"a":[1,0],"L":[[0,0],[1,0],[1,0]]}', [49, 49]),
+], ids=["T1", "L(T1)"])
+def test_eigencheck_builds_its_members_in_one_batch(tmp_path, monkeypatch, op, batches):
+    # one batched build for T and one more for L(T), not a translate per
+    # lambda and operator
+    calls, translates = [], []
+    member_coeffs = weylcalc.eigen._member_coeffs
+    translate = weylcalc.series.translate
+
+    def counted(family, lams):
+        calls.append(len(lams))
+        return member_coeffs(family, lams)
+
+    def counted_translate(f, lam):
+        translates.append(lam)
+        return translate(f, lam)
+
+    # patched wherever the names are bound, so a build outside eigen counts
+    for name, module in list(sys.modules.items()):
+        if name == "weylcalc" or name.startswith("weylcalc."):
+            if getattr(module, "_member_coeffs", None) is member_coeffs:
+                monkeypatch.setattr(module, "_member_coeffs", counted)
+            if getattr(module, "translate", None) is translate:
+                monkeypatch.setattr(module, "translate", counted_translate)
+    code = main(["eigencheck", "--op", op, "--grid", "7", "--outdir", str(tmp_path)])
+    assert code == 0
+    assert calls == batches
+    assert translates == []
 
 
 @pytest.mark.parametrize("count", ["0", "100000"])

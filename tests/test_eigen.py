@@ -24,12 +24,22 @@ from weylcalc.eigen import (
     segment_lambdas,
 )
 from weylcalc.errors import KernelResidualTooLarge
-from weylcalc.operators import CompositeOperator, WeylOperator, diff_op
+from weylcalc.kernel_solver import kernel_basis
+from weylcalc.operators import (
+    CompositeOperator,
+    ConvolutionOperator,
+    WeylOperator,
+    apply_composite,
+    apply_weyl,
+    diff_op,
+)
 from weylcalc.series import (
     UNIT_DISK,
     DiskSpec,
+    disk_sup_norm,
     evaluate_grid,
     gaussian_series,
+    linear_combine,
     make_series,
     translate,
 )
@@ -106,6 +116,46 @@ def test_eigenvalue_of_an_array_equals_each_lambda(kind):
         batch = eigenvalue_of(op, family, lams)
         each = np.array([eigenvalue_of(op, family, complex(lam)) for lam in lams])
         assert np.array_equal(_bits(batch), _bits(each))
+
+
+def _relation_settings():
+    """(op, check, apply, family) for every kind of eigen-relation check."""
+    t1 = WeylOperator(diff_op(1), 1.0)
+    gaussian = family_from_kernel(t1, gaussian_series(128))
+    t2 = WeylOperator(diff_op(2), -1j)
+    conv = WeylOperator(ConvolutionOperator([0.3, -1.0, 0.5j]), 0.0)
+    return {
+        "D - zI": (t1, eigen_residual, apply_weyl, gaussian),
+        "D^2 + izI": (t2, eigen_residual, apply_weyl,
+                      family_from_kernel(t2, kernel_basis(t2, 128).solutions[0])),
+        "L = T + T^2": (CompositeOperator(t1, np.array([0.0, 1.0, 1.0])),
+                        composite_eigencheck, apply_composite, gaussian),
+        "exponential": (conv, eigen_residual, apply_weyl, exponential_family(96)),
+        "exponential, L(T)": (CompositeOperator(conv, np.array([0.5, 1.0, 1.0j])),
+                              composite_eigencheck, apply_composite,
+                              exponential_family(96)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_relation_settings()))
+def test_eigen_checks_on_an_array_equal_each_lambda(case):
+    # the batch holds the bits of the residual built per lambda from the
+    # public pieces, lambda = 0 (f0 itself) included
+    op, check, apply, family = _relation_settings()[case]
+    axis = np.linspace(-2 / np.sqrt(2), 2 / np.sqrt(2), 7)
+    lams = np.append((axis[None, :] + 1j * axis[:, None]).ravel(), 0.0)
+    each = []
+    for lam in lams:
+        f_lam = eigenfunction(family, lam)
+        mu = eigenvalue_of(op, family, lam)
+        each.append(disk_sup_norm(
+            linear_combine([(1.0, apply(op, f_lam)), (-mu, f_lam)])))
+    batch = check(op, family, lams)
+    assert batch.shape == lams.shape
+    assert np.array_equal(batch, np.array(each))
+    single = check(op, family, lams[3])
+    assert type(single) is float
+    assert single == each[3]
 
 
 coeff_lists = st.integers(1, 160).flatmap(
