@@ -9,14 +9,17 @@ Six subcommands expose the computational workflows::
     weylcalc construct-orbit  --problem FILE
     weylcalc decompose        --op OP | --matrix FILE
 
-Every artifact embeds or accompanies a run manifest; with the
-``WEYLCALC_TIMESTAMP`` override set, identical invocations produce
-byte-identical files.  The exception's class decides the exit code: 0
-success; 2 for an :class:`~weylcalc.errors.InputError` (bad input,
-nothing written); 1 for any other
-:class:`~weylcalc.errors.WeylcalcError`, a validated negative outcome
-such as a budget failure, a non-Weyl matrix or a result that leaves the
-double range, with ``<command>_error.json`` written.
+Each flag is declared once, in ``_FLAGS``, with its range check as its
+argparse ``type``; one writer, ``_write``, writes every artifact with its
+run manifest.  With ``WEYLCALC_TIMESTAMP`` set, identical invocations
+give byte-identical files.  The exception's class decides the exit code:
+0 success; 2 for a usage error or an :class:`~weylcalc.errors.InputError`
+(bad input, such as an unknown key in an input JSON object), with
+nothing written; 1 for any other :class:`~weylcalc.errors.WeylcalcError`,
+a validated negative outcome such as a budget failure, a non-Weyl matrix
+or a result that leaves the double range, with ``<command>_error.json``
+written.  numpy's floating-point warnings are off: a non-finite result is
+refused by a finiteness check or by the serializer.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .errors import (
 )
 from .kernel_solver import kernel_basis
 from .operators import (
+    N_CAP_MAX,
     CompositeOperator,
     WeylOperator,
     commutator_matrix,
@@ -71,6 +75,7 @@ from .orbit import (
 from .serialize import (
     WORKDIR_ENV,
     build_manifest,
+    check_keys,
     complex_pair,
     operator_to_dict,
     pair_to_complex,
@@ -94,9 +99,9 @@ COUNTS_MAX = 16
 #: largest side of the ``eigencheck --grid`` lambda grid
 GRID_MAX = 64
 
-#: largest ``kernel --terms`` and ``--order`` (series coefficients), the
-#: cap of the monomial matrices too
-ORDER_MAX = 512
+#: largest ``kernel --terms`` and ``--order`` (series coefficients): the
+#: cap of the monomial matrices
+ORDER_MAX = N_CAP_MAX
 
 
 def _load_json_arg(text: str, what: str):
@@ -117,26 +122,34 @@ def _load_json_arg(text: str, what: str):
         raise MalformedSpec(f"{what}: invalid JSON: {exc}") from exc
 
 
-def _outdir(args) -> Path:
-    path = Path(args.outdir or os.environ.get(WORKDIR_ENV) or ".")
+def _operator(args):
+    """The operator of ``--op`` and the input files it was read from."""
+    doc, inputs = _load_json_arg(args.op, "--op")
+    return parse_operator_spec(doc), inputs
+
+
+def _write(args, params: dict, inputs, report: str, payload: dict, csv=None) -> Path:
+    """Write the JSON ``report`` of ``payload`` with the run manifest
+    embedded and, if ``csv = (name, header, columns)`` is given, that CSV
+    with the manifest in its sidecar; the output directory back."""
+    out = Path(args.outdir or os.environ.get(WORKDIR_ENV) or ".")
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoFailure(f"cannot create {path}: {exc}") from exc
-    return path
+        raise IoFailure(f"cannot create {out}: {exc}") from exc
+    manifest = build_manifest(args.command, params, inputs)
+    write_report(out / report, payload, manifest)
+    if csv is not None:
+        name, header, columns = csv
+        write_csv(out / name, header, columns)
+        write_manifest_sidecar(out / name, manifest)
+    return out
 
 
 def _family_for(t: WeylOperator, order: int) -> EigenFamily:
-    _check_range("--order", order, ORDER_MAX)
     if t.a == 0:
         return exponential_family(order)
-    basis = kernel_basis(t, order)
-    return family_from_kernel(t, basis.solutions[0])
-
-
-def _check_range(flag: str, value: int, cap: int) -> None:
-    if not 1 <= value <= cap:
-        raise MalformedSpec(f"{flag}: expected a value in 1..{cap}, got {value}")
+    return family_from_kernel(t, kernel_basis(t, order).solutions[0])
 
 
 def _positive(what: str, value) -> float:
@@ -150,13 +163,6 @@ def _positive(what: str, value) -> float:
             f"{what}: expected a finite positive number, got {value!r}"
         )
     return float(value)
-
-
-def _nonnegative(flag: str, value: float) -> None:
-    if not 0 <= value <= sys.float_info.max:
-        raise MalformedSpec(
-            f"{flag}: expected a finite number >= 0, got {value!r}"
-        )
 
 
 def _base_weyl(op) -> WeylOperator:
@@ -176,87 +182,76 @@ def _square_grid(grid: int, lam_max: float) -> np.ndarray:
 
 
 def _cmd_kernel(args) -> int:
-    _check_range("--terms", args.terms, ORDER_MAX)
-    doc, inputs = _load_json_arg(args.op, "--op")
-    op = parse_operator_spec(doc)
-    t = _base_weyl(op)
+    op, inputs = _operator(args)
     disk = DiskSpec(args.radius, 64)
-    basis = kernel_basis(t, args.terms, disk)
-    out = _outdir(args)
-    manifest = build_manifest(
-        "kernel",
+    basis = kernel_basis(_base_weyl(op), args.terms, disk)
+    _write(
+        args,
         {"op": operator_to_dict(op), "terms": args.terms, "radius": args.radius},
         inputs,
-    )
-    write_report(
-        out / "kernel_basis.json",
+        "kernel_basis.json",
         {
             "solutions": [series_to_dict(s) for s in basis.solutions],
             "residuals": basis.residuals,
             "formal": True,
         },
-        manifest,
+        ("kernel_residuals.csv", ["solution_index", "residual"],
+         [np.arange(len(basis.residuals)), np.array(basis.residuals, dtype=float)]),
     )
-    csv_path = out / "kernel_residuals.csv"
-    write_csv(
-        csv_path,
-        ["solution_index", "residual"],
-        [np.arange(len(basis.residuals)), np.array(basis.residuals, dtype=float)],
-    )
-    write_manifest_sidecar(csv_path, manifest)
     print(f"kernel basis: {len(basis.solutions)} solution(s), "
           f"max residual {max(basis.residuals):.3e}")
     return 0
 
 
 def _cmd_commutator_check(args) -> int:
-    doc, inputs = _load_json_arg(args.op, "--op")
-    op = parse_operator_spec(doc)
+    op, inputs = _operator(args)
     comm = commutator_matrix(op, diff_op(1), args.ncap)
     a_est, offdiag_max, diag_spread = scalar_identity_diagnostics(comm)
-    out = _outdir(args)
-    manifest = build_manifest(
-        "commutator-check",
+    rows, cols = np.indices(comm.shape)
+    _write(
+        args,
         {"op": operator_to_dict(op), "ncap": args.ncap},
         inputs,
-    )
-    write_report(
-        out / "commutator_check.json",
+        "commutator_check.json",
         {
             "a_estimate": a_est,
             "offdiag_max": offdiag_max,
             "diag_spread": diag_spread,
             "n_cap": comm.shape[1] - 1,
         },
-        manifest,
+        ("commutator_matrix.csv", ["row", "col", "re", "im"],
+         [rows, cols, comm.real, comm.imag]),
     )
-    csv_path = out / "commutator_matrix.csv"
-    rows, cols = np.indices(comm.shape)
-    write_csv(csv_path, ["row", "col", "re", "im"], [rows, cols, comm.real, comm.imag])
-    write_manifest_sidecar(csv_path, manifest)
     print(f"commutator with D: a = {a_est}, off-diagonal max "
           f"{offdiag_max:.3e}, diagonal spread {diag_spread:.3e}")
     return 0
 
 
 def _cmd_eigencheck(args) -> int:
-    _check_range("--grid", args.grid, GRID_MAX)
-    _nonnegative("--lam-max", args.lam_max)
-    doc, inputs = _load_json_arg(args.op, "--op")
-    op = parse_operator_spec(doc)
+    op, inputs = _operator(args)
     t = _base_weyl(op)
     disk = DiskSpec(args.radius, 64)
     family = _family_for(t, args.order)
     lams = _square_grid(args.grid, args.lam_max)
-    composite = isinstance(op, CompositeOperator)
     residuals = eigen_residual(t, family, lams, disk)
-    if composite:
-        comp_residuals = composite_eigencheck(op, family, lams, disk)
-    columns = [lams.real, lams.imag, residuals]
     worst_eigen = float(residuals.max())
-    out = _outdir(args)
-    manifest = build_manifest(
-        "eigencheck",
+    payload = {
+        "family_kind": family.kind,
+        "worst_eigen_residual": worst_eigen,
+        "points": len(lams),
+    }
+    header = ["lam_re", "lam_im", "eigen_residual"]
+    columns = [lams.real, lams.imag, residuals]
+    msg = f"eigen-relation: worst residual {worst_eigen:.3e} over {len(lams)} points"
+    if isinstance(op, CompositeOperator):
+        comp_residuals = composite_eigencheck(op, family, lams, disk)
+        worst_comp = float(comp_residuals.max())
+        payload["worst_composite_residual"] = worst_comp
+        header.append("composite_residual")
+        columns.append(comp_residuals)
+        msg += f", worst composite residual {worst_comp:.3e}"
+    _write(
+        args,
         {
             "op": operator_to_dict(op),
             "grid": args.grid,
@@ -265,148 +260,101 @@ def _cmd_eigencheck(args) -> int:
             "radius": args.radius,
         },
         inputs,
+        "eigencheck.json",
+        payload,
+        ("eigencheck_grid.csv", header, columns),
     )
-    payload = {
-        "family_kind": family.kind,
-        "worst_eigen_residual": worst_eigen,
-        "points": len(lams),
-    }
-    header = ["lam_re", "lam_im", "eigen_residual"]
-    if composite:
-        worst_comp = float(comp_residuals.max())
-        payload["worst_composite_residual"] = worst_comp
-        header.append("composite_residual")
-        columns.append(comp_residuals)
-    write_report(out / "eigencheck.json", payload, manifest)
-    csv_path = out / "eigencheck_grid.csv"
-    write_csv(csv_path, header, columns)
-    write_manifest_sidecar(csv_path, manifest)
-    msg = f"eigen-relation: worst residual {worst_eigen:.3e} over {len(lams)} points"
-    if composite:
-        msg += f", worst composite residual {worst_comp:.3e}"
     print(msg)
     return 0
 
 
-def _preset_lambdas(preset: str, count: int, seed: int):
-    if preset == "inverse":
-        return inverse_integer_lambdas(count)
-    if preset == "segment":
-        return segment_lambdas(count)
-    if preset == "random":
-        return random_disk_lambdas(count, seed)
-    raise MalformedSpec(f"unknown lambda preset {preset!r}")
+#: ``complete-fit --preset``: the lambda set of a count and a seed
+_PRESETS = {
+    "inverse": lambda count, seed: inverse_integer_lambdas(count),
+    "segment": lambda count, seed: segment_lambdas(count),
+    "random": random_disk_lambdas,
+}
 
 
 def _cmd_complete_fit(args) -> int:
-    _nonnegative("--ridge", args.ridge)
-    if args.seed < 0:
-        raise MalformedSpec(f"--seed: expected an integer >= 0, got {args.seed}")
-    doc, inputs = _load_json_arg(args.op, "--op")
-    op = parse_operator_spec(doc)
-    t = _base_weyl(op)
+    op, inputs = _operator(args)
     tdoc, tinputs = _load_json_arg(args.targets, "--targets")
     if not isinstance(tdoc, list) or not tdoc:
         raise MalformedSpec("--targets: expected a non-empty JSON list of series")
     targets = [series_from_dict(d) for d in tdoc]
-    try:
-        counts = [int(v) for v in args.counts.split(",") if v.strip()]
-    except ValueError:
-        counts = []
-    if not 1 <= len(counts) <= COUNTS_MAX:
-        raise MalformedSpec(
-            f"--counts: expected a comma-separated list of 1..{COUNTS_MAX} "
-            f"integers, got {args.counts!r}"
-        )
-    for count in counts:
-        _check_range("--counts", count, LAMBDA_COUNT_MAX)
     disk = DiskSpec(args.radius, 64)
-    family = _family_for(t, args.order)
+    family = _family_for(_base_weyl(op), args.order)
     bases = completeness_bases(
         family,
-        [_preset_lambdas(args.preset, count, args.seed) for count in counts],
+        [_PRESETS[args.preset](count, args.seed) for count in args.counts],
         disk,
     )
     reports = []
-    n_ok = 0
     for ti, target in enumerate(targets):
         label = target.label or f"target[{ti}]"
-        for count, basis in zip(counts, bases):
+        for count, basis in zip(args.counts, bases):
+            row = {"target": ti, "label": label, "count": count}
             try:
                 fit = completeness_fit(basis, target, args.ridge)
             except SingularSystem as exc:
-                reports.append({
-                    "target": ti,
-                    "label": label,
-                    "count": count,
-                    "status": "conditioning-failure",
-                    "detail": str(exc),
-                })
+                reports.append({**row, "status": "conditioning-failure",
+                                "detail": str(exc)})
                 continue
-            n_ok += 1
             reports.append({
-                "target": ti,
-                "label": label,
-                "count": count,
+                **row,
                 "status": "ok",
                 "residual_norm": fit.residual_norm,
                 "condition_diag": fit.condition_diag,
                 "ridge": fit.ridge,
                 "weights": [complex_pair(w) for w in fit.weights],
             })
-    out = _outdir(args)
-    manifest = build_manifest(
-        "complete-fit",
+    csv_name = "residual_curve.csv"
+    out = _write(
+        args,
         {
             "op": operator_to_dict(op),
             "preset": args.preset,
-            "counts": counts,
+            "counts": args.counts,
             "seed": args.seed,
             "ridge": args.ridge,
             "order": args.order,
             "radius": args.radius,
         },
         inputs + tinputs,
+        "complete_fit.json",
+        {"fits": reports},
+        # the CSV writer refuses non-finite floats; a failed fit's "inf" is text
+        (csv_name,
+         ["target_index", "target_label", "count", "residual", "condition",
+          "ridge", "status"],
+         [
+             [r["target"] for r in reports],
+             [r["label"] for r in reports],
+             [r["count"] for r in reports],
+             [r.get("residual_norm", "inf") for r in reports],
+             [r.get("condition_diag", "inf") for r in reports],
+             [r.get("ridge", args.ridge) for r in reports],
+             [r["status"] for r in reports],
+         ]),
     )
-    write_report(out / "complete_fit.json", {"fits": reports}, manifest)
-    csv_path = out / "residual_curve.csv"
-    # the CSV writer refuses non-finite floats; a failed fit's "inf" is text
-    write_csv(
-        csv_path,
-        ["target_index", "target_label", "count", "residual", "condition",
-         "ridge", "status"],
-        [
-            [r["target"] for r in reports],
-            [r["label"] for r in reports],
-            [r["count"] for r in reports],
-            [r.get("residual_norm", "inf") for r in reports],
-            [r.get("condition_diag", "inf") for r in reports],
-            [r.get("ridge", args.ridge) for r in reports],
-            [r["status"] for r in reports],
-        ],
-    )
-    write_manifest_sidecar(csv_path, manifest)
+    n_ok = sum(r["status"] == "ok" for r in reports)
     n_fail = len(reports) - n_ok
     print(f"completeness fits: {n_ok} ok, {n_fail} conditioning failure(s); "
-          f"curve written to {csv_path}")
+          f"curve written to {out / csv_name}")
     return 0 if n_ok > 0 else 1
 
 
 def _cmd_construct_orbit(args) -> int:
-    _check_range("--lambda-count", args.lambda_count, LAMBDA_COUNT_MAX)
-    _positive("--margin", args.margin)
-    _nonnegative("--ridge", args.ridge)
     doc, inputs = _load_json_arg(args.problem, "--problem")
     if not isinstance(doc, dict) or "operator" not in doc or "targets" not in doc:
         raise MalformedSpec(
             "--problem: expected {'operator': ..., 'targets': [...]} "
             "with optional 'radius' and 'epsilon'"
         )
+    check_keys(doc, ("operator", "targets", "radius", "epsilon"), "--problem")
     op = parse_operator_spec(doc["operator"])
-    if isinstance(op, CompositeOperator):
-        comp = op
-    else:
-        comp = CompositeOperator(op, np.array([0.0, 1.0], dtype=np.complex128))
+    comp = op if isinstance(op, CompositeOperator) else CompositeOperator(
+        op, np.array([0.0, 1.0], dtype=np.complex128))
     if not isinstance(doc["targets"], list) or not doc["targets"]:
         raise MalformedSpec("--problem: 'targets' must be a non-empty list")
     targets = [series_from_dict(d) for d in doc["targets"]]
@@ -419,9 +367,17 @@ def _cmd_construct_orbit(args) -> int:
     epsilon = _positive("--problem: 'epsilon'", doc.get("epsilon", 0.1))
     family = _family_for(comp.base, args.order)
     problem = OrbitProblem(comp, family, targets, radius=radius, epsilon=epsilon)
-    out = _outdir(args)
-    manifest = build_manifest(
-        "construct-orbit",
+    construction = construct_orbit(
+        problem,
+        lambda_count=args.lambda_count,
+        margin=args.margin,
+        ridge=args.ridge,
+    )
+    verification = verify_orbit(construction, problem)
+    met = targets_met(verification, epsilon)
+    per_target = construction.report["per_target"]
+    _write(
+        args,
         {
             "operator": operator_to_dict(comp),
             "targets": [series_to_dict(q) for q in targets],
@@ -433,43 +389,29 @@ def _cmd_construct_orbit(args) -> int:
             "order": args.order,
         },
         inputs,
+        "orbit.json",
+        {
+            "f": series_to_dict(construction.f),
+            "schedule": construction.schedule,
+            "lambdas": [complex_pair(l) for l in construction.basis.lambdas.points],
+            "eigenvalues": [complex_pair(m) for m in construction.eigenvalues],
+            "blocks": [
+                {"target": j, "n": n, "weights": [complex_pair(w) for w in weights]}
+                for j, n, weights in construction.blocks()
+            ],
+            "report": {**construction.report, "all_targets_met": met},
+            "verification": verification,
+        },
+        # an iterate past DIRECT_CAP has no direct route: an empty cell
+        ("orbit_errors.csv", ["j", "n_j", "achieved_error", "method_discrepancy"],
+         [
+             [row["target"] for row in per_target],
+             [row["n"] for row in per_target],
+             [row["achieved_error"] for row in per_target],
+             ["" if row["method_discrepancy"] is None else row["method_discrepancy"]
+              for row in verification],
+         ]),
     )
-    construction = construct_orbit(
-        problem,
-        lambda_count=args.lambda_count,
-        margin=args.margin,
-        ridge=args.ridge,
-    )
-    verification = verify_orbit(construction, problem)
-    met = targets_met(verification, epsilon)
-    payload = {
-        "f": series_to_dict(construction.f),
-        "schedule": construction.schedule,
-        "lambdas": [complex_pair(l) for l in construction.basis.lambdas.points],
-        "eigenvalues": [complex_pair(m) for m in construction.eigenvalues],
-        "blocks": [
-            {"target": j, "n": n, "weights": [complex_pair(w) for w in weights]}
-            for j, n, weights in construction.blocks()
-        ],
-        "report": {**construction.report, "all_targets_met": met},
-        "verification": verification,
-    }
-    write_report(out / "orbit.json", payload, manifest)
-    per_target = construction.report["per_target"]
-    csv_path = out / "orbit_errors.csv"
-    # an iterate past DIRECT_CAP has no direct route: an empty cell
-    write_csv(
-        csv_path,
-        ["j", "n_j", "achieved_error", "method_discrepancy"],
-        [
-            [row["target"] for row in per_target],
-            [row["n"] for row in per_target],
-            [row["achieved_error"] for row in per_target],
-            ["" if row["method_discrepancy"] is None else row["method_discrepancy"]
-             for row in verification],
-        ],
-    )
-    write_manifest_sidecar(csv_path, manifest)
     print(f"orbit schedule {construction.schedule}, all targets met: {met}")
     return 0 if met else 1
 
@@ -477,6 +419,7 @@ def _cmd_construct_orbit(args) -> int:
 def _matrix_from_doc(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise MalformedSpec("--matrix: expected {'entries': [[ [re,im], ...], ...]}")
+    check_keys(doc, ("entries",), "--matrix")
     rows = doc["entries"]
     if not isinstance(rows, list) or not rows or not all(
         isinstance(row, list) and len(row) == len(rows[0]) for row in rows
@@ -500,8 +443,7 @@ def _cmd_decompose(args) -> int:
     if (args.op is None) == (args.matrix is None):
         raise MalformedSpec("decompose: pass exactly one of --op / --matrix")
     if args.op is not None:
-        doc, inputs = _load_json_arg(args.op, "--op")
-        op = parse_operator_spec(doc)
+        op, inputs = _operator(args)
         mat = matrix_on_monomials(op, args.ncap)
         params = {"op": operator_to_dict(op), "ncap": args.ncap}
     else:
@@ -509,23 +451,99 @@ def _cmd_decompose(args) -> int:
         mat = _matrix_from_doc(doc)
         params = {"matrix_shape": list(mat.shape), "ncap": mat.shape[1] - 1}
     a_est, m = decompose(mat)
-    out = _outdir(args)
-    manifest = build_manifest("decompose", params, inputs)
-    write_report(
-        out / "decompose.json",
-        {
-            "a": a_est,
-            "d": [complex_pair(c) for c in m.d],
-            "order": m.order,
-        },
-        manifest,
-    )
+    _write(args, params, inputs, "decompose.json",
+           {"a": a_est, "d": [complex_pair(c) for c in m.d], "order": m.order})
     print(f"decomposed: a = {a_est}, convolution order {m.order}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # driver
+
+
+def _checked(convert, ok, expected: str):
+    """An argparse ``type``: ``convert(text)``, refused unless ``ok`` holds."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _size(cap: int):
+    return _checked(int, lambda n: 1 <= n <= cap, f"a value in 1..{cap}")
+
+
+def _counts(text: str) -> list:
+    """``--counts``: 1..COUNTS_MAX comma-separated sizes, each 1..LAMBDA_COUNT_MAX."""
+    try:
+        counts = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        counts = []
+    if not 1 <= len(counts) <= COUNTS_MAX:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of 1..{COUNTS_MAX} integers, "
+            f"got {text!r}"
+        )
+    return [_size(LAMBDA_COUNT_MAX)(count) for count in counts]
+
+
+_NONNEGATIVE = _checked(float, lambda x: 0 <= x <= sys.float_info.max,
+                        "a finite number >= 0")
+_ORDER_HELP = f"series coefficients, 1..{ORDER_MAX}"
+
+#: every flag of every subcommand, each with its default and its check
+_FLAGS = {
+    "--outdir": dict(help=f"artifact directory (default: ${WORKDIR_ENV} or cwd)"),
+    "--op": dict(help="operator JSON (path or inline)"),
+    "--matrix": dict(help="monomial matrix JSON (path or inline)"),
+    "--problem": dict(help="orbit problem JSON (path or inline)"),
+    "--targets": dict(help="JSON list of target series (path or inline)"),
+    "--terms": dict(type=_size(ORDER_MAX), default=40, help=_ORDER_HELP),
+    "--order": dict(type=_size(ORDER_MAX), default=DEFAULT_ORDER, help=_ORDER_HELP),
+    "--radius": dict(type=float, default=1.0),
+    "--ncap": dict(type=int, default=64),
+    "--grid": dict(type=_size(GRID_MAX), default=5,
+                   help=f"grid side, 1..{GRID_MAX} (grid x grid lambda points)"),
+    "--lam-max": dict(type=_NONNEGATIVE, default=2.0),
+    "--preset": dict(choices=list(_PRESETS), default="inverse"),
+    "--counts": dict(type=_counts, default="5,10,20,40",
+                     help=f"comma-separated lambda-set sizes, at most "
+                          f"{COUNTS_MAX}, each 1..{LAMBDA_COUNT_MAX}"),
+    "--seed": dict(type=_checked(int, lambda n: n >= 0, "an integer >= 0"), default=0),
+    "--ridge": dict(type=_NONNEGATIVE, default=RIDGE_DEFAULT,
+                    help="Tikhonov ridge, finite and >= 0 (0: truncated SVD)"),
+    "--lambda-count": dict(type=_size(LAMBDA_COUNT_MAX), default=LAMBDA_COUNT_DEFAULT,
+                           help=f"expanding lambda points per target; times the "
+                                f"number of targets at most {LAMBDA_COUNT_MAX}"),
+    "--margin": dict(type=_checked(float, lambda x: 0 < x <= sys.float_info.max,
+                                   "a finite positive number"), default=MARGIN_DEFAULT),
+}
+
+#: subcommand: (handler, help, required flags, optional flags)
+_SUBCOMMANDS = {
+    "kernel": (_cmd_kernel, "power-series kernel basis of T",
+               ["--op"], ["--terms", "--radius"]),
+    "commutator-check": (_cmd_commutator_check, "[Op, D] against a scalar identity",
+                         ["--op"], ["--ncap"]),
+    "eigencheck": (_cmd_eigencheck, "eigen-relation residuals on a lambda grid",
+                   ["--op"], ["--grid", "--lam-max", "--order", "--radius"]),
+    "complete-fit": (_cmd_complete_fit, "translate-span completeness fits",
+                     ["--op", "--targets"],
+                     ["--preset", "--counts", "--seed", "--ridge", "--order", "--radius"]),
+    "construct-orbit": (_cmd_construct_orbit, "explicit approximate orbit for L(T)",
+                        ["--problem"], ["--lambda-count", "--margin", "--ridge", "--order"]),
+    "decompose": (_cmd_decompose, "recover (a, M) from a monomial matrix",
+                  [], ["--op", "--matrix", "--ncap"]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -535,75 +553,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "entire functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--outdir", default=None,
-                       help=f"artifact directory (default: ${WORKDIR_ENV} or cwd)")
-
-    p = sub.add_parser("kernel", help="power-series kernel basis of T")
-    common(p)
-    p.add_argument("--op", required=True, help="operator JSON (path or inline)")
-    p.add_argument("--terms", type=int, default=40,
-                   help=f"series coefficients, 1..{ORDER_MAX}")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.set_defaults(func=_cmd_kernel)
-
-    p = sub.add_parser("commutator-check", help="[Op, D] against a scalar identity")
-    common(p)
-    p.add_argument("--op", required=True)
-    p.add_argument("--ncap", type=int, default=64)
-    p.set_defaults(func=_cmd_commutator_check)
-
-    p = sub.add_parser("eigencheck", help="eigen-relation residuals on a lambda grid")
-    common(p)
-    p.add_argument("--op", required=True)
-    p.add_argument("--grid", type=int, default=5,
-                   help=f"grid side, 1..{GRID_MAX} (grid x grid lambda points)")
-    p.add_argument("--lam-max", type=float, default=2.0)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                   help=f"series coefficients, 1..{ORDER_MAX}")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.set_defaults(func=_cmd_eigencheck)
-
-    p = sub.add_parser("complete-fit", help="translate-span completeness fits")
-    common(p)
-    p.add_argument("--op", required=True)
-    p.add_argument("--targets", required=True,
-                   help="JSON list of target series (path or inline)")
-    p.add_argument("--preset", choices=["inverse", "segment", "random"],
-                   default="inverse")
-    p.add_argument("--counts", default="5,10,20,40",
-                   help=f"comma-separated lambda-set sizes, at most "
-                        f"{COUNTS_MAX}, each 1..{LAMBDA_COUNT_MAX}")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ridge", type=float, default=RIDGE_DEFAULT,
-                   help="Tikhonov ridge, finite and >= 0 (0: truncated SVD)")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                   help=f"series coefficients, 1..{ORDER_MAX}")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.set_defaults(func=_cmd_complete_fit)
-
-    p = sub.add_parser("construct-orbit", help="explicit approximate orbit for L(T)")
-    common(p)
-    p.add_argument("--problem", required=True,
-                   help="orbit problem JSON (path or inline)")
-    p.add_argument("--lambda-count", type=int, default=LAMBDA_COUNT_DEFAULT,
-                   help=f"expanding lambda points per target; times the "
-                        f"number of targets at most {LAMBDA_COUNT_MAX}")
-    p.add_argument("--margin", type=float, default=MARGIN_DEFAULT)
-    p.add_argument("--ridge", type=float, default=RIDGE_DEFAULT,
-                   help="Tikhonov ridge, finite and >= 0 (0: truncated SVD)")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                   help=f"series coefficients, 1..{ORDER_MAX}")
-    p.set_defaults(func=_cmd_construct_orbit)
-
-    p = sub.add_parser("decompose", help="recover (a, M) from a monomial matrix")
-    common(p)
-    p.add_argument("--op", default=None)
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--ncap", type=int, default=64)
-    p.set_defaults(func=_cmd_decompose)
-
+    for name, (func, help_text, required, optional) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for flag in ["--outdir", *required, *optional]:
+            p.add_argument(flag, required=flag in required, **_FLAGS[flag])
     return parser
 
 
@@ -614,22 +568,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WeylcalcError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc),
-                             **exc.fields}}
+        # the parsed parameters, as in the success manifests; the output
+        # directory is left out so the bytes do not depend on it
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "outdir")}
         try:
-            out = _outdir(args)
-            # the parsed parameters, as in the success manifests; the
-            # output directory is left out so the bytes do not depend on it
-            params = {k: v for k, v in vars(args).items()
-                      if k not in ("command", "func", "outdir")}
-            manifest = build_manifest(args.command, params)
-            write_report(out / f"{args.command.replace('-', '_')}_error.json",
-                         payload, manifest)
+            _write(args, params, [], f"{args.command.replace('-', '_')}_error.json",
+                   {"error": {"type": type(exc).__name__, "message": str(exc),
+                              **exc.fields}})
         except (IoFailure, NonFiniteCoefficient):
             pass  # no artifact: the directory failed, or a diagnostic is not finite
         print(f"negative result: {exc}", file=sys.stderr)

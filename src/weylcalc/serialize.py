@@ -111,9 +111,21 @@ def series_to_dict(s: TaylorSeries) -> dict:
     }
 
 
+def check_keys(doc: dict, allowed: tuple, what: str) -> None:
+    """Refuse a JSON object with a key outside ``allowed``, which would
+    otherwise be ignored and its field's default used."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise MalformedSpec(
+            f"{what}: unknown key(s) {', '.join(map(reprlib.repr, unknown))}; "
+            f"expected only {', '.join(map(repr, allowed))}"
+        )
+
+
 def series_from_dict(d: dict) -> TaylorSeries:
     if not isinstance(d, dict) or not isinstance(d.get("coeffs"), list):
         raise MalformedSpec("series: expected an object with a 'coeffs' list")
+    check_keys(d, ("coeffs", "label", "valid_order"), "series")
     coeffs = [pair_to_complex(p, "series.coeffs") for p in d["coeffs"]]
     if not coeffs:
         raise MalformedSpec("series.coeffs must be non-empty")
@@ -148,6 +160,7 @@ def parse_operator_spec(doc: dict):
     """Validated WeylOperator or CompositeOperator from its JSON form."""
     if not isinstance(doc, dict) or "d" not in doc:
         raise MalformedSpec("operator: expected an object with a 'd' field")
+    check_keys(doc, ("d", "a", "L"), "operator")
     if not isinstance(doc["d"], list) or not doc["d"]:
         raise MalformedSpec("operator.d must be a non-empty list of [re, im]")
     d = [pair_to_complex(p, "operator.d") for p in doc["d"]]

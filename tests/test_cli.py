@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -73,53 +74,59 @@ def test_commutator_past_the_double_range_exits_1(tmp_path, capsys):
     assert err["error"]["type"] == "NonFiniteCoefficient"
 
 
-def _cli_process(argv, outdir):
-    """The CLI in a process of its own: numpy warns on an overflow, and the
-    suite makes a RuntimeWarning an error."""
-    src = str(Path(weylcalc.__file__).parents[1])
-    return subprocess.run(
-        [sys.executable, "-m", "weylcalc.cli", *argv, "--outdir", str(outdir)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=120,
-    )
+def _negative_result(argv, outdir, capsys) -> str:
+    """Run the CLI in this process: exit 1 and the one line "negative
+    result: ..." on stderr.  The suite makes a RuntimeWarning an error, so
+    a numpy overflow warning escaping a subcommand fails the test."""
+    code = main(argv + ["--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("negative result: ") and err.count("\n") == 1
+    return err
 
 
 @pytest.mark.parametrize("argv", [
     ["eigencheck", "--op", D_MINUS_Z, "--lam-max", "600"],
     ["kernel", "--op", D_MINUS_Z, "--radius", "1e300"],
 ])
-def test_result_past_the_double_range_exits_1(tmp_path, argv):
-    proc = _cli_process(argv, tmp_path)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
+def test_result_past_the_double_range_exits_1(tmp_path, capsys, argv):
+    _negative_result(argv, tmp_path, capsys)
     err = json.loads((tmp_path / f"{argv[0]}_error.json").read_text())
-    assert err["error"]["type"] == "NonFiniteCoefficient"
-
-
-def _decompose_past_the_double_range(tmp_path, entries):
-    proc = _cli_process(["decompose", "--matrix", json.dumps({"entries": entries})],
-                        tmp_path)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert "negative result: [Op, D] of the matrix leaves the double range" in proc.stderr
-    err = json.loads((tmp_path / "decompose_error.json").read_text())
     assert err["error"]["type"] == "NonFiniteCoefficient"
 
 
 def test_outcome_with_an_infinite_diagnostic_exits_1(tmp_path):
     # [Op, D] of a finite matrix overflows to inf: no diagnostic could
-    # hold it, so the overflow itself is the outcome
+    # hold it, so the overflow itself is the outcome.  Run in a process of
+    # its own, outside the suite's warning filters, to see stderr as a
+    # user does: the one line, no numpy warning
     entries = [[[0.0, 0.0]] * 2 for _ in range(3)]
     entries[2][0] = [1.7e308, 0.0]
-    _decompose_past_the_double_range(tmp_path, entries)
+    src = str(Path(weylcalc.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylcalc.cli", "decompose",
+         "--matrix", json.dumps({"entries": entries}), "--outdir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "negative result: [Op, D] of the matrix leaves the double range\n"
+    )
+    err = json.loads((tmp_path / "decompose_error.json").read_text())
+    assert err["error"]["type"] == "NonFiniteCoefficient"
 
 
-def test_decompose_with_a_nan_commutator_exits_1(tmp_path):
+def test_decompose_with_a_nan_commutator_exits_1(tmp_path, capsys):
     # finite entries, but [Op, D] at row 1, column 2 is 2 e[1][1] - 2 e[2][2]
     # = inf - inf; a NaN off-diagonal max would pass the NotWeyl test
     entries = [[[0.0, 0.0]] * 3 for _ in range(4)]
     entries[1][1] = entries[2][2] = [1.7e308, 0.0]
-    _decompose_past_the_double_range(tmp_path, entries)
+    err = _negative_result(["decompose", "--matrix", json.dumps({"entries": entries})],
+                           tmp_path, capsys)
+    assert err == "negative result: [Op, D] of the matrix leaves the double range\n"
+    doc = json.loads((tmp_path / "decompose_error.json").read_text())
+    assert doc["error"]["type"] == "NonFiniteCoefficient"
 
 
 @pytest.mark.parametrize("argv", [
@@ -130,12 +137,10 @@ def test_decompose_with_a_nan_commutator_exits_1(tmp_path):
     })],
     ["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS, "--radius", "1e6"],
 ])
-def test_member_values_past_the_double_range_exit_1(tmp_path, argv):
+def test_member_values_past_the_double_range_exit_1(tmp_path, capsys, argv):
     # the members overflow on the radius-1e6 circles: an overflow, not a
     # collocation SVD that failed to converge
-    proc = _cli_process(argv, tmp_path)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
+    _negative_result(argv, tmp_path, capsys)
     name = argv[0].replace("-", "_")
     err = json.loads((tmp_path / f"{name}_error.json").read_text())
     assert err["error"] == {
@@ -143,6 +148,55 @@ def test_member_values_past_the_double_range_exit_1(tmp_path, argv):
         "message": "member values on the disk of radius 1e+06 leave the double range",
     }
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}_error.json"]
+
+
+def test_complete_fit_error_manifest_records_the_parsed_counts(tmp_path, capsys):
+    # as the success manifest does: the list, not the text of --counts
+    _negative_result(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
+                      "--radius", "1e6"], tmp_path, capsys)
+    doc = json.loads((tmp_path / "complete_fit_error.json").read_text())
+    assert doc["manifest"]["parameters"]["counts"] == [5, 10, 20, 40]
+
+
+@pytest.mark.parametrize("what, key, argv", [
+    ("operator", "l", ["eigencheck", "--op",
+                       '{"d":[[0,0],[1,0]],"a":[1,0],"l":[[0,0],[1,0],[1,0]]}']),
+    ("series", "lable", ["complete-fit", "--op", D_MINUS_Z,
+                         "--targets", '[{"coeffs":[[1,0]],"lable":"1"}]']),
+    ("--problem", "epsilom", ["construct-orbit", "--problem", json.dumps({
+        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+        "targets": [{"coeffs": [[1, 0]]}],
+        "epsilom": 1e-9,
+    })]),
+    ("--matrix", "n_cap", ["decompose", "--matrix",
+                           '{"entries":[[[1,0],[0,0]],[[0,0],[1,0]]],"n_cap":1}']),
+], ids=["operator", "series", "problem", "matrix"])
+def test_unknown_key_exits_2(tmp_path, capsys, what, key, argv):
+    # a misspelt key would otherwise be ignored and its default used: "l"
+    # checks T instead of L(T), "epsilom" runs at epsilon = 0.1
+    code = main(argv + ["--outdir", str(tmp_path)])
+    assert code == 2
+    assert f"error: {what}: unknown key(s) '{key}'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+_COMMAND_FLAGS = {
+    "kernel": ["--op", "--terms", "--radius"],
+    "commutator-check": ["--op", "--ncap"],
+    "eigencheck": ["--op", "--grid", "--lam-max", "--order", "--radius"],
+    "complete-fit": ["--op", "--targets", "--preset", "--counts", "--seed",
+                     "--ridge", "--order", "--radius"],
+    "construct-orbit": ["--problem", "--lambda-count", "--margin", "--ridge",
+                        "--order"],
+    "decompose": ["--op", "--matrix", "--ncap"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_help_lists_the_flags_of_the_command(capsys, command):
+    assert main([command, "--help"]) == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--outdir", *_COMMAND_FLAGS[command]}
 
 
 _BAD_PAIR_FIELDS = {
@@ -470,6 +524,22 @@ def test_construct_orbit_budget_failure_exits_1(tmp_path):
     assert set(err["error"]) == {
         "type", "message", "target_index", "residual", "budget"
     }
+
+
+def test_construct_orbit_outcome_with_an_unwritable_outdir_exits_1(tmp_path, capsys):
+    # the output directory is made at write time, after the outcome: exit
+    # 1 with no artifact, as for every command
+    (tmp_path / "file").write_text("")
+    problem = json.dumps({
+        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0]},
+        "targets": [{"coeffs": [[1, 0]]}],
+        "epsilon": 1e-4,
+    })
+    code = main(["construct-orbit", "--problem", problem, "--lambda-count", "4",
+                 "--outdir", str(tmp_path / "file" / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("negative result: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def _orbit_error(tmp_path, margin):
