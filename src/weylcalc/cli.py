@@ -152,19 +152,6 @@ def _family_for(t: WeylOperator, order: int) -> EigenFamily:
     return family_from_kernel(t, kernel_basis(t, order).solutions[0])
 
 
-def _positive(what: str, value) -> float:
-    """``value`` as a float; it must be a finite positive number."""
-    if (
-        not isinstance(value, (int, float))
-        or isinstance(value, bool)
-        or not 0 < value <= sys.float_info.max
-    ):
-        raise MalformedSpec(
-            f"{what}: expected a finite positive number, got {value!r}"
-        )
-    return float(value)
-
-
 def _base_weyl(op) -> WeylOperator:
     return op.base if isinstance(op, CompositeOperator) else op
 
@@ -363,10 +350,9 @@ def _cmd_construct_orbit(args) -> int:
             f"--lambda-count: {args.lambda_count} lambda points for each of "
             f"{len(targets)} targets exceed the cap of {LAMBDA_COUNT_MAX} in all"
         )
-    radius = _positive("--problem: 'radius'", doc.get("radius", 1.0))
-    epsilon = _positive("--problem: 'epsilon'", doc.get("epsilon", 0.1))
     family = _family_for(comp.base, args.order)
-    problem = OrbitProblem(comp, family, targets, radius=radius, epsilon=epsilon)
+    problem = OrbitProblem(comp, family, targets, **{
+        k: v for k, v in doc.items() if k in ("radius", "epsilon")})
     construction = construct_orbit(
         problem,
         lambda_count=args.lambda_count,
@@ -374,15 +360,15 @@ def _cmd_construct_orbit(args) -> int:
         ridge=args.ridge,
     )
     verification = verify_orbit(construction, problem)
-    met = targets_met(verification, epsilon)
+    met = targets_met(verification, problem.epsilon)
     per_target = construction.report["per_target"]
     _write(
         args,
         {
             "operator": operator_to_dict(comp),
             "targets": [series_to_dict(q) for q in targets],
-            "radius": radius,
-            "epsilon": epsilon,
+            "radius": problem.radius,
+            "epsilon": problem.epsilon,
             "lambda_count": args.lambda_count,
             "margin": args.margin,
             "ridge": args.ridge,
@@ -402,14 +388,12 @@ def _cmd_construct_orbit(args) -> int:
             "report": {**construction.report, "all_targets_met": met},
             "verification": verification,
         },
-        # an iterate past DIRECT_CAP has no direct route: an empty cell
         ("orbit_errors.csv", ["j", "n_j", "achieved_error", "method_discrepancy"],
          [
              [row["target"] for row in per_target],
              [row["n"] for row in per_target],
              [row["achieved_error"] for row in per_target],
-             ["" if row["method_discrepancy"] is None else row["method_discrepancy"]
-              for row in verification],
+             [row["method_discrepancy"] for row in verification],
          ]),
     )
     print(f"orbit schedule {construction.schedule}, all targets met: {met}")
@@ -498,6 +482,8 @@ def _counts(text: str) -> list:
 
 _NONNEGATIVE = _checked(float, lambda x: 0 <= x <= sys.float_info.max,
                         "a finite number >= 0")
+_POSITIVE = _checked(float, lambda x: 0 < x <= sys.float_info.max,
+                     "a finite positive number")
 _ORDER_HELP = f"series coefficients, 1..{ORDER_MAX}"
 
 #: every flag of every subcommand, each with its default and its check
@@ -509,8 +495,9 @@ _FLAGS = {
     "--targets": dict(help="JSON list of target series (path or inline)"),
     "--terms": dict(type=_size(ORDER_MAX), default=40, help=_ORDER_HELP),
     "--order": dict(type=_size(ORDER_MAX), default=DEFAULT_ORDER, help=_ORDER_HELP),
-    "--radius": dict(type=float, default=1.0),
-    "--ncap": dict(type=int, default=64),
+    "--radius": dict(type=_POSITIVE, default=1.0, help="disk radius, finite and > 0"),
+    "--ncap": dict(type=_size(N_CAP_MAX), default=64,
+                   help=f"monomial degree cap, 1..{N_CAP_MAX}"),
     "--grid": dict(type=_size(GRID_MAX), default=5,
                    help=f"grid side, 1..{GRID_MAX} (grid x grid lambda points)"),
     "--lam-max": dict(type=_NONNEGATIVE, default=2.0),
@@ -524,8 +511,7 @@ _FLAGS = {
     "--lambda-count": dict(type=_size(LAMBDA_COUNT_MAX), default=LAMBDA_COUNT_DEFAULT,
                            help=f"expanding lambda points per target; times the "
                                 f"number of targets at most {LAMBDA_COUNT_MAX}"),
-    "--margin": dict(type=_checked(float, lambda x: 0 < x <= sys.float_info.max,
-                                   "a finite positive number"), default=MARGIN_DEFAULT),
+    "--margin": dict(type=_POSITIVE, default=MARGIN_DEFAULT),
 }
 
 #: subcommand: (handler, help, required flags, optional flags)

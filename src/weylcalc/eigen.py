@@ -171,11 +171,8 @@ def eigenvalue_of(op, family: EigenFamily, lam):
     return op.eigenvalue(mu) if isinstance(op, CompositeOperator) else mu
 
 
-def _require_finite(
-    values: np.ndarray, message: str = "coefficients must be finite"
-) -> None:
-    """NonFiniteCoefficient unless every value is finite; the default
-    message is the one a TaylorSeries gives."""
+def _require_finite(values: np.ndarray, message: str) -> None:
+    """NonFiniteCoefficient(message) unless every value is finite."""
     if not np.isfinite(values).all():
         raise NonFiniteCoefficient(message)
 
@@ -192,13 +189,14 @@ def _relation_residuals(op, family: EigenFamily, lam, disk: DiskSpec):
     scalar = np.ndim(lam) == 0
     lams = np.asarray(lam, dtype=np.complex128).reshape(-1)
     rows = _member_coeffs(family, lams)
-    _require_finite(rows)
+    reach = f"at |lambda| up to {np.abs(lams).max():g} leave the double range"
+    _require_finite(rows, f"eigenfunction coefficients {reach}")
     image = truncated_image(op, rows)
     mu = eigenvalue_of(op, family, lams)
     combined = np.zeros(image.shape, dtype=np.complex128)
     combined += image
     combined += -mu[:, None] * rows[:, : image.shape[1]]
-    _require_finite(combined)
+    _require_finite(combined, f"coefficients of op f_lambda - mu f_lambda {reach}")
     sup = np.abs(eval_grid(combined, disk.boundary())).max(axis=0)
     return float(sup[0]) if scalar else sup
 

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvolutionCase, MalformedSpec, ZeroOrderOperator
+from .errors import (
+    ConvolutionCase,
+    MalformedSpec,
+    NonFiniteCoefficient,
+    ZeroOrderOperator,
+)
 from .operators import WeylOperator, apply_weyl
 from .series import DiskSpec, TaylorSeries, UNIT_DISK, disk_sup_norm
 
@@ -74,4 +79,10 @@ def kernel_residual(
     t: WeylOperator, f: TaylorSeries, disk: DiskSpec = UNIT_DISK
 ) -> float:
     """Sup norm of T f on the disk (0 for exact kernel members)."""
-    return disk_sup_norm(apply_weyl(t, f), disk)
+    residual = disk_sup_norm(apply_weyl(t, f), disk)
+    if not np.isfinite(residual):
+        raise NonFiniteCoefficient(
+            f"kernel residual on the disk of radius {disk.radius:g} leaves "
+            f"the double range"
+        )
+    return residual

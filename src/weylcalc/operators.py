@@ -346,8 +346,8 @@ def commutator_matrix(op_a, op_b, n_cap: int) -> np.ndarray:
     factorial growth of the intermediate compositions.  One degree is
     sacrificed to the composition, so the matrix has n_cap columns.
     """
-    if not (2 <= n_cap <= N_CAP_MAX):
-        raise MalformedSpec(f"n_cap must be in 2..{N_CAP_MAX}, got {n_cap}")
+    if not (1 <= n_cap <= N_CAP_MAX):
+        raise MalformedSpec(f"n_cap must be in 1..{N_CAP_MAX}, got {n_cap}")
     rise = _polynomial_form(op_a)[3] + _polynomial_form(op_b)[3]
     rows = n_cap + max(1, rise)
     sec_a, e_a = _bands(op_a, rows, exact=True)
@@ -505,16 +505,15 @@ def decompose(e: np.ndarray):
         )
     # M = Op + a z I acts on z^n with constant coefficients:
     # M z^n = sum_k d_k n!/(n-k)! z^{n-k}, rows n..0 of column n, which
-    # the -a z^{n+1} term (row n + 1) does not reach
-    estimates = np.full((cols, cols), np.nan + 0j, dtype=np.complex128)
-    for n in range(cols):
-        fall = 1.0  # n! / (n-k)!
-        for k in range(n + 1):
-            estimates[k, n] = e[n - k, n] / fall
-            fall *= n - k
+    # the -a z^{n+1} term (row n + 1) does not reach; so diagonal k of e
+    # over row k of the falling factorials n (n-1) ... (n-k+1), multiplied
+    # in that order, estimates d_k once per column n >= k
+    n = np.arange(cols, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # past n ~ 170
+        falling = np.cumprod(np.vstack([np.ones(cols), n - n[:-1, None]]), axis=0)
     d = np.zeros(cols, dtype=np.complex128)
     for k in range(cols):
-        vals = estimates[k, k:]
+        vals = np.diagonal(e, k) / falling[k, k:]
         d[k] = vals[-1]  # widest column carries the most context
         if np.abs(vals - d[k]).max() > tol:
             raise InconsistentConvolution(

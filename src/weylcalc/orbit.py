@@ -28,21 +28,28 @@ the coefficients of f.
 Verification has two routes.  The eigen route reads the members' values
 on the verification circle from the constructor's basis and measures the
 full vector at every scheduled iterate.  The direct route, the check that
-does not depend on the constructor, applies A to the coefficients of f up
-to DIRECT_CAP and must agree; an iterate past DIRECT_CAP is unverified,
-and the orbit does not succeed (:func:`targets_met`).  It powers L(T)
-through the banded core of :mod:`weylcalc.operators` exactly, on
+does not depend on the constructor, applies A to the coefficients of f at
+every scheduled iterate and must agree (:func:`targets_met`).  It powers
+L(T) through the banded core of :mod:`weylcalc.operators` exactly, on
 Gaussian integers, and rounds once, so it carries no precision setting.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, MalformedSpec, ScheduleOverflow, SearchExhausted
+from .errors import (
+    BudgetExceeded,
+    MalformedSpec,
+    NonFiniteCoefficient,
+    ScheduleOverflow,
+    SearchExhausted,
+)
 from .eigen import (
     RIDGE_DEFAULT,
     CompletenessBasis,
@@ -65,9 +72,6 @@ MARGIN_DEFAULT = 2.0
 
 #: cap on the largest scheduled iterate
 SCHEDULE_CAP = 200
-
-#: direct operator-power verification is run only up to this iterate
-DIRECT_CAP = 40
 
 #: fixed-point bits kept below the resolution of the exact coefficients
 #: when the direct route evaluates them
@@ -94,10 +98,14 @@ class OrbitProblem:
     def __post_init__(self):
         if self.operator.poly_degree < 1:
             raise MalformedSpec("L must be non-constant")
-        if not 0 < self.epsilon < math.inf:
-            raise MalformedSpec("epsilon must be finite and positive")
-        if not 0 < self.radius < math.inf:
-            raise MalformedSpec("radius must be finite and positive")
+        for name in ("radius", "epsilon"):
+            value = getattr(self, name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and 0 < value <= sys.float_info.max):
+                raise MalformedSpec(
+                    f"{name!r}: expected a finite positive number, got {value!r}"
+                )
+            object.__setattr__(self, name, float(value))
         if not self.targets:
             raise MalformedSpec("at least one target is required")
         for q in self.targets:
@@ -293,11 +301,9 @@ def construct_orbit(
 def targets_met(rows: list, epsilon: float) -> bool:
     """Whether the verified orbit succeeds: at every scheduled iterate the
     full vector is within epsilon of its target and the direct route agrees
-    with the eigen-sum within epsilon / 10.  An iterate past DIRECT_CAP has
-    no direct route, so it is unverified and the orbit does not succeed."""
+    with the eigen-sum within epsilon / 10."""
     return all(
         row["eigen_error_full"] <= epsilon
-        and row["method_discrepancy"] is not None
         and row["method_discrepancy"] <= epsilon / 10
         for row in rows
     )
@@ -307,9 +313,9 @@ def verify_orbit(construction: OrbitConstruction, problem: OrbitProblem) -> list
     """Two-route check of every scheduled iterate on the full vector.
 
     The eigen-sum on the constructor's basis is compared against direct
-    repeated operator application (for iterates up to DIRECT_CAP; a later
-    row has ``method_discrepancy`` None), and both against the target;
-    rows are data, not judgements.
+    repeated operator application, and both against the target; rows are
+    data, not judgements.  A direct route whose values leave the double
+    range raises NonFiniteCoefficient.
     """
     c = problem.operator
     mu = construction.eigenvalues
@@ -318,18 +324,17 @@ def verify_orbit(construction: OrbitConstruction, problem: OrbitProblem) -> list
     rows = []
     for j, (q, n_j) in enumerate(zip(problem.targets, construction.schedule)):
         eig_vals = basis.verification @ _amplitudes(construction.coords, mu, n_j)
-        row = {
+        direct_vals = direct_power_values(c, construction.f, n_j, verify_pts)
+        if not np.isfinite(direct_vals).all():
+            raise NonFiniteCoefficient(
+                f"direct route at n = {n_j} leaves the double range"
+            )
+        rows.append({
             "target": j,
             "n": n_j,
             "eigen_error_full": float(
                 np.abs(eig_vals - evaluate_grid(q, verify_pts)).max()
             ),
-            "method_discrepancy": None,
-        }
-        if n_j <= DIRECT_CAP:
-            direct_vals = direct_power_values(c, construction.f, n_j, verify_pts)
-            row["method_discrepancy"] = float(
-                np.abs(direct_vals - eig_vals).max()
-            )
-        rows.append(row)
+            "method_discrepancy": float(np.abs(direct_vals - eig_vals).max()),
+        })
     return rows

@@ -61,6 +61,33 @@ def test_commutator_ncap_above_cap_exits_2(tmp_path):
     assert not (tmp_path / "commutator_check.json").exists()
 
 
+@pytest.mark.parametrize("command", ["commutator-check", "decompose"])
+@pytest.mark.parametrize("ncap", ["0", "513"])
+def test_ncap_out_of_range_exits_2(tmp_path, capsys, command, ncap):
+    code = main([command, "--op", D_MINUS_Z, "--ncap", ncap, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert f"--ncap: expected a value in 1..512, got {ncap}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["commutator-check", "decompose"])
+def test_ncap_one_is_accepted(tmp_path, command):
+    assert main([command, "--op", D_MINUS_Z, "--ncap", "1", "--outdir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--op", D_MINUS_Z],
+    ["eigencheck", "--op", D_MINUS_Z],
+    ["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("radius", ["nan", "0", "-1", "inf"])
+def test_bad_radius_exits_2(tmp_path, capsys, argv, radius):
+    code = main(argv + [f"--radius={radius}", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "--radius: expected a finite positive number" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_commutator_past_the_double_range_exits_1(tmp_path, capsys):
     # d_1 = 1e300 and L(T) = T^3: the input is valid, but entries of
     # [L(T), D] round to infinity, an outcome rather than bad input
@@ -85,14 +112,23 @@ def _negative_result(argv, outdir, capsys) -> str:
     return err
 
 
+#: what overflowed, by command
+_OVERFLOWS = {
+    "eigencheck": "eigenfunction coefficients at |lambda| up to 600 leave the "
+                  "double range",
+    "kernel": "kernel residual on the disk of radius 1e+300 leaves the double range",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["eigencheck", "--op", D_MINUS_Z, "--lam-max", "600"],
     ["kernel", "--op", D_MINUS_Z, "--radius", "1e300"],
 ])
 def test_result_past_the_double_range_exits_1(tmp_path, capsys, argv):
-    _negative_result(argv, tmp_path, capsys)
+    message = _OVERFLOWS[argv[0]]
+    assert _negative_result(argv, tmp_path, capsys) == f"negative result: {message}\n"
     err = json.loads((tmp_path / f"{argv[0]}_error.json").read_text())
-    assert err["error"]["type"] == "NonFiniteCoefficient"
+    assert err["error"] == {"type": "NonFiniteCoefficient", "message": message}
 
 
 def test_outcome_with_an_infinite_diagnostic_exits_1(tmp_path):

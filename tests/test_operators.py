@@ -12,6 +12,7 @@ from weylcalc.errors import (
     ZeroOperator,
 )
 from weylcalc.operators import (
+    N_CAP_MAX,
     CompositeOperator,
     ConvolutionOperator,
     WeylOperator,
@@ -143,6 +144,14 @@ def test_commutator_of_polynomial_is_exact_derivative():
     assert np.array_equal(comm, want)
 
 
+def test_commutator_on_the_constant_alone():
+    # n_cap = 1 keeps one column, [L(T), D] 1 = a L'(T) 1 = (I + 2T) 1
+    # = 1 - 2z for L(T) = T + T^2 and T = D - zI
+    c = CompositeOperator(d_minus_z(), np.array([0.0, 1.0, 1.0]))
+    comm = commutator_matrix(c, diff_op(1), 1)
+    assert np.array_equal(comm, [[1.0], [-2.0], [0.0]])
+
+
 def test_commutation_relation_random_operators():
     for t in random_weyl_operators(10, seed=7):
         comm = commutator_matrix(t, diff_op(1), 32)
@@ -206,6 +215,22 @@ def test_decompose_round_trip_random():
         got[: m.d.size] = m.d
         want[: t.m.d.size] = t.m.d
         assert np.abs(got - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n_cap", [32, N_CAP_MAX])
+def test_decompose_reads_d_from_the_widest_column(n_cap):
+    # d_k = e[n - k, n] / (n (n-1) ... (n-k+1)) on the last column n, the
+    # falling factorial multiplied in that order; at the degree cap it
+    # overflows, silently
+    t = WeylOperator(ConvolutionOperator(np.array([0.5, 1.0 - 2.0j, 0.0, 3.0])), -2.0 + 1.0j)
+    e = matrix_on_monomials(t, n_cap)
+    a, m = decompose(e)
+    assert a == t.a
+    fall, want = 1.0, []
+    for k in range(m.d.size):
+        want.append(e[n_cap - k, n_cap] / fall)
+        fall *= n_cap - k
+    assert np.array_equal(m.d, want)
 
 
 def test_decompose_rejects_z_squared_identity():

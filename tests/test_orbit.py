@@ -18,7 +18,13 @@ from weylcalc.eigen import (
     exponential_family,
     family_from_kernel,
 )
-from weylcalc.errors import BudgetExceeded, ScheduleOverflow, SearchExhausted
+from weylcalc.errors import (
+    BudgetExceeded,
+    MalformedSpec,
+    NonFiniteCoefficient,
+    ScheduleOverflow,
+    SearchExhausted,
+)
 from weylcalc.operators import (
     CompositeOperator,
     ConvolutionOperator,
@@ -299,22 +305,38 @@ def test_acceptance_instance_two_routes(setting):
     assert rows[0]["method_discrepancy"] <= 1e-6
     for row in rows:
         assert row["eigen_error_full"] < 0.1
-        if row["method_discrepancy"] is not None:
-            assert row["method_discrepancy"] <= 0.1 / 10
+        assert row["method_discrepancy"] <= 0.1 / 10
 
 
-def test_iterate_past_the_direct_route_is_unverified(setting, monkeypatch):
-    # the eigen-sum error repeats the constructor's bookkeeping; an iterate
-    # the direct route did not check does not count as met
+def test_every_scheduled_iterate_has_a_direct_row(setting):
+    # however late the iterate, both routes run, and success is decided on
+    # their numbers alone
     _, family, ident, _ = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
     problem = OrbitProblem(ident, family, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
-    monkeypatch.setattr("weylcalc.orbit.DIRECT_CAP", con.schedule[0])
-    rows = verify_orbit(con, problem)
-    assert rows[-1]["method_discrepancy"] is None
-    assert rows[-1]["eigen_error_full"] <= 0.1
+    rows = verify_orbit(dataclasses.replace(con, schedule=[41, 42]), problem)
+    assert [row["n"] for row in rows] == [41, 42]
+    for row in rows:
+        assert isinstance(row["method_discrepancy"], float)
+        assert math.isfinite(row["method_discrepancy"])
     assert not targets_met(rows, 0.1)
+    worst = max(max(row["eigen_error_full"], row["method_discrepancy"]) for row in rows)
+    assert targets_met(rows, 10 * worst)
+
+
+def test_direct_route_past_the_double_range_names_the_iterate(setting):
+    # A^5 multiplies coefficients near 1e300 by about 127^5: the rounded
+    # direct values are infinite, an outcome rather than a discrepancy
+    _, family, ident, _ = setting
+    targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
+    problem = OrbitProblem(ident, family, targets, epsilon=0.1)
+    con = construct_orbit(problem)
+    assert con.schedule == [5, 10]
+    huge = dataclasses.replace(con, f=make_series(np.full(128, 1e300)))
+    with pytest.raises(NonFiniteCoefficient) as exc:
+        verify_orbit(huge, problem)
+    assert str(exc.value) == "direct route at n = 5 leaves the double range"
 
 
 def test_tampered_weights_are_detected(setting):
@@ -388,3 +410,24 @@ def test_problem_validation(setting):
     )
     with pytest.raises(ValueError):
         OrbitProblem(const, family, [make_series([1.0])])
+
+
+@pytest.mark.parametrize("field", ["radius", "epsilon"])
+@pytest.mark.parametrize("value", [True, "1", None, 10**400],
+                         ids=["true", "str", "none", "10**400"])
+def test_problem_number_must_be_a_finite_positive_number(setting, field, value):
+    # a bool is not a number, and an int past the double range is not finite
+    _, family, ident, _ = setting
+    with pytest.raises(MalformedSpec) as exc:
+        OrbitProblem(ident, family, [make_series([1.0])], **{field: value})
+    assert str(exc.value) == (
+        f"{field!r}: expected a finite positive number, got {value!r}"
+    )
+
+
+def test_problem_numbers_are_stored_as_floats(setting):
+    _, family, ident, _ = setting
+    problem = OrbitProblem(ident, family, [make_series([1.0])],
+                           radius=np.int64(2), epsilon=1)
+    assert (problem.radius, problem.epsilon) == (2.0, 1.0)
+    assert isinstance(problem.radius, float) and isinstance(problem.epsilon, float)
