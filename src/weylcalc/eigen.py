@@ -50,8 +50,10 @@ from .series import (
     TaylorSeries,
     UNIT_DISK,
     evaluate_grid,
+    exponential_rows,
     exponential_series,
     translate,
+    unfused_product,
 )
 
 #: ridge escalation ladder for ill-conditioned translate systems
@@ -131,35 +133,20 @@ def eigenfunction(family: EigenFamily, lam: complex) -> TaylorSeries:
     return exponential_series(lam, family.n_terms)
 
 
-def _product(x, y):
-    """Elementwise complex product x * y with every real product rounded
-    on its own, as Python and numpy scalars round it; numpy's array
-    multiply may fuse them, which moves the last bit."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    re = x.real * y.real - x.imag * y.imag
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real = re
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out[()]
-
-
 def _member_coeffs(family: EigenFamily, lams: np.ndarray) -> np.ndarray:
     """Coefficient rows of f_lambda for a 1-d array of lambdas, ``(K, N)``.
 
     Row k holds the bits of ``eigenfunction(family, lams[k])``: the
     batched translate for a translate family (f0 itself at lambda = 0),
-    :func:`exponential_series` per lambda for an exponential one.
+    :func:`exponential_rows` for an exponential one.  No row is checked
+    finite here.
     """
     lams = np.asarray(lams, dtype=np.complex128)
     if family.kind == "translate":
         rows = translate_kernel(family.f0.coeffs, lams)
         rows[lams == 0] = family.f0.coeffs
         return rows
-    return np.array(
-        [exponential_series(lam, family.n_terms).coeffs for lam in lams],
-        dtype=np.complex128,
-    ).reshape(-1, family.n_terms)
+    return exponential_rows(lams, family.n_terms)
 
 
 def eigenvalue_of(op, family: EigenFamily, lam):
@@ -167,7 +154,10 @@ def eigenvalue_of(op, family: EigenFamily, lam):
     translate or L_M(lambda) on e^{lambda z} (a = 0); for L(T), L of it.
     Elementwise when ``lam`` is an array."""
     t = op.base if isinstance(op, CompositeOperator) else op
-    mu = _product(t.a, lam) if family.kind == "translate" else t.m.characteristic(lam)
+    if family.kind == "translate":
+        mu = unfused_product(t.a, lam)
+    else:
+        mu = t.m.characteristic(lam)
     return op.eigenvalue(mu) if isinstance(op, CompositeOperator) else mu
 
 

@@ -13,10 +13,11 @@ monomial basis T is stored by its diagonals: superdiagonal k carries
 d_k n (n-1)...(n-k+1) on column n and the subdiagonal carries -a.  L(T)
 is composed from them by Horner's scheme, and a commutator is two
 compositions and a subtraction.  The same numpy code runs on complex128
-arrays and on object arrays of exact Gaussian integers at one power-of-two
-scale: operator and series coefficients are doubles, hence dyadic
-rationals, so commutators and operator powers are formed exactly and
-rounded once.  The rounded core acts on one coefficient vector or on a
+arrays and on exact integer pairs at one power-of-two scale: the real and
+imaginary parts as two rows of Python ints, whose complex multiply-add is
+written out by hand.  Operator and series coefficients are doubles, hence
+dyadic rationals, so commutators and operator powers are formed exactly
+and rounded once.  The rounded core acts on one coefficient vector or on a
 ``(K, N)`` stack of them, row by row with the same bits.
 Truncated-series application (differentiation included),
 monomial matrices, commutators, the ladder check and the direct orbit
@@ -132,51 +133,9 @@ def diff_op(order: int = 1) -> ConvolutionOperator:
 # the tail after every factor, as a fixed-length coefficient vector does.
 
 
-class _Gauss:
-    """Exact Gaussian integer, the element type of the exact core.
-
-    The attribute names match ``int.real`` and ``int.imag``, so the integer
-    zeros that numpy puts in object arrays read the same way.
-    """
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: int, imag: int):
-        self.real = real
-        self.imag = imag
-
-    def __bool__(self):
-        return bool(self.real or self.imag)
-
-    def __neg__(self):
-        return _Gauss(-self.real, -self.imag)
-
-    def __add__(self, other):
-        if not isinstance(other, (int, _Gauss)):
-            return NotImplemented
-        return _Gauss(self.real + other.real, self.imag + other.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, _Gauss)):
-            return NotImplemented
-        return _Gauss(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
-
-    __rmul__ = __mul__
-
-
 def to_gaussian(values):
-    """Gaussian integers G (object array) and e >= 0 with values == G / 2**e.
+    """Integer parts G, a ``(2, n)`` object array of Python ints (row 0
+    real, row 1 imaginary), and e >= 0 with values == (G[0] + i G[1]) / 2**e.
 
     Every double is a dyadic rational, so the conversion is exact.
     """
@@ -187,8 +146,8 @@ def to_gaussian(values):
     ]
     e = max(den.bit_length() for _, den in parts) - 1
     ints = [num << (e + 1 - den.bit_length()) for num, den in parts]
-    out = np.empty(len(ints) // 2, dtype=object)
-    out[:] = [_Gauss(re, im) for re, im in zip(ints[0::2], ints[1::2])]
+    out = np.empty((2, len(ints) // 2), dtype=object)
+    out[0], out[1] = ints[0::2], ints[1::2]
     return out, e
 
 
@@ -226,9 +185,19 @@ def _polynomial_form(op):
     raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
+def _mul_add(acc: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """acc += x * y elementwise; exact operands are ``(2, ...)`` integer
+    parts, multiplied out by hand."""
+    if acc.dtype == object:
+        acc[0] += x[0] * y[0] - x[1] * y[1]
+        acc[1] += x[0] * y[1] + x[1] * y[0]
+    else:
+        acc += x * y
+
+
 def _compose(x: dict, y: dict) -> dict:
     """Section of x y (y applied first)."""
-    size = next(iter(y.values())).size
+    size = next(iter(y.values())).shape[-1]
     out: dict = {}
     for sy, vy in y.items():
         for sx, vx in x.items():
@@ -239,8 +208,8 @@ def _compose(x: dict, y: dict) -> dict:
                 continue
             acc = out.get(sx + sy)
             if acc is None:
-                acc = out[sx + sy] = np.zeros(size, dtype=vy.dtype)
-            acc[lo:hi] += vx[lo - sy : hi - sy] * vy[lo:hi]
+                acc = out[sx + sy] = np.zeros(vy.shape, dtype=vy.dtype)
+            _mul_add(acc[..., lo:hi], vx[..., lo - sy : hi - sy], vy[..., lo:hi])
     return out
 
 
@@ -248,36 +217,38 @@ def _bands(op, size: int, exact: bool):
     """Section of op on z^0..z^{size-1} and its scale exponent e.
 
     The operator equals the section divided by 2**e.  Rounded: complex128
-    values and e = 0.  Exact: Gaussian integers, with T scaled to
+    values and e = 0.  Exact: ``(2, size)`` integer parts, with T scaled to
     T' = 2**s T and 2**(t + s q) L(T) = sum_k (2**t l_k) 2**(s (q-k)) T'^k.
     """
     d, a, l, _ = _polynomial_form(op)
     q = l.size - 1
     if exact:
-        dtype = object
-        coeffs, s = to_gaussian(np.append(d, -a))
-        d, minus_a = coeffs[:-1], coeffs[-1]
-        l, t = to_gaussian(l)
-        l = [c * (1 << (s * (q - k))) for k, c in enumerate(l)]
+        shape, dtype = (2, size), object
+        # each coefficient as a (2, 1) column of integer parts, which
+        # broadcasts along a band
+        g, s = to_gaussian(np.append(d, -a))
+        *d, minus_a = g.T[..., None]
+        g, t = to_gaussian(l)
+        l = [c << (s * (q - k)) for k, c in enumerate(g.T[..., None])]
         scale = t + s * q
     else:
-        dtype = np.complex128
+        shape, dtype = size, np.complex128
         minus_a = -a
         scale = 0
     col = np.arange(size, dtype=object if exact else np.float64)
     base = {}
     fall = np.ones(size, dtype=col.dtype)  # j (j-1) ... (j-k+1)
     for k, dk in enumerate(d):
-        if dk:
+        if np.any(dk):
             base[k] = fall * dk
         fall = fall * (col - k)
-    if minus_a:
-        base[-1] = np.full(size, minus_a, dtype=dtype)
-    section = {0: np.full(size, l[q], dtype=dtype)}
+    if np.any(minus_a):
+        base[-1] = np.full(shape, minus_a, dtype=dtype)
+    section = {0: np.full(shape, l[q], dtype=dtype)}
     for k in range(q - 1, -1, -1):
         section = _compose(base, section)
-        if l[k]:
-            section[0] = section.get(0, np.zeros(size, dtype=dtype)) + l[k]
+        if np.any(l[k]):
+            section[0] = section.get(0, np.zeros(shape, dtype=dtype)) + l[k]
     return section, scale
 
 
@@ -288,7 +259,7 @@ def _act(section: dict, x: np.ndarray) -> np.ndarray:
     out = np.zeros(x.shape, dtype=x.dtype)
     for s, v in section.items():
         lo, hi = max(0, s), size + min(0, s)
-        out[..., lo - s : hi - s] += v[lo:hi] * x[..., lo:hi]
+        _mul_add(out[..., lo - s : hi - s], v[..., lo:hi], x[..., lo:hi])
     return out
 
 
@@ -318,7 +289,8 @@ def exact_power(op, coeffs, n: int):
     """op^n on the fixed-length coefficient vector ``coeffs``, exactly.
 
     The tail beyond ``len(coeffs)`` is dropped after every factor of T.
-    Returns Gaussian integers G and e with the image equal to G / 2**e.
+    Returns integer parts G, a ``(2, len(coeffs))`` object array, and e
+    with the image equal to (G[0] + i G[1]) / 2**e.
     """
     section, scale = _bands(op, len(coeffs), exact=True)
     g, e = to_gaussian(coeffs)
@@ -340,7 +312,7 @@ def matrix_on_monomials(op, n_cap: int) -> np.ndarray:
 def commutator_matrix(op_a, op_b, n_cap: int) -> np.ndarray:
     """Matrix of op_a op_b - op_b op_a on monomials of degree <= n_cap - 1.
 
-    Composed in exact Gaussian-integer arithmetic (the inputs are dyadic
+    Composed in exact integer arithmetic (the inputs are dyadic
     rationals) and rounded once per entry, so algebraic identities like
     [M - a z I, D] = a I come out bit-exact instead of drowning in the
     factorial growth of the intermediate compositions.  One degree is
@@ -355,10 +327,7 @@ def commutator_matrix(op_a, op_b, n_cap: int) -> np.ndarray:
     comm = _compose(sec_a, sec_b)
     for s, v in _compose(sec_b, sec_a).items():
         comm[s] = comm.get(s, 0) - v
-    rounded = {
-        s: from_gaussian([x.real for x in v], [x.imag for x in v], e_a + e_b)
-        for s, v in comm.items()
-    }
+    rounded = {s: from_gaussian(v[0], v[1], e_a + e_b) for s, v in comm.items()}
     return _dense(rounded, rows, n_cap)
 
 

@@ -149,15 +149,13 @@ def direct_power_values(
     each value is rounded once.
     """
     g, e = exact_power(c, f.coeffs, n)
-    z, ez = to_gaussian(pts)
-    z_re = np.array([v.real for v in z], dtype=object)
-    z_im = np.array([v.imag for v in z], dtype=object)
-    acc_re = np.zeros(z.size, dtype=object)
-    acc_im = np.zeros(z.size, dtype=object)
-    for coef in g[::-1]:
+    (z_re, z_im), ez = to_gaussian(pts)
+    acc_re = np.zeros(z_re.size, dtype=object)
+    acc_im = np.zeros(z_re.size, dtype=object)
+    for g_re, g_im in zip(g[0, ::-1], g[1, ::-1]):
         acc_re, acc_im = (
-            ((acc_re * z_re - acc_im * z_im) >> ez) + (coef.real << GUARD_BITS),
-            ((acc_re * z_im + acc_im * z_re) >> ez) + (coef.imag << GUARD_BITS),
+            ((acc_re * z_re - acc_im * z_im) >> ez) + (g_re << GUARD_BITS),
+            ((acc_re * z_im + acc_im * z_re) >> ez) + (g_im << GUARD_BITS),
         )
     return from_gaussian(acc_re, acc_im, e + GUARD_BITS)
 

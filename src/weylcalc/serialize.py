@@ -2,13 +2,15 @@
 
 All floats are rendered with 17 significant digits and all JSON keys are
 sorted, so identical runs produce byte-identical artifacts.  CSV tables
-are passed as columns: float and integer arrays are formatted as whole
-columns (an exact ``+0.0`` is written as ``0`` without the formatter,
-``-0.0`` as ``-0``) and written in blocks of rows.  Every report embeds
-(JSON) or accompanies (CSV) its run manifest, the dict of
-:func:`build_manifest`.  A NaN or infinite value cannot be serialized:
-:class:`~weylcalc.errors.NonFiniteCoefficient`, a result outside the
-double range.
+are passed as columns and written in blocks of rows.  Each block is one
+``uint8`` matrix of cell bytes with one mask of its valid bytes, so no
+Python code runs per row: integer cells are decimal digits by vectorised
+divmod; float cells are ``0`` for an exact ``+0.0``, and only the others
+go through ``.17g`` (``-0.0`` as ``-0``); text cells are encoded one by
+one.  Every report embeds (JSON) or accompanies (CSV) its run manifest,
+the dict of :func:`build_manifest`.  A NaN or infinite value cannot be
+serialized: :class:`~weylcalc.errors.NonFiniteCoefficient`, a result
+outside the double range.
 """
 
 from __future__ import annotations
@@ -212,19 +214,66 @@ def _column(values):
     return [_cell(v) for v in values]
 
 
-def _block_cells(part) -> list:
-    """Text cells of one block of a column from :func:`_column`."""
-    if not isinstance(part, np.ndarray):
-        return part
-    if part.dtype.kind != "f":
-        return [str(v) for v in part.tolist()]
+def _int_cells(part: np.ndarray):
+    """Right-aligned decimal digits of an integer block, by vectorised
+    divmod of the magnitudes as uint64 (which holds that of INT64_MIN)."""
+    neg = part < 0
+    mag = part.astype(np.uint64)
+    mag[neg] = -mag[neg]
+    width = len(str(int(mag.max()))) + bool(neg.any())
+    # built transposed, byte k of every cell in row k, so that each step
+    # writes one contiguous row
+    cells = np.empty((width, part.size), dtype=np.uint8)
+    digits = np.ones(part.size, dtype=np.intp)
+    for k in range(width - 1, -1, -1):
+        mag, cells[k] = np.divmod(mag, np.uint64(10))
+        digits += mag > 0
+    cells += ord("0")
+    length = digits + neg
+    cells[width - length[neg], neg] = ord("-")
+    return cells.T, (np.arange(width)[:, None] >= width - length).T
+
+
+def _float_cells(part: np.ndarray):
+    """Left-aligned ``f"{x:.17g}"`` of a float block."""
     # most cells of a banded matrix are +0.0, whose f"{x:.17g}" is "0";
     # -0.0 goes through the formatter to keep its sign
-    cells = ["0"] * part.size
     idx = np.flatnonzero((part != 0) | np.signbit(part))
-    for i, x in zip(idx.tolist(), part[idx].tolist()):
-        cells[i] = f"{x:.17g}"
-    return cells
+    text = np.array([f"{x:.17g}" for x in part[idx].tolist()], dtype="S")
+    cells = np.zeros((part.size, text.itemsize), dtype=np.uint8)
+    cells[:, 0] = ord("0")
+    if idx.size:
+        cells[idx] = text.view(np.uint8).reshape(idx.size, -1)
+    return cells, cells != 0  # the formatted text holds no NUL byte
+
+
+def _text_cells(part: list):
+    """Left-aligned UTF-8 of text cells; the explicit lengths keep
+    interior and trailing NUL bytes."""
+    raw = [c.encode() for c in part]
+    length = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+    cells = np.array(raw, dtype=f"S{max(int(length.max()), 1)}")
+    cells = cells.view(np.uint8).reshape(len(raw), -1)
+    return cells, (np.arange(cells.shape[1])[:, None] < length).T
+
+
+def _block_bytes(parts) -> bytes:
+    """One block of rows as one byte matrix: the cells of each column,
+    each followed by a comma, the last by a newline, and one mask that
+    keeps the valid bytes in row order."""
+    mats, masks = [], []
+    for part in parts:
+        if not isinstance(part, np.ndarray):
+            cells, mask = _text_cells(part)
+        elif part.dtype.kind == "f":
+            cells, mask = _float_cells(part)
+        else:
+            cells, mask = _int_cells(part)
+        sep = np.full((len(cells), 1), ord(","), dtype=np.uint8)
+        mats += [cells, sep]
+        masks += [mask, np.ones(sep.shape, dtype=bool)]
+    mats[-1][:] = ord("\n")
+    return np.hstack(mats)[np.hstack(masks)].tobytes()
 
 
 def write_csv(path: Path, header: list, columns) -> None:
@@ -237,7 +286,7 @@ def write_csv(path: Path, header: list, columns) -> None:
     else as ``str``).  Every column is checked
     before the file is opened, so a non-finite float raises
     ``NonFiniteCoefficient`` and writes nothing.  Rows go out in blocks of
-    :data:`CSV_BLOCK_ROWS`.
+    :data:`CSV_BLOCK_ROWS`, each formatted as one byte matrix.
     """
     cols = [_column(c) for c in columns]
     if len(cols) != len(header) or len({len(c) for c in cols}) > 1:
@@ -245,11 +294,10 @@ def write_csv(path: Path, header: list, columns) -> None:
                          "all of one length")
     n_rows = len(cols[0]) if cols else 0
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
             for start in range(0, n_rows, CSV_BLOCK_ROWS):
-                block = [_block_cells(c[start:start + CSV_BLOCK_ROWS]) for c in cols]
-                fh.write("".join(",".join(row) + "\n" for row in zip(*block)))
+                fh.write(_block_bytes(c[start:start + CSV_BLOCK_ROWS] for c in cols))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

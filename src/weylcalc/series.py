@@ -85,13 +85,34 @@ def gaussian_series(n_terms: int = DEFAULT_ORDER) -> TaylorSeries:
     return TaylorSeries(c, "exp(0.5*z^2)")
 
 
+def unfused_product(x, y):
+    """Elementwise complex product x * y with every real product rounded
+    on its own, as Python and numpy scalars round it; numpy's array
+    multiply may fuse them, which moves the last bit."""
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    re = x.real * y.real - x.imag * y.imag
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out[()]
+
+
+def exponential_rows(lams, n_terms: int = DEFAULT_ORDER) -> np.ndarray:
+    """Coefficients of exp(lam * z) for a 1-d array of lams, ``(K, N)``,
+    by c[n] = c[n-1] lam / n on every lam at once.  No row is checked
+    finite here."""
+    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+    rows = np.empty((lams.size, n_terms), dtype=np.complex128)
+    rows[:, 0] = 1.0
+    for n in range(1, n_terms):
+        rows[:, n] = unfused_product(rows[:, n - 1], lams) / n
+    return rows
+
+
 def exponential_series(lam: complex, n_terms: int = DEFAULT_ORDER) -> TaylorSeries:
     """Truncation of exp(lam * z)."""
-    c = np.empty(n_terms, dtype=np.complex128)
-    c[0] = 1.0
-    for n in range(1, n_terms):
-        c[n] = c[n - 1] * lam / n
-    return TaylorSeries(c, f"exp({lam}*z)")
+    return TaylorSeries(exponential_rows(lam, n_terms)[0], f"exp({lam}*z)")
 
 
 def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:

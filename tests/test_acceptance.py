@@ -250,12 +250,12 @@ def test_criterion_8_orbit_construction(capsys, gaussian_family):
         )
         disc = row["method_discrepancy"]
         crit.check(
-            disc is None or disc <= 0.1 / 10,
+            disc <= 0.1 / 10,
             f"two-route discrepancy at n={row['n']}: {disc}",
         )
     disc = rows[0]["method_discrepancy"]
     crit.check(
-        disc is not None and disc <= 1e-6,
+        disc <= 1e-6,
         f"two-route discrepancy at n={con.schedule[0]}: {disc}",
     )
     # the paper's operator (5): honest completion, success or diagnostics

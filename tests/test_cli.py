@@ -131,6 +131,18 @@ def test_result_past_the_double_range_exits_1(tmp_path, capsys, argv):
     assert err["error"] == {"type": "NonFiniteCoefficient", "message": message}
 
 
+def test_exponential_family_past_the_double_range_names_lambda(tmp_path, capsys):
+    # a = 0: the exponential rows overflow, and the message names the
+    # largest |lambda| as it does for a translate family
+    argv = ["eigencheck", "--op", '{"d":[[0,0],[1,0]],"a":[0,0]}',
+            "--lam-max", "1e300"]
+    message = ("eigenfunction coefficients at |lambda| up to 1e+300 leave the "
+               "double range")
+    assert _negative_result(argv, tmp_path, capsys) == f"negative result: {message}\n"
+    err = json.loads((tmp_path / "eigencheck_error.json").read_text())
+    assert err["error"] == {"type": "NonFiniteCoefficient", "message": message}
+
+
 def test_outcome_with_an_infinite_diagnostic_exits_1(tmp_path):
     # [Op, D] of a finite matrix overflows to inf: no diagnostic could
     # hold it, so the overflow itself is the outcome.  Run in a process of

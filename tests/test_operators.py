@@ -1,5 +1,7 @@
 """Operator algebra: commutators, ladder, conjugation, decomposition."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from weylcalc.operators import (
     decompose,
     diff_op,
     differentiate,
+    exact_power,
     from_gaussian,
     ladder_check,
     matrix_on_monomials,
@@ -261,3 +264,117 @@ def test_from_gaussian_past_the_double_range_is_a_signed_infinity():
     out = from_gaussian([huge, -huge, 3], [-huge, 0, huge], 1)
     assert np.array_equal(out.real, [np.inf, -np.inf, 1.5])
     assert np.array_equal(out.imag, [-np.inf, 0.0, np.inf])
+
+
+# ---------------------------------------------------------------------------
+# the exact core against a Fraction oracle
+
+
+_ZERO = (Fraction(0), Fraction(0))
+
+
+def _pair(z):
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _oracle_t(d, a, p, keep):
+    """(sum_k d_k D^k - a z) p on exact coefficient pairs, cut to ``keep``
+    coefficients when it is not None."""
+    out = [_ZERO] * (len(p) + 1)
+    minus_a = _pair(-a)
+    for n, c in enumerate(p):
+        fall = 1  # n (n-1) ... (n-k+1)
+        for k, dk in enumerate(d[: n + 1]):
+            out[n - k] = _add(out[n - k], _mul(_pair(dk), (fall * c[0], fall * c[1])))
+            fall *= n - k
+        out[n + 1] = _add(out[n + 1], _mul(minus_a, c))
+    return out if keep is None else out[:keep]
+
+
+def _oracle_apply(spec, p, keep=None):
+    """L(T) p = sum_k l_k T^k p for spec = (d, a, l)."""
+    d, a, l = spec
+    acc, x = [], p
+    for k, lk in enumerate(l):
+        if k:
+            x = _oracle_t(d, a, x, keep)
+        acc += [_ZERO] * (len(x) - len(acc))
+        acc = [_add(s, _mul(_pair(lk), c)) for s, c in zip(acc, x)]
+    return acc
+
+
+def _spec_operator(spec):
+    d, a, l = spec
+    t = WeylOperator(ConvolutionOperator(np.array(d, dtype=np.complex128)), a)
+    return t if l == [0, 1] else CompositeOperator(t, np.array(l, dtype=np.complex128))
+
+
+def _random_values(rng, size):
+    """Complex doubles: short dyadic rationals m / 2**k, some parts exactly
+    zero, mixed with full 53-bit mantissas."""
+    num = rng.integers(-64, 65, (2, size)) * (rng.random((2, size)) < 0.7)
+    short = (num[0] + 1j * num[1]) / 2.0 ** rng.integers(0, 12, size)
+    full = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return np.where(rng.random(size) < 0.5, short, full)
+
+
+def _random_spec(rng, a):
+    order = int(rng.integers(1, 4))
+    d = list(_random_values(rng, order + 1))
+    d[order] = d[order] or 1.0
+    degree = int(rng.integers(1, 3))
+    l = [0, 1] if rng.random() < 0.4 else list(_random_values(rng, degree + 1))
+    return d, a, l
+
+
+def _rounded_bits(exact) -> np.ndarray:
+    """The correctly rounded doubles of exact pairs, as raw bits."""
+    return np.array([complex(float(x), float(y)) for x, y in exact]).view(np.uint64)
+
+
+A_VALUES = [0.75, -1.5, 0.5j, -0.375j, -0.6 + 0.8j, 0.0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("a", A_VALUES)
+def test_commutator_matrix_equals_fraction_oracle(seed, a):
+    rng = np.random.default_rng(seed)
+    spec_a = _random_spec(rng, a)
+    spec_b = _random_spec(rng, complex(_random_values(rng, 1)[0]))
+    n_cap = int(rng.integers(1, 10))
+    comm = commutator_matrix(_spec_operator(spec_a), _spec_operator(spec_b), n_cap)
+    for j in range(n_cap):
+        z_j = [_ZERO] * j + [(Fraction(1), Fraction(0))]
+        ab = _oracle_apply(spec_a, _oracle_apply(spec_b, z_j))
+        ba = _oracle_apply(spec_b, _oracle_apply(spec_a, z_j))
+        col = [(x[0] - y[0], x[1] - y[1]) for x, y in zip(ab, ba, strict=True)]
+        rows = comm.shape[0]
+        assert all(x == (0, 0) for x in col[rows:])  # no row is cut off
+        col = col[:rows] + [_ZERO] * (rows - len(col))
+        assert np.array_equal(np.ascontiguousarray(comm[:, j]).view(np.uint64),
+                              _rounded_bits(col))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_exact_power_equals_fraction_oracle(seed, a, n):
+    rng = np.random.default_rng(100 + seed)
+    spec = _random_spec(rng, a)
+    coeffs = _random_values(rng, int(rng.integers(1, 12)))
+    g, e = exact_power(_spec_operator(spec), coeffs, n)
+    want = [_pair(c) for c in coeffs]
+    for _ in range(n):
+        want = _oracle_apply(spec, want, keep=len(coeffs))
+    assert [(Fraction(x, 1 << e), Fraction(y, 1 << e)) for x, y in zip(*g)] == want
+    assert np.array_equal(from_gaussian(g[0], g[1], e).view(np.uint64),
+                          _rounded_bits(want))

@@ -202,3 +202,53 @@ def test_columns_must_match_the_header(tmp_path):
         write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2]])
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
+
+
+def _reference_csv(header, columns) -> bytes:
+    """The table formatted cell by cell: bools as 1/0, floats as .17g,
+    anything else as ``str``."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lines = [header, *zip(*cols)]
+    return "".join(",".join(map(cell, row)) + "\n" for row in lines).encode()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: cell strategies and array dtypes of the column kinds; "mixed" is a list
+_CELLS = {
+    "int64": (st.one_of(st.sampled_from([-2**63, 2**63 - 1, -1, 0]),
+                        st.integers(-2**63, 2**63 - 1)), np.int64),
+    "uint64": (st.one_of(st.sampled_from([2**64 - 1, 2**64 - 2, 2**63, 0]),
+                         st.integers(0, 2**64 - 1)), np.uint64),
+    "float": (st.one_of(st.sampled_from(EDGE_FLOATS), _FINITE), np.float64),
+    "mixed": (st.one_of(
+        st.sampled_from(["", "\x00", "a\x00", "\x00b\x00", "é", "日本", "inf"]),
+        st.text(), st.booleans(), st.integers(), _FINITE), None),
+}
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    cols = []
+    for kind in kinds:
+        cells, dtype = _CELLS[kind]
+        values = draw(st.lists(cells, min_size=n, max_size=n))
+        cols.append(values if dtype is None else np.array(values, dtype=dtype))
+    return [f"c{i}" for i in range(len(cols))], cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), block=st.integers(1, 7))
+def test_write_csv_equals_cell_by_cell_reference(table, block):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        with mock.patch.object(serialize, "CSV_BLOCK_ROWS", block):
+            write_csv(path, header, columns)
+        assert path.read_bytes() == _reference_csv(header, columns)

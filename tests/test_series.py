@@ -19,6 +19,7 @@ from weylcalc.series import (
     TaylorSeries,
     disk_sup_norm,
     evaluate_grid,
+    exponential_rows,
     exponential_series,
     gaussian_series,
     linear_combine,
@@ -81,6 +82,29 @@ def test_exponential_series_coefficients():
     for n in range(30):
         expected = lam**n / math.factorial(n)
         assert abs(s.coeffs[n] - expected) <= 1e-14 * abs(expected) + 1e-300
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lams=st.lists(
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=6,
+    ),
+    n_terms=st.integers(1, 160),
+)
+def test_exponential_rows_equal_scalar_recurrence(lams, n_terms):
+    # every lambda at once, each row rounded as the numpy-scalar
+    # recurrence c[n] = c[n-1] * lam / n rounds it, zero signs included
+    lams = np.array(lams + [0.0, complex(-0.0, -0.0), 300j], dtype=np.complex128)
+    rows = exponential_rows(lams, n_terms)
+    assert rows.shape == (lams.size, n_terms)
+    for row, lam in zip(rows, lams):
+        c = np.empty(n_terms, dtype=np.complex128)
+        c[0] = 1.0
+        for n in range(1, n_terms):
+            c[n] = c[n - 1] * lam / n
+        assert row.tobytes() == c.tobytes()
 
 
 # ---------------------------------------------------------------------------
