@@ -2,11 +2,11 @@
 
 The two kernels that dominate runtime are the binomial resummation behind
 series translation (one loop of N steps per batch of K shifts, O(K N^2)
-arithmetic) and evaluation of truncated series on collocation grids.
-Both take a batch at once: a 1-d array of shifts, or a ``(K, N)`` matrix
-of coefficient rows.  Each row is formed with the same products summed in
-the same order as a single series, so a batched row holds the same bits
-as the one-at-a-time result.
+arithmetic) and Horner evaluation of truncated series on collocation
+grids, in place.  Both take a batch at once: a 1-d array of shifts, or a
+``(K, N)`` matrix of coefficient rows.  Each row is formed with the same
+products summed in the same order as a single series, so a batched row
+holds the same bits as the one-at-a-time result.
 """
 
 from __future__ import annotations
@@ -43,12 +43,17 @@ def eval_grid(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate truncated series at every point of ``points`` by Horner.
 
     ``(N,)`` coefficients give the ``(P,)`` values; a ``(K, N)`` matrix of
-    coefficient rows gives ``(P, K)``, one column per row.
+    coefficient rows gives ``(P, K)``, one column per row: the transposed
+    view of a ``(K, P)`` buffer that every step updates in place, with the
+    products and sums of one series' loop.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     points = np.ascontiguousarray(points, dtype=np.complex128)
-    x = points if coeffs.ndim == 1 else points[:, None]
-    y = np.zeros(points.shape + coeffs.shape[:-1], dtype=np.complex128)
-    for pv in coeffs.T[::-1]:
-        y = y * x + pv
-    return y
+    y = np.zeros(coeffs.shape[:-1] + points.shape, dtype=np.complex128)
+    # numpy's SIMD loop may fuse a complex product's real products; it skips
+    # one value written in place or broadcast, so one value goes out of place
+    x, out = (points, y) if y.size != 1 else (points.reshape(y.shape), None)
+    for pv in coeffs.T[::-1, ..., None]:
+        y = np.multiply(y, x, out=out)
+        np.add(y, pv, out=y)
+    return y.T

@@ -25,6 +25,7 @@ refused by a finiteness check or by the serializer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -146,6 +147,14 @@ def _write(args, params: dict, inputs, report: str, payload: dict, csv=None) -> 
     return out
 
 
+def _params(args, **fields) -> dict:
+    """Manifest parameters: ``fields`` and the value of every optional flag
+    of the command (``_SUBCOMMANDS``)."""
+    optional = _SUBCOMMANDS[args.command][3]
+    return {**fields, **{k: v for k, v in vars(args).items()
+                         if "--" + k.replace("_", "-") in optional}}
+
+
 def _family_for(t: WeylOperator, order: int) -> EigenFamily:
     if t.a == 0:
         return exponential_family(order)
@@ -174,7 +183,7 @@ def _cmd_kernel(args) -> int:
     basis = kernel_basis(_base_weyl(op), args.terms, disk)
     _write(
         args,
-        {"op": operator_to_dict(op), "terms": args.terms, "radius": args.radius},
+        _params(args, op=operator_to_dict(op)),
         inputs,
         "kernel_basis.json",
         {
@@ -197,7 +206,7 @@ def _cmd_commutator_check(args) -> int:
     rows, cols = np.indices(comm.shape)
     _write(
         args,
-        {"op": operator_to_dict(op), "ncap": args.ncap},
+        _params(args, op=operator_to_dict(op)),
         inputs,
         "commutator_check.json",
         {
@@ -239,13 +248,7 @@ def _cmd_eigencheck(args) -> int:
         msg += f", worst composite residual {worst_comp:.3e}"
     _write(
         args,
-        {
-            "op": operator_to_dict(op),
-            "grid": args.grid,
-            "lam_max": args.lam_max,
-            "order": args.order,
-            "radius": args.radius,
-        },
+        _params(args, op=operator_to_dict(op)),
         inputs,
         "eigencheck.json",
         payload,
@@ -298,15 +301,7 @@ def _cmd_complete_fit(args) -> int:
     csv_name = "residual_curve.csv"
     out = _write(
         args,
-        {
-            "op": operator_to_dict(op),
-            "preset": args.preset,
-            "counts": args.counts,
-            "seed": args.seed,
-            "ridge": args.ridge,
-            "order": args.order,
-            "radius": args.radius,
-        },
+        _params(args, op=operator_to_dict(op)),
         inputs + tinputs,
         "complete_fit.json",
         {"fits": reports},
@@ -364,16 +359,9 @@ def _cmd_construct_orbit(args) -> int:
     per_target = construction.report["per_target"]
     _write(
         args,
-        {
-            "operator": operator_to_dict(comp),
-            "targets": [series_to_dict(q) for q in targets],
-            "radius": problem.radius,
-            "epsilon": problem.epsilon,
-            "lambda_count": args.lambda_count,
-            "margin": args.margin,
-            "ridge": args.ridge,
-            "order": args.order,
-        },
+        _params(args, operator=operator_to_dict(comp),
+                targets=[series_to_dict(q) for q in targets],
+                radius=problem.radius, epsilon=problem.epsilon),
         inputs,
         "orbit.json",
         {
@@ -532,7 +520,9 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="weylcalc",
         description="Numerical calculus for operators T = M - a z I on "

@@ -18,10 +18,10 @@ squares fit of a target in span{f_lambda} over a collocation grid, with
 the residual always re-measured as a true sup norm on a denser
 verification circle (never the regularized objective).  The work that
 does not depend on the target is split off: :func:`completeness_bases`
-builds one :class:`CompletenessBasis` (members, collocation and
-verification matrices, SVD) per lambda set, translating and evaluating
-the distinct lambdas of all the sets once, in one batch, and
-:func:`completeness_fit` solves for one target on a basis.
+builds one :class:`CompletenessBasis` (member rows, collocation and
+verification matrices, SVD) per lambda set, translating the distinct
+lambdas of all the sets in one batch and evaluating them once per distinct
+point, and :func:`completeness_fit` solves for one target on a basis.
 """
 
 from __future__ import annotations
@@ -133,20 +133,27 @@ def eigenfunction(family: EigenFamily, lam: complex) -> TaylorSeries:
     return exponential_series(lam, family.n_terms)
 
 
+def _reach(lams: np.ndarray) -> str:
+    top = np.abs(lams).max(initial=0)
+    return f"at |lambda| up to {top:g} leave the double range"
+
+
 def _member_coeffs(family: EigenFamily, lams: np.ndarray) -> np.ndarray:
     """Coefficient rows of f_lambda for a 1-d array of lambdas, ``(K, N)``.
 
     Row k holds the bits of ``eigenfunction(family, lams[k])``: the
     batched translate for a translate family (f0 itself at lambda = 0),
-    :func:`exponential_rows` for an exponential one.  No row is checked
-    finite here.
+    :func:`exponential_rows` for an exponential one.  A row past the
+    double range is NonFiniteCoefficient.
     """
     lams = np.asarray(lams, dtype=np.complex128)
     if family.kind == "translate":
         rows = translate_kernel(family.f0.coeffs, lams)
         rows[lams == 0] = family.f0.coeffs
-        return rows
-    return exponential_rows(lams, family.n_terms)
+    else:
+        rows = exponential_rows(lams, family.n_terms)
+    _require_finite(rows, f"eigenfunction coefficients {_reach(lams)}")
+    return rows
 
 
 def eigenvalue_of(op, family: EigenFamily, lam):
@@ -179,14 +186,14 @@ def _relation_residuals(op, family: EigenFamily, lam, disk: DiskSpec):
     scalar = np.ndim(lam) == 0
     lams = np.asarray(lam, dtype=np.complex128).reshape(-1)
     rows = _member_coeffs(family, lams)
-    reach = f"at |lambda| up to {np.abs(lams).max():g} leave the double range"
-    _require_finite(rows, f"eigenfunction coefficients {reach}")
     image = truncated_image(op, rows)
     mu = eigenvalue_of(op, family, lams)
     combined = np.zeros(image.shape, dtype=np.complex128)
     combined += image
     combined += -mu[:, None] * rows[:, : image.shape[1]]
-    _require_finite(combined, f"coefficients of op f_lambda - mu f_lambda {reach}")
+    _require_finite(
+        combined, f"coefficients of op f_lambda - mu f_lambda {_reach(lams)}"
+    )
     sup = np.abs(eval_grid(combined, disk.boundary())).max(axis=0)
     return float(sup[0]) if scalar else sup
 
@@ -259,16 +266,17 @@ def collocation_points(disk: DiskSpec) -> np.ndarray:
 class CompletenessBasis:
     """Everything a fit on one lambda set shares across its targets.
 
-    For the disk the basis was built on, ``collocation`` and
-    ``verification`` hold the members' values on ``points`` =
-    ``collocation_points(disk)`` and on the VERIFY_POINTS circle, one
-    column per lambda; ``svd`` is the thin SVD of ``collocation``, or None
-    with the reason in ``svd_failure`` when LAPACK gave up.  The first
-    ``disk.grid_points`` rows of ``collocation`` are ``disk.boundary()``.
+    ``rows`` holds the members' coefficients, one row per lambda.  For the
+    disk the basis was built on, ``collocation`` and ``verification`` hold
+    the members' values on ``points`` = ``collocation_points(disk)`` and
+    on the VERIFY_POINTS circle, one column per lambda; ``svd`` is the thin
+    SVD of ``collocation``, or None with the reason in ``svd_failure`` when
+    LAPACK gave up.  The first ``disk.grid_points`` rows of ``collocation``
+    are ``disk.boundary()``.
     """
 
     lambdas: LambdaSet
-    members: list
+    rows: np.ndarray
     points: np.ndarray
     collocation: np.ndarray
     verify_points: np.ndarray
@@ -283,10 +291,11 @@ def completeness_bases(
     """One :class:`CompletenessBasis` per lambda set, in order.
 
     The distinct lambdas of the union of the sets are turned into their
-    eigenfunctions in one batch and evaluated on each grid in one call, so
-    every lambda is translated and evaluated exactly once; a set's
-    matrices are C-contiguous column gathers of the shared ones, so they
-    hold the same bits as matrices built for that set alone.
+    eigenfunctions in one batch, and evaluated in one call at the distinct
+    points of both grids, told apart by their bits (the boundary circle is
+    every other point of the verification circle); a set's rows and
+    matrices are C-contiguous gathers of the shared ones, so they hold the
+    same bits as those built for that set alone.
     """
     pts = collocation_points(disk)
     verify_pts = DiskSpec(disk.radius, VERIFY_POINTS).boundary()
@@ -298,23 +307,21 @@ def completeness_bases(
             column.setdefault(complex(lam), (len(column), lam))
     lams = np.array([lam for _, lam in column.values()], dtype=np.complex128)
     rows = _member_coeffs(family, lams)
-    members = [TaylorSeries(row) for row in rows]
-    colloc_all = eval_grid(rows, pts)
-    verify_all = eval_grid(rows, verify_pts)
-    for values in (colloc_all, verify_all):
-        # an overflow would reach the SVD as a failure to converge
-        _require_finite(
-            values,
-            f"member values on the disk of radius {disk.radius:g} leave "
-            f"the double range",
-        )
+    grid = np.concatenate([pts, verify_pts])
+    _, first, at = np.unique(grid.view("V16"), return_index=True, return_inverse=True)
+    at_colloc, at_verify = np.split(at, [pts.size])
+    values = eval_grid(rows, grid[first])
+    # an overflow would reach the SVD as a failure to converge
+    _require_finite(values, f"member values on the disk of radius {disk.radius:g} "
+                            "leave the double range")
     bases = []
     for lams in lambda_sets:
         idx = [column[complex(lam)][0] for lam in lams.points]
-        a_mat = np.ascontiguousarray(colloc_all[:, idx])
-        verification = np.ascontiguousarray(verify_all[:, idx])
-        a_mat.setflags(write=False)
-        verification.setflags(write=False)
+        a_mat = np.ascontiguousarray(values[np.ix_(at_colloc, idx)])
+        verification = np.ascontiguousarray(values[np.ix_(at_verify, idx)])
+        set_rows = rows[idx]
+        for matrix in (set_rows, a_mat, verification):
+            matrix.setflags(write=False)
         try:
             svd, failure = np.linalg.svd(a_mat, full_matrices=False), ""
         except np.linalg.LinAlgError as exc:
@@ -322,7 +329,7 @@ def completeness_bases(
         bases.append(
             CompletenessBasis(
                 lambdas=lams,
-                members=[members[i] for i in idx],
+                rows=set_rows,
                 points=pts,
                 collocation=a_mat,
                 verify_points=verify_pts,

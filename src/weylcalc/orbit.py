@@ -287,7 +287,7 @@ def construct_orbit(
         "condition": cond,
     }
     return OrbitConstruction(
-        f=linear_combine(list(zip(x, basis.members))),
+        f=linear_combine(zip(x, map(TaylorSeries, basis.rows))),
         schedule=schedule,
         basis=basis,
         eigenvalues=mu,

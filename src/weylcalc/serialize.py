@@ -16,6 +16,8 @@ outside the double range.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
 import reprlib
 import sys
@@ -38,38 +40,34 @@ WORKDIR_ENV = "WEYLCALC_WORKDIR"
 
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise NonFiniteCoefficient(f"non-finite value {x} cannot be serialized")
     return f"{x:.17g}"
 
 
 def stable_json_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    """Deterministic JSON text: sorted keys, fixed float formatting.  The
+    exact types a report is made of are dispatched first."""
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is list:
+        return "[" + ", ".join([stable_json_dumps(v) for v in obj]) + "]"
+    if kind is dict:
+        items = [f'"{k}": {stable_json_dumps(obj[k])}' for k in sorted(obj, key=str)]
+        return "{" + ", ".join(items) + "}"
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        import json
-
-        return json.dumps(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [stable_json_dumps(v) for v in obj]
-        return "[" + ", ".join(items) + "]"
+        return stable_json_dumps(list(obj))
     if isinstance(obj, dict):
-        items = [
-            f'"{k}": {stable_json_dumps(obj[k])}'
-            for k in sorted(obj, key=str)
-        ]
-        return "{" + ", ".join(items) + "}"
+        return stable_json_dumps({k: obj[k] for k in obj})
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import weylcalc.cli
 import weylcalc.eigen
 import weylcalc.series
 from weylcalc.cli import COUNTS_MAX, GRID_MAX, LAMBDA_COUNT_MAX, ORDER_MAX, main
@@ -867,3 +869,34 @@ def test_cli_fuzz_exit_codes(command, data):
             code = main(head + flags + ["--outdir", outdir])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # a usage error, two complete-fits (the second back on the defaults the
+    # first overrode) and a kernel through the one cached parser; each call
+    # writes what it writes through a parser built for it alone
+    calls = [
+        ["complete-fit", "--nonsense"],
+        ["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
+         "--preset", "random", "--counts", "5,7", "--seed", "3", "--ridge", "0"],
+        ["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS],
+        ["kernel", "--op", D_MINUS_Z, "--terms", "12"],
+    ]
+
+    def run(i, argv):
+        outdir = tmp_path / str(i)
+        code = main(argv + ["--outdir", str(outdir)])
+        written = {p.name: p.read_bytes() for p in sorted(outdir.glob("*"))}
+        shutil.rmtree(outdir, ignore_errors=True)
+        return code, written, capsys.readouterr()
+
+    cached = [run(i, argv) for i, argv in enumerate(calls)]
+    assert weylcalc.cli._build_parser() is weylcalc.cli._build_parser()
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0]
+    assert all(written for _, written, _ in cached[1:])
+    params = json.loads(cached[2][1]["complete_fit.json"])["manifest"]["parameters"]
+    assert (params["preset"], params["counts"], params["seed"], params["ridge"]) == (
+        "inverse", [5, 10, 20, 40], 0, 1e-10)
+    for i, argv in enumerate(calls):
+        weylcalc.cli._build_parser.cache_clear()
+        assert run(i, argv) == cached[i]

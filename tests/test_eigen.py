@@ -23,7 +23,9 @@ from weylcalc.eigen import (
     random_disk_lambdas,
     segment_lambdas,
 )
-from weylcalc.errors import KernelResidualTooLarge
+import weylcalc.eigen
+from weylcalc.accel import eval_grid
+from weylcalc.errors import KernelResidualTooLarge, NonFiniteCoefficient
 from weylcalc.kernel_solver import kernel_basis
 from weylcalc.operators import (
     CompositeOperator,
@@ -100,6 +102,11 @@ def test_eigenvalue_of_translate_family(gaussian_family):
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.float64)
+
+
+def _raw(a):
+    # the sign of a zero counts
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @pytest.mark.parametrize("kind", ["translate", "exponential"])
@@ -288,7 +295,7 @@ def _basis_alone(family, lams, disk=UNIT_DISK):
     a_mat = np.column_stack([evaluate_grid(s, pts) for s in members])
     return CompletenessBasis(
         lambdas=lams,
-        members=members,
+        rows=np.array([s.coeffs for s in members]),
         points=pts,
         collocation=a_mat,
         verify_points=verify_pts,
@@ -315,10 +322,13 @@ def test_fit_on_shared_basis_equals_fit_on_own_basis(
     sets = [preset(count) for count in (5, 10, 20, 40, 5)]
     bases = completeness_bases(family, sets)
     assert len(bases) == len(sets)
-    assert len({id(m) for basis in bases for m in basis.members}) == 40
+    assert len({row.tobytes() for basis in bases for row in basis.rows}) == 40
     targets = [make_series([0.0, 0.0, 1.0]), make_series([0.5, 0.0, 0.0, 1.0])]
     for lams, shared in zip(sets, bases):
         alone = _basis_alone(family, lams)
+        for name in ("rows", "collocation", "verification"):
+            assert not getattr(shared, name).flags.writeable
+            assert np.array_equal(_raw(getattr(shared, name)), _raw(getattr(alone, name)))
         for target in targets:
             fit_shared = completeness_fit(shared, target, ridge)
             fit_alone = completeness_fit(alone, target, ridge)
@@ -326,3 +336,39 @@ def test_fit_on_shared_basis_equals_fit_on_own_basis(
             assert fit_shared.residual_norm == fit_alone.residual_norm
             assert fit_shared.condition_diag == fit_alone.condition_diag
             assert fit_shared.ridge == fit_alone.ridge
+
+
+@pytest.mark.parametrize("kind", ["translate", "exponential"])
+def test_bases_equal_evaluation_on_each_grid(gaussian_family, kind):
+    # the boundary circle is every other point of the verification circle,
+    # and each point is evaluated once; each matrix still holds the bits
+    # of an evaluation on its own grid
+    family = gaussian_family[1] if kind == "translate" else exponential_family()
+    sets = [inverse_integer_lambdas(5), random_disk_lambdas(7, seed=2)]
+    for basis in completeness_bases(family, sets, DiskSpec(1.5, 64)):
+        for values, pts in ((basis.collocation, basis.points),
+                            (basis.verification, basis.verify_points)):
+            assert np.array_equal(_raw(values), _raw(eval_grid(basis.rows, pts)))
+
+
+def test_bases_never_merge_points_of_different_bits(gaussian_family, monkeypatch):
+    # +0.0 and -0.0 in either part are one value but four points: a member
+    # with a -0.0 constant term has values of different bits there
+    rows = np.array([[complex(-0.0, -0.0), -1.0, 0.5], [1.0, 2.0, 3.0]])
+    zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
+    monkeypatch.setattr(weylcalc.eigen, "collocation_points",
+                        lambda disk: np.concatenate([zeros, disk.boundary()]))
+    monkeypatch.setattr(weylcalc.eigen, "_member_coeffs", lambda family, lams: rows)
+    [basis] = completeness_bases(gaussian_family[1], [LambdaSet([1.0, 2.0])])
+    expected = eval_grid(rows, basis.points)
+    assert len({v.tobytes() for v in expected[:4, 0]}) > 1
+    assert np.array_equal(_raw(basis.collocation), _raw(expected))
+
+
+def test_bases_name_the_lambda_of_a_member_past_the_double_range():
+    # the CLI turns numpy's warnings off, as here
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteCoefficient) as exc:
+        completeness_bases(exponential_family(), [LambdaSet([0.5, 1e300])])
+    assert str(exc.value) == (
+        "eigenfunction coefficients at |lambda| up to 1e+300 leave the double range"
+    )

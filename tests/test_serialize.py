@@ -1,6 +1,8 @@
 """Bit-stable serialization, operator specs and manifests."""
 
+import json
 import tempfile
+from collections import OrderedDict
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylcalc import serialize
-from weylcalc.errors import MalformedSpec, ZeroOperator
+from weylcalc.errors import MalformedSpec, NonFiniteCoefficient, ZeroOperator
 from weylcalc.operators import CompositeOperator, WeylOperator, diff_op
 from weylcalc.serialize import (
     build_manifest,
@@ -36,6 +38,87 @@ def test_stable_json_complex_as_pair():
 def test_stable_json_rejects_non_finite():
     with pytest.raises(ValueError):
         stable_json_dumps(float("nan"))
+
+
+def _fmt_float_reference(x: float) -> str:
+    # the formatter as it was before the exact-type dispatch, the reference
+    if x != x or x in (float("inf"), float("-inf")):
+        raise NonFiniteCoefficient(f"non-finite value {x} cannot be serialized")
+    return f"{x:.17g}"
+
+
+def _dumps_reference(obj) -> str:
+    # the isinstance chain as it was before the exact-type dispatch
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float_reference(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"[{_fmt_float_reference(obj.real)}, {_fmt_float_reference(obj.imag)}]"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [_dumps_reference(v) for v in obj]
+        return "[" + ", ".join(items) + "]"
+    if isinstance(obj, dict):
+        items = [f'"{k}": {_dumps_reference(obj[k])}' for k in sorted(obj, key=str)]
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _outcome(dumps, obj):
+    try:
+        return dumps(obj)
+    except Exception as exc:  # both functions must fail alike
+        return type(exc), str(exc)
+
+
+class _FloatSubclass(float):
+    pass
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # nan and the infinities included
+    st.text(),
+    st.complex_numbers(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.complex_numbers().map(np.complex128),
+    st.booleans().map(np.bool_),  # refused by both
+    st.floats().map(_FloatSubclass),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers()), inner, max_size=5),
+        st.dictionaries(st.integers(0, 3), inner, max_size=3).map(OrderedDict),
+        st.lists(st.floats(), max_size=5).map(np.array),
+        st.lists(st.complex_numbers(), max_size=5).map(np.array),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({"b": [0.1, -0.0, 1e300, 5e-324], "a": {"x": None, 1: True}})
+@example([float("nan")])
+@example(np.float64(-0.0))
+@example(OrderedDict([(1, "int key"), ("1", "str key")]))  # keys of one str
+def test_stable_json_equals_the_isinstance_chain(obj):
+    assert _outcome(stable_json_dumps, obj) == _outcome(_dumps_reference, obj)
 
 
 def test_series_round_trip():
