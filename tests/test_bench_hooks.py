@@ -1,16 +1,18 @@
 """The package still serves what the benchmark reaches into it for.
 
 ``bench/tracing.py`` wraps the functions in its ``TRACED`` table by
-(module, attribute), and ``bench/run.py`` reports ``accel.backend()`` in
-its environment block; a rename or deletion in the package would break
-the benchmark without failing any other test.  The benchmark counts a
-failure on a problem it marks ``known_fault`` as expected, so the orbit
-problems are also checked here, marks or not.
+(module, attribute) and reads some of their arguments by name and
+position, and ``bench/run.py`` reports ``accel.backend()`` in its
+environment block; a rename, deletion or signature change in the
+package would break the benchmark without failing any other test.  The
+benchmark counts a failure on a problem it marks ``known_fault`` as
+expected, so the orbit problems are also checked here, marks or not.
 """
 
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import sys
 from pathlib import Path
@@ -40,6 +42,28 @@ def _bench_module(name: str):
 def test_benchmark_hook_resolves(target):
     module, attr = target
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+#: the arguments ``Tracer._record`` in bench/tracing.py reads, by name and
+#: position: (module, function) -> {parameter: position}
+_READ_ARGUMENTS = {
+    ("weylcalc.orbit", "direct_power_values"): {"f": 1, "n": 2},
+    ("weylcalc.series", "translate"): {"f": 0, "lam": 1},
+    ("weylcalc.serialize", "write_csv"): {"path": 0},
+    ("weylcalc.serialize", "write_report"): {"path": 0},
+    ("weylcalc.serialize", "write_manifest_sidecar"): {"path": 0},
+}
+
+
+@pytest.mark.parametrize("target", sorted(_READ_ARGUMENTS),
+                         ids=lambda t: f"{t[0]}.{t[1]}")
+def test_benchmark_reads_arguments_where_they_are(target):
+    module, attr = target
+    wanted = _READ_ARGUMENTS[target]
+    assert target in _bench_module("tracing").TRACED.values()
+    fn = getattr(importlib.import_module(module), attr)
+    params = list(inspect.signature(fn).parameters)
+    assert {name: params.index(name) for name in wanted if name in params} == wanted
 
 
 _ORBIT_OPS = _bench_module("workloads").orbit_ops(0)

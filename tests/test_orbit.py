@@ -3,10 +3,14 @@
 import dataclasses
 import json
 import math
+import random
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weylcalc.eigen
 import weylcalc.orbit
@@ -31,8 +35,12 @@ from weylcalc.operators import (
     WeylOperator,
     apply_composite,
     diff_op,
+    exact_power,
+    from_gaussian,
+    to_gaussian,
 )
 from weylcalc.orbit import (
+    GUARD_BITS,
     SCHEDULE_CAP,
     SEARCH_RADIUS_CAP,
     OrbitProblem,
@@ -337,6 +345,213 @@ def test_direct_route_past_the_double_range_names_the_iterate(setting):
     with pytest.raises(NonFiniteCoefficient) as exc:
         verify_orbit(huge, problem)
     assert str(exc.value) == "direct route at n = 5 leaves the double range"
+
+
+# ---------------------------------------------------------------------------
+# the direct route's two stages: every value is the fixed-point Horner's
+
+
+def _horner_reference(g, e, pts):
+    """sum_k g_k z^k / 2^e by the direct route's fixed-point Horner alone,
+    on every point: a copy kept here as the reference for both stages."""
+    (z_re, z_im), ez = to_gaussian(pts)
+    acc_re = np.zeros(z_re.size, dtype=object)
+    acc_im = np.zeros(z_re.size, dtype=object)
+    for g_re, g_im in zip(g[0, ::-1], g[1, ::-1]):
+        acc_re, acc_im = (
+            ((acc_re * z_re - acc_im * z_im) >> ez) + (g_re << GUARD_BITS),
+            ((acc_re * z_im + acc_im * z_re) >> ez) + (g_im << GUARD_BITS),
+        )
+    return from_gaussian(acc_re, acc_im, e + GUARD_BITS)
+
+
+def _direct_values(g, e, pts):
+    """direct_power_values where A^n f has the exact coefficients g / 2^e."""
+    with mock.patch.object(weylcalc.orbit, "exact_power", lambda c, coeffs, n: (g, e)):
+        return direct_power_values(None, make_series([0.0]), 0, pts)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+def _gaussian_ints(rng, n_coeffs, e, magnitude, decay):
+    """(2, n_coeffs) Python ints with |g_k| / 2^e about 2^(magnitude -
+    decay k), random in every bit below that, a few of them zero."""
+    g = np.zeros((2, n_coeffs), dtype=object)
+    for k in range(n_coeffs):
+        bits = e + magnitude - int(decay * k)
+        for part in (0, 1):
+            if bits >= 0 and rng.random() > 0.1:
+                g[part, k] = rng.randrange(-(2**bits), 2**bits + 1)
+    return g
+
+
+def _points(rng, kind, radius):
+    if kind == "circle":  # the verification circle
+        return DiskSpec(radius, 128).boundary()
+    if kind == "axis":
+        scales = [radius * rng.random() for _ in range(8)] + [radius, 0.0, -0.0]
+        return np.array([s * u for s in scales for u in (1, -1, 1j, -1j)])
+    return np.array([complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+                     for _ in range(64)])
+
+
+def _exact_values(g, e, pts):
+    """The exact p(z) = sum_k g_k z^k / 2^e at each point as Fraction
+    parts, by integer Horner on z = Z / 2^ez."""
+    (z_re, z_im), ez = to_gaussian(pts)
+    n_coeffs = g.shape[1]
+    acc_re = np.zeros(z_re.size, dtype=object)
+    acc_im = np.zeros(z_re.size, dtype=object)
+    for k in range(n_coeffs - 1, -1, -1):
+        shift = ez * (n_coeffs - 1 - k)
+        acc_re, acc_im = (
+            acc_re * z_re - acc_im * z_im + (g[0, k] << shift),
+            acc_re * z_im + acc_im * z_re + (g[1, k] << shift),
+        )
+    den = 1 << (e + ez * (n_coeffs - 1))
+    return [(Fraction(x, den), Fraction(y, den)) for x, y in zip(acc_re, acc_im)]
+
+
+_COEFFICIENTS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_coeffs=st.sampled_from([1, 2, 17, 128]),
+    decay=st.floats(0.0, 8.0),
+    radius=st.floats(0.5, 3.0),
+    kind=st.sampled_from(["circle", "axis", "random"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=st.integers(0, 1200), magnitude=st.integers(-1100, 1030), **_COEFFICIENTS)
+def test_direct_values_are_the_fixed_point_horners(seed, n_coeffs, e, magnitude,
+                                                    decay, radius, kind):
+    # from the subnormal range to past the double range, stage 1 decides
+    # what it can and the fixed-point Horner the rest, bit for bit as the
+    # Horner alone; the sign of a zero counts
+    rng = random.Random(seed)
+    g = _gaussian_ints(rng, n_coeffs, e, magnitude, decay)
+    pts = _points(rng, kind, radius)
+    want = _horner_reference(g, e, pts)
+    assert np.array_equal(_bits(_direct_values(g, e, pts)), _bits(want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(e=st.integers(0, 300), magnitude=st.integers(-60, 60), **_COEFFICIENTS)
+def test_stage_one_is_within_its_bound(seed, n_coeffs, e, magnitude, decay, radius,
+                                       kind):
+    # |h + l - p(z)| <= beta in each part, against the exact value
+    rng = random.Random(seed)
+    g = _gaussian_ints(rng, n_coeffs, e, magnitude, decay)
+    pts = _points(rng, kind, radius)
+    (h, l), beta, delta = weylcalc.orbit._double_double_values(g, e, pts)
+    assert np.all(delta >= 0)
+    for j, exact in enumerate(_exact_values(g, e, pts)):
+        for part in (0, 1):
+            error = Fraction(h[part, j]) + Fraction(l[part, j]) - exact[part]
+            assert abs(error) <= Fraction(beta[j])
+
+
+@pytest.mark.parametrize("coeffs, e, z, want", [
+    # 1 + 2^-53, half way between 1 and 1 + 2^-52: to even, 1
+    ([2**53 + 1], 53, 0.5, 1.0),
+    # 1 + 3 2^-53, half way up from 1 + 2^-52: to even, 1 + 2^-51
+    ([2**53 + 3], 53, 0.5, 1.0 + 2.0**-51),
+    # the tie as a sum, 1 + 2^-53 z at z = 1
+    ([2**53, 1], 53, 1.0, 1.0),
+    # 2^-106 above the tie: up, though stage 1 cannot tell
+    ([2**106 + 2**53 + 1], 106, 0.5, 1.0 + 2.0**-52),
+    # 2^-106 below the tie: down
+    ([2**106 + 2**53 - 1], 106, 0.5, 1.0),
+    # 1 + 3x is 2^-70 above the tie, and the Horner's floor of 3x 2^64
+    # takes exactly that off: to even, 1, where 1 + 3x itself rounds up
+    ([1, 3], 0, float((Fraction(1, 2**53) + Fraction(1, 2**70)) / 3), 1.0),
+], ids=["constant", "constant-odd", "sum", "above", "below", "floored"])
+@pytest.mark.parametrize("n_coeffs", [2, 17, 128])
+def test_a_tie_is_left_to_the_fixed_point_horner(coeffs, e, z, want, n_coeffs):
+    # the real part sits on a tie of the rounding or within 2^-70 of one;
+    # the imaginary part, 1, is plainly decided
+    g = np.zeros((2, n_coeffs), dtype=object)
+    g[0, :len(coeffs)] = coeffs
+    g[1, 0] = 1 << e
+    pts = np.array([z])
+    (h, l), beta, delta = weylcalc.orbit._double_double_values(g, e, pts)
+    decided = weylcalc.orbit._decided(h, l, beta + delta)
+    assert decided.tolist() == [[False], [True]]
+    got = _direct_values(g, e, pts)
+    assert np.array_equal(_bits(got), _bits(_horner_reference(g, e, pts)))
+    assert np.array_equal(_bits(got), _bits([complex(want, 1.0)]))
+
+
+@pytest.mark.parametrize("g_re, e, want", [
+    (0, 10, 0.0),  # every coefficient zero: +0.0
+    (-1, 1200, -0.0),  # -2^-1200 rounds to -0.0
+    (1, 1074, 2.0**-1074),  # the least subnormal
+], ids=["zero", "negative-zero", "subnormal"])
+def test_values_that_are_not_normal_come_from_stage_two(g_re, e, want):
+    g = np.zeros((2, 17), dtype=object)
+    g[0, 0] = g_re
+    pts = DiskSpec(1.0, 128).boundary()
+    got = _direct_values(g, e, pts)
+    assert np.array_equal(_bits(got), _bits(_horner_reference(g, e, pts)))
+    assert np.array_equal(got.real.view(np.uint64), np.full(128, want).view(np.uint64))
+
+
+@pytest.mark.parametrize("case", ["past-the-double-range", "near-overflow",
+                                  "huge-points"])
+def test_stage_one_steps_aside_without_a_warning(case):
+    # coefficients or powers too large for stage 1: every point goes to
+    # the fixed-point Horner, and nothing overflows on the way
+    rng, e = random.Random(7), 10
+    n_coeffs, magnitude, radius = {
+        "past-the-double-range": (128, 1030, 1.0),
+        "near-overflow": (2, 1000, 1.0),
+        "huge-points": (128, 0, 1e10),
+    }[case]
+    g = _gaussian_ints(rng, n_coeffs, e, magnitude, 0.0)
+    pts = DiskSpec(radius, 128).boundary()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert weylcalc.orbit._double_double_values(g, e, pts) is None
+        got = _direct_values(g, e, pts)
+    assert np.array_equal(_bits(got), _bits(_horner_reference(g, e, pts)))
+
+
+def test_stage_one_underflows_without_a_warning():
+    # coefficients near 2^-1000 on radius 3: products underflow inside
+    # stage 1, which raises nothing and rounds no value wrongly
+    rng = random.Random(11)
+    g, e = _gaussian_ints(rng, 128, 1100, -1000, 0.5), 1100
+    pts = DiskSpec(3.0, 128).boundary()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert weylcalc.orbit._double_double_values(g, e, pts) is not None
+        got = _direct_values(g, e, pts)
+    assert np.array_equal(_bits(got), _bits(_horner_reference(g, e, pts)))
+
+
+def test_stage_one_decides_most_points_of_the_readme_instance(setting, monkeypatch):
+    # at every scheduled iterate at most 10 % of the verification points
+    # reach the fixed-point Horner, and the values are its own
+    _, family, ident, _ = setting
+    targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
+    problem = OrbitProblem(ident, family, targets, radius=1.0, epsilon=0.1)
+    con = construct_orbit(problem)
+    pts = con.basis.verify_points
+    assert pts.size == 128
+    stage_two = weylcalc.orbit._fixed_point_values
+    sizes = []
+
+    def counted(g, e, some):
+        sizes.append(some.size)
+        return stage_two(g, e, some)
+
+    monkeypatch.setattr(weylcalc.orbit, "_fixed_point_values", counted)
+    for n in con.schedule:
+        sizes.clear()
+        got = direct_power_values(ident, con.f, n, pts)
+        assert sum(sizes) <= 0.1 * pts.size
+        want = _horner_reference(*exact_power(ident, con.f.coeffs, n), pts)
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_tampered_weights_are_detected(setting):
