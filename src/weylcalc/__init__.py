@@ -43,7 +43,6 @@ from .eigen import (
     composite_eigencheck,
     eigen_residual,
     eigenfunction,
-    family_from_kernel,
 )
 from .orbit import (
     OrbitConstruction,
@@ -88,7 +87,6 @@ __all__ = [
     "composite_eigencheck",
     "eigen_residual",
     "eigenfunction",
-    "family_from_kernel",
     "OrbitConstruction",
     "OrbitProblem",
     "construct_orbit",

@@ -40,8 +40,6 @@ from .eigen import (
     completeness_fit,
     composite_eigencheck,
     eigen_residual,
-    exponential_family,
-    family_from_kernel,
     inverse_integer_lambdas,
     random_disk_lambdas,
     segment_lambdas,
@@ -58,7 +56,6 @@ from .kernel_solver import kernel_basis
 from .operators import (
     N_CAP_MAX,
     CompositeOperator,
-    WeylOperator,
     commutator_matrix,
     decompose,
     diff_op,
@@ -155,16 +152,6 @@ def _params(args, **fields) -> dict:
                          if "--" + k.replace("_", "-") in optional}}
 
 
-def _family_for(t: WeylOperator, order: int) -> EigenFamily:
-    if t.a == 0:
-        return exponential_family(order)
-    return family_from_kernel(t, kernel_basis(t, order).solutions[0])
-
-
-def _base_weyl(op) -> WeylOperator:
-    return op.base if isinstance(op, CompositeOperator) else op
-
-
 def _square_grid(grid: int, lam_max: float) -> np.ndarray:
     """grid x grid Cartesian points inside |lambda| <= lam_max."""
     half = lam_max / np.sqrt(2.0)
@@ -180,7 +167,8 @@ def _square_grid(grid: int, lam_max: float) -> np.ndarray:
 def _cmd_kernel(args) -> int:
     op, inputs = _operator(args)
     disk = DiskSpec(args.radius, 64)
-    basis = kernel_basis(_base_weyl(op), args.terms, disk)
+    t = op.base if isinstance(op, CompositeOperator) else op
+    basis = kernel_basis(t, args.terms, disk)
     _write(
         args,
         _params(args, op=operator_to_dict(op)),
@@ -225,11 +213,10 @@ def _cmd_commutator_check(args) -> int:
 
 def _cmd_eigencheck(args) -> int:
     op, inputs = _operator(args)
-    t = _base_weyl(op)
     disk = DiskSpec(args.radius, 64)
-    family = _family_for(t, args.order)
+    family = EigenFamily(op, args.order)
     lams = _square_grid(args.grid, args.lam_max)
-    residuals = eigen_residual(t, family, lams, disk)
+    residuals = eigen_residual(family, lams, disk)
     worst_eigen = float(residuals.max())
     payload = {
         "family_kind": family.kind,
@@ -240,7 +227,7 @@ def _cmd_eigencheck(args) -> int:
     columns = [lams.real, lams.imag, residuals]
     msg = f"eigen-relation: worst residual {worst_eigen:.3e} over {len(lams)} points"
     if isinstance(op, CompositeOperator):
-        comp_residuals = composite_eigencheck(op, family, lams, disk)
+        comp_residuals = composite_eigencheck(family, lams, disk)
         worst_comp = float(comp_residuals.max())
         payload["worst_composite_residual"] = worst_comp
         header.append("composite_residual")
@@ -273,7 +260,7 @@ def _cmd_complete_fit(args) -> int:
         raise MalformedSpec("--targets: expected a non-empty JSON list of series")
     targets = [series_from_dict(d) for d in tdoc]
     disk = DiskSpec(args.radius, 64)
-    family = _family_for(_base_weyl(op), args.order)
+    family = EigenFamily(op, args.order)
     bases = completeness_bases(
         family,
         [_PRESETS[args.preset](count, args.seed) for count in args.counts],
@@ -345,8 +332,7 @@ def _cmd_construct_orbit(args) -> int:
             f"--lambda-count: {args.lambda_count} lambda points for each of "
             f"{len(targets)} targets exceed the cap of {LAMBDA_COUNT_MAX} in all"
         )
-    family = _family_for(comp.base, args.order)
-    problem = OrbitProblem(comp, family, targets, **{
+    problem = OrbitProblem(EigenFamily(comp, args.order), targets, **{
         k: v for k, v in doc.items() if k in ("radius", "epsilon")})
     construction = construct_orbit(
         problem,

@@ -1,17 +1,21 @@
-"""Translate eigenfunctions and completeness experiments.
+"""Eigenfunctions of a Weyl operator and completeness experiments.
 
-For f0 in ker T and T = M - a z I with a != 0, the shifted copies
-f_lambda(z) = f0(z + lambda) satisfy T f_lambda = a lambda f_lambda.  For
-a = 0 the operator is a convolution operator and the exponentials
-e^{lambda z} take over with eigenvalue L(lambda), L the characteristic
-polynomial of M.  A polynomial L(T) has eigenvalue L(mu) at an
-eigenfunction of T with eigenvalue mu.  :func:`eigenvalue_of` is the one
-map from lambda to the eigenvalue, of T or of L(T); the eigen-relation
-checks and the orbit constructor all read it.  Like it, the eigen-relation
-checks :func:`eigen_residual` and :func:`composite_eigencheck` take a
-scalar lambda or a 1-d array of them: an array's members are built,
-acted on and evaluated in one batch, each residual with the bits of its
-one-at-a-time value.
+An :class:`EigenFamily` is worked out from its operator alone: T = M - a z
+I, or a polynomial L(T).  For a != 0 the kernel generator f0 of T (the
+first solution of :func:`~weylcalc.kernel_solver.kernel_basis`) gives the
+shifted copies f_lambda(z) = f0(z + lambda), with T f_lambda = a lambda
+f_lambda.  For a = 0 the operator is a convolution operator and the
+exponentials e^{lambda z} take over with eigenvalue L(lambda), L the
+characteristic polynomial of M.  A polynomial L(T) has eigenvalue L(mu) at
+an eigenfunction of T with eigenvalue mu.  :func:`eigenvalue_of` is the
+one map from lambda to the eigenvalue, of T or of L(T), and
+:func:`_member_coeffs` the one builder of the members' coefficients; the
+eigen-relation checks, the completeness bases and the orbit constructor
+all read them.  The checks :func:`eigen_residual` (of T) and
+:func:`composite_eigencheck` (of the family's operator) take a scalar
+lambda or a 1-d array of them: an array's members are built, acted on and
+evaluated in one batch, each residual with the bits of its one-at-a-time
+value.
 
 The completeness side is probed numerically: a ridge-regularized least
 squares fit of a target in span{f_lambda} over a collocation grid, with
@@ -26,7 +30,7 @@ point, and :func:`completeness_fit` solves for one target on a basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .errors import (
     NonFiniteCoefficient,
     SingularSystem,
 )
-from .kernel_solver import kernel_residual
+from .kernel_solver import kernel_basis
 from .operators import (
     KERNEL_MEMBERSHIP_TOL,
     CompositeOperator,
@@ -51,8 +55,6 @@ from .series import (
     UNIT_DISK,
     evaluate_grid,
     exponential_rows,
-    exponential_series,
-    translate,
     unfused_product,
 )
 
@@ -64,23 +66,45 @@ RIDGE_MAX = 1e-4
 VERIFY_POINTS = 128
 
 
-@dataclass(frozen=True)
-class EigenFamily:
-    """Eigenfunction family of a Weyl operator, given by its generator.
+def _weyl(op) -> WeylOperator:
+    """The Weyl operator T of op = T or L(T)."""
+    return op.base if isinstance(op, CompositeOperator) else op
 
-    A kernel generator ``f0`` (a != 0) gives the translate family
-    f0(z + lambda); ``f0`` None (a = 0) gives the exponential family of
-    e^{lambda z} truncations of ``n_terms`` coefficients, by default
-    series.DEFAULT_ORDER.
+
+@dataclass(frozen=True, eq=False)
+class EigenFamily:
+    """The eigenfunctions f_lambda of ``op`` = T or L(T), truncated to
+    ``n_terms`` coefficients, worked out from T alone.
+
+    For a != 0 they are the translates f0(z + lambda) of ``f0``, the first
+    solution of ``kernel_basis(t, n_terms)``; KernelResidualTooLarge when
+    its residual exceeds KERNEL_MEMBERSHIP_TOL.  For a = 0 they are the
+    exponentials e^{lambda z}, and ``f0`` is None.
     """
 
-    f0: TaylorSeries | None
+    op: WeylOperator | CompositeOperator
     n_terms: int = DEFAULT_ORDER
+    f0: TaylorSeries | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.kind == "translate":
+            basis = kernel_basis(self.t, self.n_terms)
+            if basis.residuals[0] > KERNEL_MEMBERSHIP_TOL:
+                raise KernelResidualTooLarge(
+                    f"generator kernel residual {basis.residuals[0]:.3e} exceeds "
+                    f"{KERNEL_MEMBERSHIP_TOL:.1e}"
+                )
+            object.__setattr__(self, "f0", basis.solutions[0])
+
+    @property
+    def t(self) -> WeylOperator:
+        """The Weyl operator T of ``op``."""
+        return _weyl(self.op)
 
     @property
     def kind(self) -> str:
-        """'translate' when there is a generator f0, else 'exponential'."""
-        return "translate" if self.f0 is not None else "exponential"
+        """'translate' when a != 0, else 'exponential'."""
+        return "translate" if self.t.a != 0 else "exponential"
 
 
 @dataclass(frozen=True)
@@ -110,27 +134,9 @@ class FitReport:
     ridge: float
 
 
-def family_from_kernel(t: WeylOperator, f0: TaylorSeries) -> EigenFamily:
-    """Validated translate family for a != 0: the unit-disk kernel residual
-    of f0 must not exceed KERNEL_MEMBERSHIP_TOL."""
-    res = kernel_residual(t, f0)
-    if res > KERNEL_MEMBERSHIP_TOL:
-        raise KernelResidualTooLarge(
-            f"generator kernel residual {res:.3e} exceeds "
-            f"{KERNEL_MEMBERSHIP_TOL:.1e}"
-        )
-    return EigenFamily(f0)
-
-
-def exponential_family(n_terms: int = DEFAULT_ORDER) -> EigenFamily:
-    """a = 0 family of exponential eigenfunctions."""
-    return EigenFamily(None, n_terms)
-
-
 def eigenfunction(family: EigenFamily, lam: complex) -> TaylorSeries:
-    if family.kind == "translate":
-        return translate(family.f0, lam)
-    return exponential_series(lam, family.n_terms)
+    """f_lambda: the row of :func:`_member_coeffs` at ``lam``."""
+    return TaylorSeries(_member_coeffs(family, [lam])[0])
 
 
 def _reach(lams: np.ndarray) -> str:
@@ -141,10 +147,11 @@ def _reach(lams: np.ndarray) -> str:
 def _member_coeffs(family: EigenFamily, lams: np.ndarray) -> np.ndarray:
     """Coefficient rows of f_lambda for a 1-d array of lambdas, ``(K, N)``.
 
-    Row k holds the bits of ``eigenfunction(family, lams[k])``: the
-    batched translate for a translate family (f0 itself at lambda = 0),
-    :func:`exponential_rows` for an exponential one.  A row past the
-    double range is NonFiniteCoefficient.
+    The batched translate of f0 for a translate family (f0 itself at
+    lambda = 0), :func:`exponential_rows` for an exponential one; row k
+    holds the bits of ``translate(family.f0, lams[k])``, or of the
+    exponential built alone.  A row past the double range is
+    NonFiniteCoefficient.
     """
     lams = np.asarray(lams, dtype=np.complex128)
     if family.kind == "translate":
@@ -156,15 +163,12 @@ def _member_coeffs(family: EigenFamily, lams: np.ndarray) -> np.ndarray:
     return rows
 
 
-def eigenvalue_of(op, family: EigenFamily, lam):
+def eigenvalue_of(op, lam):
     """Eigenvalue of op = T or L(T) at f_lambda: for T, a*lambda on a
-    translate or L_M(lambda) on e^{lambda z} (a = 0); for L(T), L of it.
-    Elementwise when ``lam`` is an array."""
-    t = op.base if isinstance(op, CompositeOperator) else op
-    if family.kind == "translate":
-        mu = unfused_product(t.a, lam)
-    else:
-        mu = t.m.characteristic(lam)
+    translate (a != 0) or L_M(lambda) on e^{lambda z} (a = 0); for L(T),
+    L of it.  Elementwise when ``lam`` is an array."""
+    t = _weyl(op)
+    mu = unfused_product(t.a, lam) if t.a != 0 else t.m.characteristic(lam)
     return op.eigenvalue(mu) if isinstance(op, CompositeOperator) else mu
 
 
@@ -174,9 +178,9 @@ def _require_finite(values: np.ndarray, message: str) -> None:
         raise NonFiniteCoefficient(message)
 
 
-def _relation_residuals(op, family: EigenFamily, lam, disk: DiskSpec):
-    """Sup norms on the disk of op f_lambda - mu f_lambda, mu the
-    eigenvalue of op at f_lambda, for every lambda at once.
+def _relation_residuals(family: EigenFamily, op, lam, disk: DiskSpec):
+    """Sup norms on the disk of op f_lambda - mu f_lambda, op = family.t or
+    family.op and mu its eigenvalue at f_lambda, for every lambda at once.
 
     The member rows are built in one batch, acted on by the banded core
     and combined as ``linear_combine([(1.0, op f), (-mu, f)])`` combines
@@ -187,7 +191,7 @@ def _relation_residuals(op, family: EigenFamily, lam, disk: DiskSpec):
     lams = np.asarray(lam, dtype=np.complex128).reshape(-1)
     rows = _member_coeffs(family, lams)
     image = truncated_image(op, rows)
-    mu = eigenvalue_of(op, family, lams)
+    mu = eigenvalue_of(op, lams)
     combined = np.zeros(image.shape, dtype=np.complex128)
     combined += image
     combined += -mu[:, None] * rows[:, : image.shape[1]]
@@ -199,25 +203,19 @@ def _relation_residuals(op, family: EigenFamily, lam, disk: DiskSpec):
 
 
 def eigen_residual(
-    t: WeylOperator,
-    family: EigenFamily,
-    lam,
-    disk: DiskSpec = UNIT_DISK,
+    family: EigenFamily, lam, disk: DiskSpec = UNIT_DISK
 ) -> float | np.ndarray:
-    """Sup norm of T f_lambda - mu f_lambda on the disk; elementwise when
-    ``lam`` is an array."""
-    return _relation_residuals(t, family, lam, disk)
+    """Sup norm of T f_lambda - mu f_lambda on the disk, T = family.t;
+    elementwise when ``lam`` is an array."""
+    return _relation_residuals(family, family.t, lam, disk)
 
 
 def composite_eigencheck(
-    c: CompositeOperator,
-    family: EigenFamily,
-    lam,
-    disk: DiskSpec = UNIT_DISK,
+    family: EigenFamily, lam, disk: DiskSpec = UNIT_DISK
 ) -> float | np.ndarray:
-    """Sup norm of L(T) f_lambda - L(mu) f_lambda on the disk; elementwise
-    when ``lam`` is an array."""
-    return _relation_residuals(c, family, lam, disk)
+    """Sup norm of L(T) f_lambda - L(mu) f_lambda on the disk, L(T) =
+    family.op; elementwise when ``lam`` is an array."""
+    return _relation_residuals(family, family.op, lam, disk)
 
 
 # ---------------------------------------------------------------------------

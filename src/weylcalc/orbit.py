@@ -1,8 +1,9 @@
 """Explicit approximate orbit construction for A = L(T).
 
-Given polynomial targets q_1..q_m, the constructor produces a truncated
-series f and a schedule n_1 < ... < n_m such that A^{n_j} f approximates
-q_j on a disk.  f is one coordinate vector x over an expanding lambda set
+An :class:`OrbitProblem` is the eigenfamily of A and the targets.  Given
+polynomial targets q_1..q_m, the constructor produces a truncated series
+f and a schedule n_1 < ... < n_m such that A^{n_j} f approximates q_j on
+a disk.  f is one coordinate vector x over an expanding lambda set
 Lambda,
 
     f = sum_i x_i f_{lambda_i},
@@ -95,16 +96,16 @@ STACKED_MAX = 1e150
 
 @dataclass(frozen=True)
 class OrbitProblem:
-    """Targets-and-budget statement for the orbit constructor."""
+    """Targets-and-budget statement for the orbit constructor; A = L(T) is
+    ``family.op``."""
 
-    operator: CompositeOperator
     family: EigenFamily
     targets: list
     radius: float = 1.0
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.operator.poly_degree < 1:
+        if self.family.op.poly_degree < 1:
             raise MalformedSpec("L must be non-constant")
         for name in ("radius", "epsilon"):
             value = getattr(self, name)
@@ -187,16 +188,20 @@ def _fixed_point_values(g: np.ndarray, e: int, pts: np.ndarray) -> np.ndarray:
     """sum_k g_k z^k / 2^e at ``pts`` by Horner in fixed point, GUARD_BITS
     below 2^-e, each value rounded once.  Every step floors each part of
     acc z, so before it is rounded the result is within delta = sqrt(2)
-    sum_{j < N - 1} |z|^j 2^-(e + GUARD_BITS) of the exact sum."""
+    sum_{j < N - 1} |z|^j 2^-(e + GUARD_BITS) of the exact sum.  Each
+    point runs on its own, in plain Python ints."""
     (z_re, z_im), ez = to_gaussian(pts)
-    acc_re = np.zeros(z_re.size, dtype=object)
-    acc_im = np.zeros(z_re.size, dtype=object)
-    for g_re, g_im in zip(g[0, ::-1], g[1, ::-1]):
-        acc_re, acc_im = (
-            ((acc_re * z_re - acc_im * z_im) >> ez) + (g_re << GUARD_BITS),
-            ((acc_re * z_im + acc_im * z_re) >> ez) + (g_im << GUARD_BITS),
-        )
-    return from_gaussian(acc_re, acc_im, e + GUARD_BITS)
+    terms = [(g_re << GUARD_BITS, g_im << GUARD_BITS)
+             for g_re, g_im in zip(g[0, ::-1].tolist(), g[1, ::-1].tolist())]
+    sums_re, sums_im = [], []
+    for zr, zi in zip(z_re.tolist(), z_im.tolist()):
+        acc_re = acc_im = 0
+        for g_re, g_im in terms:
+            acc_re, acc_im = (((acc_re * zr - acc_im * zi) >> ez) + g_re,
+                              ((acc_re * zi + acc_im * zr) >> ez) + g_im)
+        sums_re.append(acc_re)
+        sums_im.append(acc_im)
+    return from_gaussian(sums_re, sums_im, e + GUARD_BITS)
 
 
 def _decided(h: np.ndarray, l: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -444,7 +449,7 @@ def _amplitudes(coords: np.ndarray, mu: np.ndarray, n: int) -> np.ndarray:
 
 
 def select_expanding_lambdas(
-    c: CompositeOperator, count: int, margin: float, family: EigenFamily
+    c: CompositeOperator, count: int, margin: float
 ) -> LambdaSet:
     """``count`` points where the eigenvalue of c has modulus >= 1 + margin,
     one per equispaced ray.
@@ -465,7 +470,7 @@ def select_expanding_lambdas(
 
     def reached(r) -> np.ndarray:
         # np.hypot rounds |mu| as abs() does on a Python complex
-        mu = eigenvalue_of(c, family, r * directions)
+        mu = eigenvalue_of(c, r * directions)
         return np.hypot(mu.real, mu.imag) >= level
 
     lo = np.zeros(count)
@@ -507,13 +512,12 @@ def construct_orbit(
     every target within epsilon/2 on the verification circle is kept
     (ScheduleOverflow when none does).
     """
-    c = problem.operator
     family = problem.family
     targets = problem.targets
     m_targets = len(targets)
     budget = problem.epsilon / 2
-    lambdas = select_expanding_lambdas(c, lambda_count * m_targets, margin, family)
-    mu = eigenvalue_of(c, family, lambdas.points)
+    lambdas = select_expanding_lambdas(family.op, lambda_count * m_targets, margin)
+    mu = eigenvalue_of(family.op, lambdas.points)
     [basis] = completeness_bases(family, [lambdas], DiskSpec(problem.radius, 64))
 
     fit_residuals = []
@@ -592,7 +596,7 @@ def verify_orbit(construction: OrbitConstruction, problem: OrbitProblem) -> list
     data, not judgements.  A direct route whose values leave the double
     range raises NonFiniteCoefficient.
     """
-    c = problem.operator
+    c = problem.family.op
     mu = construction.eigenvalues
     basis = construction.basis
     verify_pts = basis.verify_points

@@ -110,11 +110,6 @@ def exponential_rows(lams, n_terms: int = DEFAULT_ORDER) -> np.ndarray:
     return rows
 
 
-def exponential_series(lam: complex, n_terms: int = DEFAULT_ORDER) -> TaylorSeries:
-    """Truncation of exp(lam * z)."""
-    return TaylorSeries(exponential_rows(lam, n_terms)[0], f"exp({lam}*z)")
-
-
 def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:
     """Shifted series f(z + lam) by binomial resummation."""
     lam = complex(lam)

@@ -15,11 +15,11 @@ import pytest
 from conftest import random_weyl_operators, unit_disk_complex
 from weylcalc.cli import main as cli_main
 from weylcalc.eigen import (
+    EigenFamily,
     completeness_bases,
     completeness_fit,
     composite_eigencheck,
     eigen_residual,
-    family_from_kernel,
     inverse_integer_lambdas,
 )
 from weylcalc.errors import NotWeyl
@@ -53,7 +53,7 @@ TARGETS_JSON = (
 @pytest.fixture(scope="module")
 def gaussian_family():
     t = WeylOperator(diff_op(1), 1.0)
-    return t, family_from_kernel(t, gaussian_series(128))
+    return t, EigenFamily(t)
 
 
 class _Criterion:
@@ -157,14 +157,14 @@ def test_criterion_4_ladder_identity(capsys):
 def test_criterion_5_eigen_relation(capsys, gaussian_family):
     crit = _Criterion(5, "eigen-relation", 10.0, capsys)
     t, family = gaussian_family
-    comp = CompositeOperator(t, np.array([0.0, 1.0, 1.0]))
+    comp = EigenFamily(CompositeOperator(t, np.array([0.0, 1.0, 1.0])))
     axis = np.linspace(-2 / np.sqrt(2), 2 / np.sqrt(2), 5)
     worst_e = worst_c = 0.0
     for x in axis:
         for y in axis:
             lam = complex(x, y)
-            worst_e = max(worst_e, eigen_residual(t, family, lam))
-            worst_c = max(worst_c, composite_eigencheck(comp, family, lam))
+            worst_e = max(worst_e, eigen_residual(family, lam))
+            worst_c = max(worst_c, composite_eigencheck(comp, lam))
     crit.check(worst_e <= 1e-6, f"eigen residual {worst_e:.2e}")
     crit.check(worst_c <= 1e-5, f"composite residual {worst_c:.2e}")
     crit.finish()
@@ -232,10 +232,10 @@ def test_criterion_7_completeness_curve(capsys, gaussian_family, tmp_path):
 
 def test_criterion_8_orbit_construction(capsys, gaussian_family):
     crit = _Criterion(8, "orbit construction", 300.0, capsys)
-    t, family = gaussian_family
+    t, _ = gaussian_family
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
-    ident = CompositeOperator(t, np.array([0.0, 1.0]))
-    problem = OrbitProblem(ident, family, targets, radius=1.0, epsilon=0.1)
+    ident = EigenFamily(CompositeOperator(t, np.array([0.0, 1.0])))
+    problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
     for row in con.report["per_target"]:
         crit.check(
@@ -259,8 +259,8 @@ def test_criterion_8_orbit_construction(capsys, gaussian_family):
         f"two-route discrepancy at n={con.schedule[0]}: {disc}",
     )
     # the paper's operator (5): honest completion, success or diagnostics
-    quad = CompositeOperator(t, np.array([0.0, 1.0, 1.0]))
-    problem_q = OrbitProblem(quad, family, targets, radius=1.0, epsilon=0.1)
+    quad = EigenFamily(CompositeOperator(t, np.array([0.0, 1.0, 1.0])))
+    problem_q = OrbitProblem(quad, targets, radius=1.0, epsilon=0.1)
     try:
         con_q = construct_orbit(problem_q)
         for row in con_q.report["per_target"]:

@@ -1,5 +1,7 @@
 """Translate eigenfunctions and completeness fits."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,6 @@ from weylcalc.eigen import (
     eigen_residual,
     eigenfunction,
     eigenvalue_of,
-    exponential_family,
-    family_from_kernel,
     inverse_integer_lambdas,
     random_disk_lambdas,
     segment_lambdas,
@@ -26,7 +26,6 @@ from weylcalc.eigen import (
 import weylcalc.eigen
 from weylcalc.accel import eval_grid
 from weylcalc.errors import KernelResidualTooLarge, NonFiniteCoefficient
-from weylcalc.kernel_solver import kernel_basis
 from weylcalc.operators import (
     CompositeOperator,
     ConvolutionOperator,
@@ -35,11 +34,17 @@ from weylcalc.operators import (
     apply_weyl,
     diff_op,
 )
+from weylcalc.orbit import (
+    LAMBDA_COUNT_DEFAULT,
+    MARGIN_DEFAULT,
+    select_expanding_lambdas,
+)
 from weylcalc.series import (
     UNIT_DISK,
     DiskSpec,
     disk_sup_norm,
     evaluate_grid,
+    exponential_rows,
     gaussian_series,
     linear_combine,
     make_series,
@@ -50,7 +55,19 @@ from weylcalc.series import (
 @pytest.fixture(scope="module")
 def gaussian_family():
     t = WeylOperator(diff_op(1), 1.0)
-    return t, family_from_kernel(t, gaussian_series(128))
+    return t, EigenFamily(t)
+
+
+#: the a = 0 family of D
+_EXPONENTIAL = EigenFamily(WeylOperator(diff_op(1), 0.0))
+
+
+def _member(family, lam):
+    """f_lambda built on its own, by the one-lambda translate or the
+    exponential recurrence, not by the batched builder."""
+    if family.kind == "translate":
+        return translate(family.f0, lam)
+    return make_series(exponential_rows([lam], family.n_terms)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -58,46 +75,73 @@ def gaussian_family():
 
 
 def test_family_rejects_non_kernel_generator():
-    t = WeylOperator(diff_op(1), 1.0)
-    with pytest.raises(KernelResidualTooLarge):
-        family_from_kernel(t, make_series([1.0] * 64))
+    # the recurrence's f0 for D - 60 zI rounds to a residual of 1.5e-2 (a
+    # short truncation is no such case: the truncated T f0 vanishes exactly)
+    with pytest.raises(KernelResidualTooLarge, match="generator kernel residual"):
+        EigenFamily(WeylOperator(diff_op(1), 60.0))
+
+
+@pytest.mark.parametrize("lams", [
+    inverse_integer_lambdas(40).points,
+    segment_lambdas(40).points,
+    select_expanding_lambdas(
+        CompositeOperator(WeylOperator(diff_op(1), 1.0), np.array([0.0, 1.0])),
+        2 * LAMBDA_COUNT_DEFAULT, MARGIN_DEFAULT).points,
+], ids=["inverse", "segment", "orbit"])
+def test_family_of_d_minus_z_is_the_closed_form_gaussian(lams):
+    # f0 is worked out from T, and its rows are those of exp(z^2/2) shifted
+    family = EigenFamily(WeylOperator(diff_op(1), 1.0))
+    assert family.kind == "translate"
+    rows = _member_coeffs(family, lams)
+    for row, lam in zip(rows, lams):
+        want = translate(gaussian_series(128), lam).coeffs
+        assert np.array_equal(_raw(row), _raw(want))
+        assert np.array_equal(_raw(eigenfunction(family, lam).coeffs), _raw(want))
+
+
+def test_family_kind_follows_from_a():
+    conv = WeylOperator(ConvolutionOperator([0.3, -1.0, 0.5j]), 0.0)
+    for op in (conv, CompositeOperator(conv, np.array([0.5, 1.0]))):
+        family = EigenFamily(op, 16)
+        assert (family.kind, family.f0) == ("exponential", None)
+        assert family.op is op and family.t is conv
 
 
 def test_translate_eigen_relation_grid(gaussian_family):
     # T f_lambda = a lambda f_lambda over a 5x5 grid with |lambda| <= 2
-    t, family = gaussian_family
+    _, family = gaussian_family
     axis = np.linspace(-2 / np.sqrt(2), 2 / np.sqrt(2), 5)
     worst = 0.0
     for x in axis:
         for y in axis:
-            worst = max(worst, eigen_residual(t, family, complex(x, y)))
+            worst = max(worst, eigen_residual(family, complex(x, y)))
     assert worst <= 1e-6
 
 
 def test_composite_eigen_relation_grid(gaussian_family):
     # L(T) f_lambda = L(a lambda) f_lambda with L(l) = l^2 + l
-    t, family = gaussian_family
-    c = CompositeOperator(t, np.array([0.0, 1.0, 1.0]))
+    t, _ = gaussian_family
+    family = EigenFamily(CompositeOperator(t, np.array([0.0, 1.0, 1.0])))
     axis = np.linspace(-2 / np.sqrt(2), 2 / np.sqrt(2), 5)
     worst = 0.0
     for x in axis:
         for y in axis:
-            worst = max(worst, composite_eigencheck(c, family, complex(x, y)))
+            worst = max(worst, composite_eigencheck(family, complex(x, y)))
     assert worst <= 1e-5
 
 
 def test_exponential_family_for_convolution_operator():
     # a = 0: D e^{lambda z} = lambda e^{lambda z}, eigenvalue L(lambda)
     t = WeylOperator(diff_op(1), 0.0)
-    family = exponential_family(96)
+    family = EigenFamily(t, 96)
     for lam in (0.5, -0.3 + 0.7j):
-        assert eigenvalue_of(t, family, lam) == pytest.approx(lam)
-        assert eigen_residual(t, family, lam) <= 1e-8
+        assert eigenvalue_of(t, lam) == pytest.approx(lam)
+        assert eigen_residual(family, lam) <= 1e-8
 
 
 def test_eigenvalue_of_translate_family(gaussian_family):
-    t, family = gaussian_family
-    assert eigenvalue_of(t, family, 1.5j) == pytest.approx(1.5j)
+    t, _ = gaussian_family
+    assert eigenvalue_of(t, 1.5j) == pytest.approx(1.5j)
 
 
 def _bits(a):
@@ -115,32 +159,29 @@ def test_eigenvalue_of_an_array_equals_each_lambda(kind):
     # product differently from a scalar one
     t = WeylOperator(diff_op(1) if kind == "translate" else diff_op(2),
                      0.6 - 0.8j if kind == "translate" else 0.0)
-    family = (EigenFamily(f0=gaussian_series(8)) if kind == "translate"
-              else exponential_family(16))
     rng = np.random.default_rng(3)
     lams = 4 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
     for op in (t, CompositeOperator(t, np.array([0.0, 1.0, 0.5 + 0.25j]))):
-        batch = eigenvalue_of(op, family, lams)
-        each = np.array([eigenvalue_of(op, family, complex(lam)) for lam in lams])
+        batch = eigenvalue_of(op, lams)
+        each = np.array([eigenvalue_of(op, complex(lam)) for lam in lams])
         assert np.array_equal(_bits(batch), _bits(each))
 
 
 def _relation_settings():
-    """(op, check, apply, family) for every kind of eigen-relation check."""
+    """(family, check, apply) for every kind of eigen-relation check; the
+    check acts by the family's operator."""
     t1 = WeylOperator(diff_op(1), 1.0)
-    gaussian = family_from_kernel(t1, gaussian_series(128))
-    t2 = WeylOperator(diff_op(2), -1j)
     conv = WeylOperator(ConvolutionOperator([0.3, -1.0, 0.5j]), 0.0)
     return {
-        "D - zI": (t1, eigen_residual, apply_weyl, gaussian),
-        "D^2 + izI": (t2, eigen_residual, apply_weyl,
-                      family_from_kernel(t2, kernel_basis(t2, 128).solutions[0])),
-        "L = T + T^2": (CompositeOperator(t1, np.array([0.0, 1.0, 1.0])),
-                        composite_eigencheck, apply_composite, gaussian),
-        "exponential": (conv, eigen_residual, apply_weyl, exponential_family(96)),
-        "exponential, L(T)": (CompositeOperator(conv, np.array([0.5, 1.0, 1.0j])),
-                              composite_eigencheck, apply_composite,
-                              exponential_family(96)),
+        "D - zI": (EigenFamily(t1), eigen_residual, apply_weyl),
+        "D^2 + izI": (EigenFamily(WeylOperator(diff_op(2), -1j)),
+                      eigen_residual, apply_weyl),
+        "L = T + T^2": (EigenFamily(CompositeOperator(t1, np.array([0.0, 1.0, 1.0]))),
+                        composite_eigencheck, apply_composite),
+        "exponential": (EigenFamily(conv, 96), eigen_residual, apply_weyl),
+        "exponential, L(T)": (
+            EigenFamily(CompositeOperator(conv, np.array([0.5, 1.0, 1.0j])), 96),
+            composite_eigencheck, apply_composite),
     }
 
 
@@ -148,19 +189,20 @@ def _relation_settings():
 def test_eigen_checks_on_an_array_equal_each_lambda(case):
     # the batch holds the bits of the residual built per lambda from the
     # public pieces, lambda = 0 (f0 itself) included
-    op, check, apply, family = _relation_settings()[case]
+    family, check, apply = _relation_settings()[case]
+    op = family.op
     axis = np.linspace(-2 / np.sqrt(2), 2 / np.sqrt(2), 7)
     lams = np.append((axis[None, :] + 1j * axis[:, None]).ravel(), 0.0)
     each = []
     for lam in lams:
-        f_lam = eigenfunction(family, lam)
-        mu = eigenvalue_of(op, family, lam)
+        f_lam = _member(family, lam)
+        mu = eigenvalue_of(op, lam)
         each.append(disk_sup_norm(
             linear_combine([(1.0, apply(op, f_lam)), (-mu, f_lam)])))
-    batch = check(op, family, lams)
+    batch = check(family, lams)
     assert batch.shape == lams.shape
     assert np.array_equal(batch, np.array(each))
-    single = check(op, family, lams[3])
+    single = check(family, lams[3])
     assert type(single) is float
     assert single == each[3]
 
@@ -182,10 +224,11 @@ shift_lists = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(coeff_lists, shift_lists)
 def test_translate_rows_equal_per_lambda_translate(coeffs, lams):
-    # the lambda = 0 row is f0 itself, as translate returns it
+    # the lambda = 0 row is f0 itself, as translate returns it; the builder
+    # reads only the kind and f0 of a family, so any f0 stands in here
     f0 = make_series(coeffs)
     lams = np.array(lams + [0.0], dtype=np.complex128)
-    rows = _member_coeffs(EigenFamily(f0=f0), lams)
+    rows = _member_coeffs(SimpleNamespace(kind="translate", f0=f0), lams)
     assert rows.shape == (lams.size, len(coeffs))
     for row, lam in zip(rows, lams):
         assert np.array_equal(_bits(row), _bits(translate(f0, lam).coeffs))
@@ -271,7 +314,7 @@ def test_fit_report_residual_is_true_sup_norm(gaussian_family):
     fit = completeness_fit(completeness_bases(family, [lams])[0], target)
     pts = DiskSpec(1.0, 128).boundary()
     fitted = sum(
-        w * evaluate_grid(eigenfunction(family, lam), pts)
+        w * evaluate_grid(_member(family, lam), pts)
         for w, lam in zip(fit.weights, lams.points)
     )
     resid = np.abs(fitted - evaluate_grid(target, pts)).max()
@@ -289,7 +332,7 @@ def test_fit_condition_diagnostic_positive(gaussian_family):
 
 def _basis_alone(family, lams, disk=UNIT_DISK):
     """Basis of one lambda set built column by column, sharing nothing."""
-    members = [eigenfunction(family, lam) for lam in lams.points]
+    members = [_member(family, lam) for lam in lams.points]
     pts = collocation_points(disk)
     verify_pts = DiskSpec(disk.radius, VERIFY_POINTS).boundary()
     a_mat = np.column_stack([evaluate_grid(s, pts) for s in members])
@@ -318,7 +361,7 @@ def test_fit_on_shared_basis_equals_fit_on_own_basis(
 ):
     # a basis built from several lambda sets gives the same bits as one
     # built for its set alone; the duplicated count 5 gets its own basis
-    family = gaussian_family[1] if kind == "translate" else exponential_family()
+    family = gaussian_family[1] if kind == "translate" else _EXPONENTIAL
     sets = [preset(count) for count in (5, 10, 20, 40, 5)]
     bases = completeness_bases(family, sets)
     assert len(bases) == len(sets)
@@ -343,7 +386,7 @@ def test_bases_equal_evaluation_on_each_grid(gaussian_family, kind):
     # the boundary circle is every other point of the verification circle,
     # and each point is evaluated once; each matrix still holds the bits
     # of an evaluation on its own grid
-    family = gaussian_family[1] if kind == "translate" else exponential_family()
+    family = gaussian_family[1] if kind == "translate" else _EXPONENTIAL
     sets = [inverse_integer_lambdas(5), random_disk_lambdas(7, seed=2)]
     for basis in completeness_bases(family, sets, DiskSpec(1.5, 64)):
         for values, pts in ((basis.collocation, basis.points),
@@ -368,7 +411,7 @@ def test_bases_never_merge_points_of_different_bits(gaussian_family, monkeypatch
 def test_bases_name_the_lambda_of_a_member_past_the_double_range():
     # the CLI turns numpy's warnings off, as here
     with np.errstate(all="ignore"), pytest.raises(NonFiniteCoefficient) as exc:
-        completeness_bases(exponential_family(), [LambdaSet([0.5, 1e300])])
+        completeness_bases(_EXPONENTIAL, [LambdaSet([0.5, 1e300])])
     assert str(exc.value) == (
         "eigenfunction coefficients at |lambda| up to 1e+300 leave the double range"
     )

@@ -15,13 +15,7 @@ from hypothesis import given, settings, strategies as st
 import weylcalc.eigen
 import weylcalc.orbit
 from weylcalc.cli import main
-from weylcalc.eigen import (
-    EigenFamily,
-    eigenfunction,
-    eigenvalue_of,
-    exponential_family,
-    family_from_kernel,
-)
+from weylcalc.eigen import EigenFamily, eigenfunction, eigenvalue_of
 from weylcalc.errors import (
     BudgetExceeded,
     MalformedSpec,
@@ -31,7 +25,6 @@ from weylcalc.errors import (
 )
 from weylcalc.operators import (
     CompositeOperator,
-    ConvolutionOperator,
     WeylOperator,
     apply_composite,
     diff_op,
@@ -50,22 +43,16 @@ from weylcalc.orbit import (
     targets_met,
     verify_orbit,
 )
-from weylcalc.series import (
-    DiskSpec,
-    evaluate_grid,
-    gaussian_series,
-    linear_combine,
-    make_series,
-)
+from weylcalc.series import DiskSpec, evaluate_grid, linear_combine, make_series
 
 
 @pytest.fixture(scope="module")
 def setting():
+    """The families of L(T) = T and L(T) = T + T^2, T = D - zI."""
     t = WeylOperator(diff_op(1), 1.0)
-    family = family_from_kernel(t, gaussian_series(128))
-    ident = CompositeOperator(t, np.array([0.0, 1.0]))
-    quad = CompositeOperator(t, np.array([0.0, 1.0, 1.0]))
-    return t, family, ident, quad
+    ident = EigenFamily(CompositeOperator(t, np.array([0.0, 1.0])))
+    quad = EigenFamily(CompositeOperator(t, np.array([0.0, 1.0, 1.0])))
+    return ident, quad
 
 
 # ---------------------------------------------------------------------------
@@ -73,17 +60,17 @@ def setting():
 
 
 def test_selected_lambdas_sit_on_level_set(setting):
-    _, family, _, quad = setting
-    lams = select_expanding_lambdas(quad, 12, margin=1.0, family=family)
-    mags = np.array([abs(eigenvalue_of(quad, family, lam)) for lam in lams.points])
+    _, quad = setting
+    lams = select_expanding_lambdas(quad.op, 12, margin=1.0)
+    mags = np.array([abs(eigenvalue_of(quad.op, lam)) for lam in lams.points])
     assert np.all(mags >= 2.0)
     # bisection clusters the points near the level set
     assert np.all(mags <= 2.0 * 1.01)
 
 
 def test_select_respects_count_and_distinctness(setting):
-    _, family, ident, _ = setting
-    lams = select_expanding_lambdas(ident, 7, margin=0.5, family=family)
+    ident, _ = setting
+    lams = select_expanding_lambdas(ident.op, 7, margin=0.5)
     assert len(lams) == 7
     assert np.unique(lams.points).size == 7
 
@@ -91,21 +78,21 @@ def test_select_respects_count_and_distinctness(setting):
 def test_search_exhausted_beyond_the_radius_cap(setting):
     # L = T has |mu| = |lambda|; the last radius marched below
     # SEARCH_RADIUS_CAP = 64 is 0.05 * 1.25^32 = 63.1, short of 1 + 63
-    _, family, ident, _ = setting
+    ident, _ = setting
     with pytest.raises(SearchExhausted, match="on ray 0/4"):
-        select_expanding_lambdas(ident, 4, margin=63.0, family=family)
+        select_expanding_lambdas(ident.op, 4, margin=63.0)
 
 
 def test_search_exhausted_names_the_first_failing_ray(setting):
     # |lambda + lambda^2| >= 3950 needs r = 62.4 on ray 0, about 62.8 on
     # rays 1 and 3, and r = 63.4 on ray 2 (lambda = -r), past the last
     # radius marched below SEARCH_RADIUS_CAP = 64, 0.05 * 1.25^32 = 63.1
-    _, family, _, quad = setting
+    _, quad = setting
     with pytest.raises(SearchExhausted, match="on ray 2/4"):
-        select_expanding_lambdas(quad, 4, margin=3949.0, family=family)
+        select_expanding_lambdas(quad.op, 4, margin=3949.0)
 
 
-def _select_ray_by_ray(c, count, margin, family):
+def _select_ray_by_ray(c, count, margin):
     # every ray marched and bisected on its own, in Python complex scalars
     level = 1.0 + margin
     points = []
@@ -114,13 +101,13 @@ def _select_ray_by_ray(c, count, margin, family):
         direction = complex(math.cos(theta), math.sin(theta))
         lo, hi, r = 0.0, None, 0.05
         while hi is None and r <= SEARCH_RADIUS_CAP:
-            if abs(eigenvalue_of(c, family, r * direction)) >= level:
+            if abs(eigenvalue_of(c, r * direction)) >= level:
                 hi = r
             else:
                 lo, r = r, r * 1.25
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if abs(eigenvalue_of(c, family, mid * direction)) >= level:
+            if abs(eigenvalue_of(c, mid * direction)) >= level:
                 hi = mid
             else:
                 lo = mid
@@ -130,22 +117,16 @@ def _select_ray_by_ray(c, count, margin, family):
 
 @pytest.mark.parametrize("case", ["ident", "quad", "complex_a", "exponential"])
 def test_selection_of_all_rays_at_once_equals_ray_by_ray(setting, case):
-    t, family, ident, quad = setting
+    ident, quad = setting
     l_quad = np.array([0.0, 1.0, 1.0])
-    c, family = {
-        "ident": (ident, family),
-        "quad": (quad, family),
-        "complex_a": (
-            CompositeOperator(WeylOperator(diff_op(1), 0.6 - 0.8j), l_quad),
-            EigenFamily(f0=gaussian_series(8)),
-        ),
-        "exponential": (
-            CompositeOperator(WeylOperator(diff_op(1), 0.0), l_quad),
-            exponential_family(16),
-        ),
+    c = {
+        "ident": ident.op,
+        "quad": quad.op,
+        "complex_a": CompositeOperator(WeylOperator(diff_op(1), 0.6 - 0.8j), l_quad),
+        "exponential": CompositeOperator(WeylOperator(diff_op(1), 0.0), l_quad),
     }[case]
-    lams = select_expanding_lambdas(c, 24, margin=2.0, family=family)
-    expected = _select_ray_by_ray(c, 24, 2.0, family)
+    lams = select_expanding_lambdas(c, 24, margin=2.0)
+    expected = _select_ray_by_ray(c, 24, 2.0)
     assert np.array_equal(lams.points.view(np.float64), expected.view(np.float64))
 
 
@@ -154,7 +135,7 @@ def test_exponential_family_symbol_composes():
     t = WeylOperator(diff_op(1), 0.0)
     c = CompositeOperator(t, np.array([0.0, 1.0, 1.0]))
 
-    assert eigenvalue_of(c, exponential_family(64), 2.0) == pytest.approx(6.0)
+    assert eigenvalue_of(c, 2.0) == pytest.approx(6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +143,8 @@ def test_exponential_family_symbol_composes():
 
 
 def test_zero_target_yields_negligible_block(setting):
-    _, family, ident, _ = setting
-    problem = OrbitProblem(ident, family, [make_series(np.zeros(4))], epsilon=0.1)
+    ident, _ = setting
+    problem = OrbitProblem(ident, [make_series(np.zeros(4))], epsilon=0.1)
     con = construct_orbit(problem)
     assert con.schedule == [1]
     assert np.abs(con.coords).max() <= 1e-8
@@ -171,17 +152,17 @@ def test_zero_target_yields_negligible_block(setting):
 
 
 def test_schedule_strictly_increasing(setting):
-    _, family, ident, _ = setting
+    ident, _ = setting
     targets = [make_series([1.0]), make_series([0.0, 1.0]),
                make_series([0.0, 0.0, 1.0])]
-    con = construct_orbit(OrbitProblem(ident, family, targets, epsilon=0.1))
+    con = construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
     assert all(a < b for a, b in zip(con.schedule, con.schedule[1:]))
 
 
 def test_construct_orbit_translates_each_lambda_once(setting, monkeypatch):
     # one basis serves the fit, the member values, f and the verification,
     # so the 16 lambdas are translated once
-    _, family, ident, _ = setting
+    ident, _ = setting
     calls = []
     member_coeffs = weylcalc.eigen._member_coeffs
 
@@ -193,14 +174,14 @@ def test_construct_orbit_translates_each_lambda_once(setting, monkeypatch):
     for module in (weylcalc.eigen, weylcalc.orbit):
         if hasattr(module, "_member_coeffs"):
             monkeypatch.setattr(module, "_member_coeffs", counted)
-    problem = OrbitProblem(ident, family, [make_series([0.0, 1.0])])
+    problem = OrbitProblem(ident, [make_series([0.0, 1.0])])
     verify_orbit(construct_orbit(problem), problem)
     assert len(calls) == 16
 
 
 def test_budget_exceeded_carries_diagnostics(setting):
-    _, family, ident, _ = setting
-    problem = OrbitProblem(ident, family, [make_series([1.0])], epsilon=1e-4)
+    ident, _ = setting
+    problem = OrbitProblem(ident, [make_series([1.0])], epsilon=1e-4)
     with pytest.raises(BudgetExceeded) as exc:
         construct_orbit(problem, lambda_count=4)
     assert exc.value.target_index == 0
@@ -209,33 +190,33 @@ def test_budget_exceeded_carries_diagnostics(setting):
 
 def test_schedule_overflow_raised(setting, monkeypatch):
     # measured: the schedule is [5, 10], so every cap below 10 overflows
-    _, family, ident, _ = setting
+    ident, _ = setting
     targets = [make_series([1.0]), make_series([0.0, 1.0])]
     monkeypatch.setattr("weylcalc.orbit.SCHEDULE_CAP", 9)
     with pytest.raises(ScheduleOverflow) as info:
-        construct_orbit(OrbitProblem(ident, family, targets, epsilon=0.1))
+        construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
     assert info.value.attempted > info.value.cap == 9
 
 
 def test_schedule_stays_within_double_range(setting):
     # |mu| = 51 at margin 50: the stacked system would leave the double
     # range long before SCHEDULE_CAP, so the search ends early and quietly
-    _, family, ident, _ = setting
+    ident, _ = setting
     targets = [make_series([1.0]), make_series([0.0, 1.0])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ScheduleOverflow) as info:
             construct_orbit(
-                OrbitProblem(ident, family, targets, epsilon=0.1), margin=50.0
+                OrbitProblem(ident, targets, epsilon=0.1), margin=50.0
             )
     assert info.value.attempted > info.value.cap
     assert info.value.cap < SCHEDULE_CAP
 
 
 def test_margin_lost_in_one_plus_margin_is_rejected(setting):
-    _, family, ident, _ = setting
+    ident, _ = setting
     with pytest.raises(ValueError, match="1 \\+ margin must exceed 1"):
-        select_expanding_lambdas(ident, 4, margin=1e-300, family=family)
+        select_expanding_lambdas(ident.op, 4, margin=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +226,30 @@ def test_margin_lost_in_one_plus_margin_is_rejected(setting):
 def test_single_block_bookkeeping_small_n(setting):
     # apply_composite iterated n <= 10 times on one eigenfunction matches
     # the eigenvalue bookkeeping within truncation-tail noise
-    _, family, ident, _ = setting
+    ident, _ = setting
     lam = 1.5
     mu = 1.5  # L(a lambda) with L = identity, a = 1
-    f = eigenfunction(family, lam)
+    f = eigenfunction(ident, lam)
     pts = DiskSpec(1.0, 32).boundary()
     base = evaluate_grid(f, pts)
     g = f
     for n in range(1, 11):
-        g = apply_composite(ident, g)
+        g = apply_composite(ident.op, g)
         assert np.abs(evaluate_grid(g, pts) - mu**n * base).max() <= 1e-6
 
 
 def test_direct_power_route_matches_double_route_small_n(setting):
     # the exact route agrees with double-precision
     # apply_composite while rounding amplification is still negligible
-    _, family, _, quad = setting
+    _, quad = setting
     f = linear_combine(
-        [(0.4, eigenfunction(family, 0.8)), (-0.2j, eigenfunction(family, -0.5j))]
+        [(0.4, eigenfunction(quad, 0.8)), (-0.2j, eigenfunction(quad, -0.5j))]
     )
     pts = DiskSpec(1.0, 16).boundary()
     g = f
     for n in range(1, 4):
-        g = apply_composite(quad, g)
-        direct = direct_power_values(quad, f, n, pts)
+        g = apply_composite(quad.op, g)
+        direct = direct_power_values(quad.op, f, n, pts)
         assert np.abs(direct - evaluate_grid(g, pts)).max() <= 1e-10
 
 
@@ -276,7 +257,7 @@ def test_direct_power_route_is_exact_at_large_n(setting):
     # (T + T^2)^30 on the 24 coefficients of 1 + z/2, T = D - zI truncated
     # to them, in plain integers (2 f has integer coefficients), then the
     # values at the fourth roots of unity, each rounded once
-    _, _, _, quad = setting
+    _, quad = setting
     size = 24
     g = [2, 1] + [0] * (size - 2)
 
@@ -297,14 +278,14 @@ def test_direct_power_route_is_exact_at_large_n(setting):
         want.append(complex(re / 2, im / 2))
     assert max(abs(v) for v in g) > 2**100  # far beyond double precision
     f = make_series([1.0, 0.5] + [0.0] * (size - 2))
-    got = direct_power_values(quad, f, 30, pts)
+    got = direct_power_values(quad.op, f, 30, pts)
     assert np.array_equal(got, np.array(want))
 
 
 def test_acceptance_instance_two_routes(setting):
-    _, family, ident, _ = setting
+    ident, _ = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
-    problem = OrbitProblem(ident, family, targets, radius=1.0, epsilon=0.1)
+    problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
     for row in con.report["per_target"]:
         assert row["achieved_error"] < 0.1
@@ -319,9 +300,9 @@ def test_acceptance_instance_two_routes(setting):
 def test_every_scheduled_iterate_has_a_direct_row(setting):
     # however late the iterate, both routes run, and success is decided on
     # their numbers alone
-    _, family, ident, _ = setting
+    ident, _ = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
-    problem = OrbitProblem(ident, family, targets, radius=1.0, epsilon=0.1)
+    problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
     rows = verify_orbit(dataclasses.replace(con, schedule=[41, 42]), problem)
     assert [row["n"] for row in rows] == [41, 42]
@@ -336,9 +317,9 @@ def test_every_scheduled_iterate_has_a_direct_row(setting):
 def test_direct_route_past_the_double_range_names_the_iterate(setting):
     # A^5 multiplies coefficients near 1e300 by about 127^5: the rounded
     # direct values are infinite, an outcome rather than a discrepancy
-    _, family, ident, _ = setting
+    ident, _ = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
-    problem = OrbitProblem(ident, family, targets, epsilon=0.1)
+    problem = OrbitProblem(ident, targets, epsilon=0.1)
     con = construct_orbit(problem)
     assert con.schedule == [5, 10]
     huge = dataclasses.replace(con, f=make_series(np.full(128, 1e300)))
@@ -532,9 +513,9 @@ def test_stage_one_underflows_without_a_warning():
 def test_stage_one_decides_most_points_of_the_readme_instance(setting, monkeypatch):
     # at every scheduled iterate at most 10 % of the verification points
     # reach the fixed-point Horner, and the values are its own
-    _, family, ident, _ = setting
+    ident, _ = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
-    problem = OrbitProblem(ident, family, targets, radius=1.0, epsilon=0.1)
+    problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
     pts = con.basis.verify_points
     assert pts.size == 128
@@ -548,17 +529,17 @@ def test_stage_one_decides_most_points_of_the_readme_instance(setting, monkeypat
     monkeypatch.setattr(weylcalc.orbit, "_fixed_point_values", counted)
     for n in con.schedule:
         sizes.clear()
-        got = direct_power_values(ident, con.f, n, pts)
+        got = direct_power_values(ident.op, con.f, n, pts)
         assert sum(sizes) <= 0.1 * pts.size
-        want = _horner_reference(*exact_power(ident, con.f.coeffs, n), pts)
+        want = _horner_reference(*exact_power(ident.op, con.f.coeffs, n), pts)
         assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_tampered_weights_are_detected(setting):
     # corrupting the coordinates of f must show up in the verification pass
-    _, family, ident, _ = setting
+    ident, _ = setting
     targets = [make_series([1.0], "1")]
-    problem = OrbitProblem(ident, family, targets, epsilon=0.1)
+    problem = OrbitProblem(ident, targets, epsilon=0.1)
     con = construct_orbit(problem)
     good = verify_orbit(con, problem)[0]["eigen_error_full"]
     tampered = dataclasses.replace(con, coords=con.coords * 1.5)
@@ -587,9 +568,9 @@ def test_operator_5_two_targets_met(tmp_path):
 
 def test_blocks_sum_to_the_coordinates(setting):
     # the block form sum_b w_b mu^(n - n_b) of A^n f is x mu^n
-    _, family, ident, _ = setting
+    ident, _ = setting
     targets = [make_series([1.0]), make_series([0.0, 1.0])]
-    con = construct_orbit(OrbitProblem(ident, family, targets, epsilon=0.1))
+    con = construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
     mu = con.eigenvalues
     blocks = con.blocks()
     assert [(j, n) for j, n, _ in blocks] == list(enumerate(con.schedule))
@@ -600,9 +581,9 @@ def test_blocks_sum_to_the_coordinates(setting):
 
 def test_quadratic_symbol_pipeline_honest(setting):
     # the paper-instance polynomial symbol completes with honest reports
-    _, family, _, quad = setting
+    _, quad = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
-    problem = OrbitProblem(quad, family, targets, radius=1.0, epsilon=0.1)
+    problem = OrbitProblem(quad, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
     for row in con.report["per_target"]:
         assert np.isfinite(row["achieved_error"])
@@ -610,21 +591,21 @@ def test_quadratic_symbol_pipeline_honest(setting):
 
 
 def test_problem_validation(setting):
-    _, family, ident, _ = setting
+    ident, _ = setting
     with pytest.raises(ValueError):
-        OrbitProblem(ident, family, [], epsilon=0.1)
+        OrbitProblem(ident, [], epsilon=0.1)
     with pytest.raises(ValueError):
-        OrbitProblem(ident, family, [make_series([1.0])], epsilon=-1.0)
+        OrbitProblem(ident, [make_series([1.0])], epsilon=-1.0)
     for bad in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            OrbitProblem(ident, family, [make_series([1.0])], epsilon=bad)
+            OrbitProblem(ident, [make_series([1.0])], epsilon=bad)
         with pytest.raises(ValueError):
-            OrbitProblem(ident, family, [make_series([1.0])], radius=bad)
+            OrbitProblem(ident, [make_series([1.0])], radius=bad)
     const = CompositeOperator(
         WeylOperator(diff_op(1), 1.0), np.array([2.0])
     )
     with pytest.raises(ValueError):
-        OrbitProblem(const, family, [make_series([1.0])])
+        OrbitProblem(EigenFamily(const), [make_series([1.0])])
 
 
 @pytest.mark.parametrize("field", ["radius", "epsilon"])
@@ -632,17 +613,17 @@ def test_problem_validation(setting):
                          ids=["true", "str", "none", "10**400"])
 def test_problem_number_must_be_a_finite_positive_number(setting, field, value):
     # a bool is not a number, and an int past the double range is not finite
-    _, family, ident, _ = setting
+    ident, _ = setting
     with pytest.raises(MalformedSpec) as exc:
-        OrbitProblem(ident, family, [make_series([1.0])], **{field: value})
+        OrbitProblem(ident, [make_series([1.0])], **{field: value})
     assert str(exc.value) == (
         f"{field!r}: expected a finite positive number, got {value!r}"
     )
 
 
 def test_problem_numbers_are_stored_as_floats(setting):
-    _, family, ident, _ = setting
-    problem = OrbitProblem(ident, family, [make_series([1.0])],
+    ident, _ = setting
+    problem = OrbitProblem(ident, [make_series([1.0])],
                            radius=np.int64(2), epsilon=1)
     assert (problem.radius, problem.epsilon) == (2.0, 1.0)
     assert isinstance(problem.radius, float) and isinstance(problem.epsilon, float)

@@ -20,13 +20,17 @@ from weylcalc.series import (
     disk_sup_norm,
     evaluate_grid,
     exponential_rows,
-    exponential_series,
     gaussian_series,
     linear_combine,
     make_series,
     multiply_by_poly,
     translate,
 )
+
+
+def _exponential(lam, n_terms):
+    """The truncation of exp(lam z) to n_terms coefficients."""
+    return make_series(exponential_rows([lam], n_terms)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +82,7 @@ def test_gaussian_series_coefficients():
 
 def test_exponential_series_coefficients():
     lam = 0.7 - 0.3j
-    s = exponential_series(lam, 30)
+    s = _exponential(lam, 30)
     for n in range(30):
         expected = lam**n / math.factorial(n)
         assert abs(s.coeffs[n] - expected) <= 1e-14 * abs(expected) + 1e-300
@@ -132,7 +136,7 @@ def test_differentiate_order_exhausted():
 
 def test_differentiate_of_exponential_is_scaling():
     lam = 1.3 + 0.4j
-    s = exponential_series(lam, 64)
+    s = _exponential(lam, 64)
     d = differentiate(s)
     assert np.abs(d.coeffs[:50] - lam * s.coeffs[:50]).max() <= 1e-13
 
@@ -152,7 +156,7 @@ def test_translate_polynomial_exact():
 def test_translate_exponential_scales():
     # exp(lam (z + mu)) = exp(lam mu) exp(lam z)
     lam, mu = 0.8 + 0.1j, -0.6 + 0.4j
-    s = exponential_series(lam, 96)
+    s = _exponential(lam, 96)
     t = translate(s, mu)
     scale = np.exp(lam * mu)
     assert np.abs(t.coeffs[:60] - scale * s.coeffs[:60]).max() <= 1e-12
@@ -190,7 +194,7 @@ def test_evaluate_matches_polyval():
 
 
 def test_evaluate_grid_shape_and_values():
-    s = exponential_series(1.0, 64)
+    s = _exponential(1.0, 64)
     pts = DiskSpec(1.0, 16).boundary()
     vals = evaluate_grid(s, pts)
     assert vals.shape == (16,)
