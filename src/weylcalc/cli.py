@@ -322,8 +322,6 @@ def _cmd_construct_orbit(args) -> int:
         )
     check_keys(doc, ("operator", "targets", "radius", "epsilon"), "--problem")
     op = parse_operator_spec(doc["operator"])
-    comp = op if isinstance(op, CompositeOperator) else CompositeOperator(
-        op, np.array([0.0, 1.0], dtype=np.complex128))
     if not isinstance(doc["targets"], list) or not doc["targets"]:
         raise MalformedSpec("--problem: 'targets' must be a non-empty list")
     targets = [series_from_dict(d) for d in doc["targets"]]
@@ -332,20 +330,15 @@ def _cmd_construct_orbit(args) -> int:
             f"--lambda-count: {args.lambda_count} lambda points for each of "
             f"{len(targets)} targets exceed the cap of {LAMBDA_COUNT_MAX} in all"
         )
-    problem = OrbitProblem(EigenFamily(comp, args.order), targets, **{
+    problem = OrbitProblem(EigenFamily(op, args.order), targets, **{
         k: v for k, v in doc.items() if k in ("radius", "epsilon")})
-    construction = construct_orbit(
-        problem,
-        lambda_count=args.lambda_count,
-        margin=args.margin,
-        ridge=args.ridge,
-    )
-    verification = verify_orbit(construction, problem)
+    construction = construct_orbit(problem, args.lambda_count, args.margin, args.ridge)
+    verification = verify_orbit(construction)
     met = targets_met(verification, problem.epsilon)
     per_target = construction.report["per_target"]
     _write(
         args,
-        _params(args, operator=operator_to_dict(comp),
+        _params(args, operator=operator_to_dict(op),
                 targets=[series_to_dict(q) for q in targets],
                 radius=problem.radius, epsilon=problem.epsilon),
         inputs,
@@ -499,7 +492,7 @@ _SUBCOMMANDS = {
     "complete-fit": (_cmd_complete_fit, "translate-span completeness fits",
                      ["--op", "--targets"],
                      ["--preset", "--counts", "--seed", "--ridge", "--order", "--radius"]),
-    "construct-orbit": (_cmd_construct_orbit, "explicit approximate orbit for L(T)",
+    "construct-orbit": (_cmd_construct_orbit, "explicit approximate orbit for T or L(T)",
                         ["--problem"], ["--lambda-count", "--margin", "--ridge", "--order"]),
     "decompose": (_cmd_decompose, "recover (a, M) from a monomial matrix",
                   [], ["--op", "--matrix", "--ncap"]),

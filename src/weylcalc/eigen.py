@@ -58,7 +58,9 @@ from .series import (
     unfused_product,
 )
 
-#: ridge escalation ladder for ill-conditioned translate systems
+#: Tikhonov ridge and its escalation ladder's top; a ridge r > 0 bounds every
+#: filter factor s / (s^2 + r) by 1 / (2 sqrt r), so the ladder climbs only when
+#: |b| / (2 sqrt r) leaves the double range, never for ill-conditioning alone
 RIDGE_DEFAULT = 1e-10
 RIDGE_MAX = 1e-4
 
@@ -344,10 +346,11 @@ def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
 
     ``svd`` is the thin SVD of ``a_mat`` when the caller already has it.
     A positive ridge is Tikhonov through SVD filter factors, escalated by
-    factors of 10 up to RIDGE_MAX when the system is numerically
-    singular; ridge 0 is a truncated SVD whose cutoff is auto-selected on
-    the sup residual over the rows of ``a_mat``.  Returns the weights, the
-    condition estimate and the ridge actually used.
+    factors of 10 up to RIDGE_MAX while the weights overflow (see
+    RIDGE_DEFAULT); ridge 0 is a truncated SVD whose cutoff, among those
+    with finite weights, is auto-selected on the sup residual over the
+    rows of ``a_mat``.  Returns the weights, the condition estimate and
+    the ridge actually used; SingularSystem when no weights are finite.
     """
     if ridge < 0:
         raise MalformedSpec("ridge must be >= 0")
@@ -358,33 +361,35 @@ def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
             raise SingularSystem(f"collocation SVD failed: {exc}") from exc
     u, s, vh = svd
     beta = u.conj().T @ b
-    if ridge > 0:
-        # Tikhonov through SVD filter factors, escalating on breakdown
-        level = ridge
-        while True:
-            w = vh.conj().T @ (beta * s / (s * s + level))
-            if np.all(np.isfinite(w.view(np.float64))):
-                break
-            if level * 10 <= RIDGE_MAX:
-                level *= 10
-            else:
-                raise SingularSystem(
-                    f"regularized system stayed singular up to ridge "
-                    f"{RIDGE_MAX:.1e} for |Lambda| = {a_mat.shape[1]}"
-                )
-        return w, float((s[0] ** 2 + level) / (s[-1] ** 2 + level)), level
-    # ridge 0: truncated SVD, cutoff auto-selected on the sup residual
-    best = None
-    for cut in [0.0] + [10.0 ** e for e in range(-15, -7)]:
-        keep = s > cut * s[0]
-        if not np.any(keep):
-            continue
-        cand = vh.conj().T[:, keep] @ (beta[keep] / s[keep])
-        if not np.all(np.isfinite(cand.view(np.float64))):
-            continue
-        sel = float(np.abs(a_mat @ cand - b).max())
-        if best is None or sel < best[0]:
-            best = (sel, cand, float(s[0] / s[keep].min()))
+    # weights past the double range are detected, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ridge > 0:
+            # Tikhonov through SVD filter factors, escalating on overflow
+            level = ridge
+            while True:
+                w = vh.conj().T @ (beta * s / (s * s + level))
+                if np.all(np.isfinite(w.view(np.float64))):
+                    break
+                if level * 10 <= RIDGE_MAX:
+                    level *= 10
+                else:
+                    raise SingularSystem(
+                        f"regularized system stayed singular up to ridge "
+                        f"{RIDGE_MAX:.1e} for |Lambda| = {a_mat.shape[1]}"
+                    )
+            return w, float((s[0] ** 2 + level) / (s[-1] ** 2 + level)), level
+        # ridge 0: truncated SVD, cutoff auto-selected on the sup residual
+        best = None
+        for cut in [0.0] + [10.0 ** e for e in range(-15, -7)]:
+            keep = s > cut * s[0]
+            if not np.any(keep):
+                continue
+            cand = vh.conj().T[:, keep] @ (beta[keep] / s[keep])
+            if not np.all(np.isfinite(cand.view(np.float64))):
+                continue
+            sel = float(np.abs(a_mat @ cand - b).max())
+            if best is None or sel < best[0]:
+                best = (sel, cand, float(s[0] / s[keep].min()))
     if best is None:
         raise SingularSystem(
             f"no usable truncated-SVD solution for |Lambda| = {a_mat.shape[1]}"

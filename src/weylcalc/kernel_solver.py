@@ -21,6 +21,7 @@ from .errors import (
     ConvolutionCase,
     MalformedSpec,
     NonFiniteCoefficient,
+    OrderExhausted,
     ZeroOrderOperator,
 )
 from .operators import WeylOperator, apply_weyl
@@ -41,7 +42,9 @@ class KernelBasis:
 def kernel_basis(
     t: WeylOperator, n_terms: int, disk: DiskSpec = UNIT_DISK
 ) -> KernelBasis:
-    """Solve the kernel recurrence for all p initial conditions."""
+    """Solve the kernel recurrence for all p initial conditions, each cut
+    before its first coefficient past OVERFLOW_GUARD (OrderExhausted when
+    that leaves only the p initial ones, on which T cannot act)."""
     p = t.m.order
     if p < 1:
         raise ZeroOrderOperator(
@@ -68,6 +71,13 @@ def kernel_basis(
                 fall *= n + k + 1
             c[n + p] = rhs / (d[p] * fall)
             if abs(c[n + p]) > OVERFLOW_GUARD:
+                if n == 0:
+                    raise OrderExhausted(
+                        f"kernel recurrence: coefficient c_{p} of solution {j} has "
+                        f"magnitude {abs(c[p]):.3e}, past OVERFLOW_GUARD = "
+                        f"{OVERFLOW_GUARD:.1e}, at the first step: no coefficient "
+                        "beyond the initial conditions"
+                    )
                 c = c[: n + p]
                 break
         solutions.append(TaylorSeries(c, f"ker[{j}]"))

@@ -1,4 +1,4 @@
-"""Explicit approximate orbit construction for A = L(T).
+"""Explicit approximate orbit construction for A = T or A = L(T).
 
 An :class:`OrbitProblem` is the eigenfamily of A and the targets.  Given
 polynomial targets q_1..q_m, the constructor produces a truncated series
@@ -20,6 +20,7 @@ E the collocation matrix of the members, is solved through the same
 Tikhonov/TSVD code as every completeness fit
 (:func:`~weylcalc.eigen.regularized_solve`), and the first step at which
 every target is met within epsilon/2 on the verification circle wins.
+The :class:`OrbitConstruction` works f and mu out from the problem and x.
 Because the fit is joint, no target's correction can spoil another's:
 what is checked is A^{n_j} applied to the whole of f.  The constructor
 builds one :class:`~weylcalc.eigen.CompletenessBasis` for Lambda and uses
@@ -31,7 +32,7 @@ on the verification circle from the constructor's basis and measures the
 full vector at every scheduled iterate.  The direct route, the check that
 does not depend on the constructor, applies A to the coefficients of f at
 every scheduled iterate and must agree (:func:`targets_met`).  It powers
-L(T) through the banded core of :mod:`weylcalc.operators` exactly, on
+A through the banded core of :mod:`weylcalc.operators` exactly, on
 Gaussian integers, and rounds once, so it carries no precision setting.
 It evaluates the exact coefficients in two stages
 (:func:`direct_power_values`).  A vectorised double-double pass gives
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,8 +97,8 @@ STACKED_MAX = 1e150
 
 @dataclass(frozen=True)
 class OrbitProblem:
-    """Targets-and-budget statement for the orbit constructor; A = L(T) is
-    ``family.op``."""
+    """Targets-and-budget statement for the orbit constructor; A is
+    ``family.op``, T or a non-constant L(T)."""
 
     family: EigenFamily
     targets: list
@@ -105,7 +106,8 @@ class OrbitProblem:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.family.op.poly_degree < 1:
+        op = self.family.op
+        if isinstance(op, CompositeOperator) and op.poly_degree < 1:
             raise MalformedSpec("L must be non-constant")
         for name in ("radius", "epsilon"):
             value = getattr(self, name)
@@ -125,14 +127,22 @@ class OrbitProblem:
 
 @dataclass(frozen=True)
 class OrbitConstruction:
-    """Constructed vector, its basis, coordinates, schedule and report."""
+    """A problem's schedule, basis, coordinates x and report; f = sum_i x_i
+    f_{lambda_i} and the ``eigenvalues`` mu_i of A are worked out."""
 
-    f: TaylorSeries
+    problem: OrbitProblem
     schedule: list
     basis: CompletenessBasis
-    eigenvalues: np.ndarray
-    coords: np.ndarray  # x: f = sum_i x_i f_{lambda_i}
+    coords: np.ndarray  # x
     report: dict
+    f: TaylorSeries = field(init=False)
+    eigenvalues: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "f", linear_combine(
+            zip(self.coords, map(TaylorSeries, self.basis.rows))))
+        object.__setattr__(self, "eigenvalues", eigenvalue_of(
+            self.problem.family.op, self.basis.lambdas.points))
 
     def blocks(self) -> list:
         """One (target, n_j, weights) entry per target, the block form
@@ -145,10 +155,8 @@ class OrbitConstruction:
         ]
 
 
-def direct_power_values(
-    c: CompositeOperator, f: TaylorSeries, n: int, pts: np.ndarray
-) -> np.ndarray:
-    """A^n f evaluated at ``pts`` by repeated operator application.
+def direct_power_values(c, f: TaylorSeries, n: int, pts: np.ndarray) -> np.ndarray:
+    """A^n f evaluated at ``pts`` by repeated application of A = c, T or L(T).
 
     A acts on the fixed-length coefficient vector of f, the tail dropped
     after every factor of T, in exact arithmetic: the truncated operator is
@@ -448,9 +456,7 @@ def _amplitudes(coords: np.ndarray, mu: np.ndarray, n: int) -> np.ndarray:
     return coords * mu ** float(n)
 
 
-def select_expanding_lambdas(
-    c: CompositeOperator, count: int, margin: float
-) -> LambdaSet:
+def select_expanding_lambdas(c, count: int, margin: float) -> LambdaSet:
     """``count`` points where the eigenvalue of c has modulus >= 1 + margin,
     one per equispaced ray.
 
@@ -567,14 +573,7 @@ def construct_orbit(
         "ridge": level,
         "condition": cond,
     }
-    return OrbitConstruction(
-        f=linear_combine(zip(x, map(TaylorSeries, basis.rows))),
-        schedule=schedule,
-        basis=basis,
-        eigenvalues=mu,
-        coords=x,
-        report=report,
-    )
+    return OrbitConstruction(problem, schedule, basis, x, report)
 
 
 def targets_met(rows: list, epsilon: float) -> bool:
@@ -588,20 +587,21 @@ def targets_met(rows: list, epsilon: float) -> bool:
     )
 
 
-def verify_orbit(construction: OrbitConstruction, problem: OrbitProblem) -> list:
+def verify_orbit(construction: OrbitConstruction) -> list:
     """Two-route check of every scheduled iterate on the full vector.
 
     The eigen-sum on the constructor's basis is compared against direct
     repeated operator application, and both against the target; rows are
-    data, not judgements.  A direct route whose values leave the double
+    data, not judgements; the family and the targets are those of
+    ``construction.problem``.  A direct route whose values leave the double
     range raises NonFiniteCoefficient.
     """
-    c = problem.family.op
+    c, targets = construction.problem.family.op, construction.problem.targets
     mu = construction.eigenvalues
     basis = construction.basis
     verify_pts = basis.verify_points
     rows = []
-    for j, (q, n_j) in enumerate(zip(problem.targets, construction.schedule)):
+    for j, (q, n_j) in enumerate(zip(targets, construction.schedule)):
         eig_vals = basis.verification @ _amplitudes(construction.coords, mu, n_j)
         direct_vals = direct_power_values(c, construction.f, n_j, verify_pts)
         if not np.isfinite(direct_vals).all():

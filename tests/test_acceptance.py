@@ -242,7 +242,7 @@ def test_criterion_8_orbit_construction(capsys, gaussian_family):
             row["achieved_error"] < 0.1,
             f"target {row['target']} error {row['achieved_error']:.2e}",
         )
-    rows = verify_orbit(con, problem)
+    rows = verify_orbit(con)
     for row in rows:
         crit.check(
             row["eigen_error_full"] < 0.1,

@@ -14,6 +14,7 @@ import importlib
 import importlib.util
 import inspect
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,7 +22,8 @@ import pytest
 
 from weylcalc import cli
 
-_BENCH = Path(__file__).resolve().parent.parent / "bench"
+_ROOT = Path(__file__).resolve().parent.parent
+_BENCH = _ROOT / "bench"
 
 
 def _bench_module(name: str):
@@ -76,3 +78,18 @@ def test_benchmark_orbit_problem_passes_its_check(op, tmp_path):
             contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(op.argv + ["--outdir", str(tmp_path)])
     assert checks.check_orbit(op.spec, tmp_path, rc) == []
+
+
+def test_artifact_digests_cover_every_workload_operation():
+    # one "sha256  <seed>/<op name>/<file>" line per artifact, sorted
+    out = subprocess.run(
+        [sys.executable, str(_ROOT / "tools" / "artifact_digests.py"), "--seeds", "0"],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 110
+    digests, paths = zip(*(line.split("  ") for line in out))
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
+    assert list(paths) == sorted(paths)
+    ops = {op.name for make_ops in _bench_module("workloads").WORKLOADS.values()
+           for op in make_ops(0)}
+    assert {"0/" + op for op in ops} == {path.rsplit("/", 1)[0] for path in paths}

@@ -330,6 +330,22 @@ def test_kernel_cut_by_overflow_guard_writes_its_length(tmp_path, capsys):
     assert sol["valid_order"] == len(sol["coeffs"]) < 200
 
 
+@pytest.mark.parametrize("command", ["kernel", "eigencheck"])
+def test_kernel_recurrence_past_the_guard_at_its_first_step(tmp_path, capsys, command):
+    # c_1 = -1 / 1e-300: the guard leaves no coefficient for T to act on
+    code = main([command, "--op", '{"d":[[1,0],[1e-300,0]],"a":[1,0]}',
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    message = (
+        "kernel recurrence: coefficient c_1 of solution 0 has magnitude "
+        "1.000e+300, past OVERFLOW_GUARD = 1.0e+150, at the first step: no "
+        "coefficient beyond the initial conditions"
+    )
+    assert message in capsys.readouterr().err
+    error = json.loads((tmp_path / f"{command}_error.json").read_text())["error"]
+    assert error == {"type": "OrderExhausted", "message": message}
+
+
 def test_kernel_convolution_case_exits_1(tmp_path, capsys):
     code = main(["kernel", "--op", '{"d":[[0,0],[1,0]]}',
                  "--outdir", str(tmp_path)])
@@ -544,6 +560,27 @@ def test_construct_orbit_artifacts(tmp_path):
     lines = (tmp_path / "orbit_errors.csv").read_text().splitlines()
     assert lines[0] == "j,n_j,achieved_error,method_discrepancy"
     assert len(lines) == 3
+
+
+def test_construct_orbit_of_t_is_that_of_l_t_equal_t(tmp_path):
+    # without "L" the orbit is that of T itself, and the manifest records
+    # the operator as given
+    t = {"d": [[0, 0], [1, 0]], "a": [1, 0]}
+    docs = {}
+    for name, operator in [("t", t), ("l", {**t, "L": [[0, 0], [1, 0]]})]:
+        problem = json.dumps({"operator": operator, "targets": json.loads(TARGETS)})
+        assert main(["construct-orbit", "--problem", problem,
+                     "--outdir", str(tmp_path / name)]) == 0
+        doc = json.loads((tmp_path / name / "orbit.json").read_text())
+        docs[name] = (doc.pop("manifest"), doc,
+                      (tmp_path / name / "orbit_errors.csv").read_bytes())
+    (manifest_t, doc_t, csv_t), (manifest_l, doc_l, csv_l) = docs["t"], docs["l"]
+    assert doc_t == doc_l
+    assert csv_t == csv_l
+    assert "L" not in manifest_t["parameters"]["operator"]
+    assert manifest_l["parameters"]["operator"]["L"] == [[0.0, 0.0], [1.0, 0.0]]
+    manifest_l["parameters"]["operator"].pop("L")
+    assert manifest_t == manifest_l
 
 
 def test_construct_orbit_lambda_count_times_targets_capped(tmp_path, capsys):

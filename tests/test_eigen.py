@@ -21,11 +21,12 @@ from weylcalc.eigen import (
     eigenvalue_of,
     inverse_integer_lambdas,
     random_disk_lambdas,
+    regularized_solve,
     segment_lambdas,
 )
 import weylcalc.eigen
 from weylcalc.accel import eval_grid
-from weylcalc.errors import KernelResidualTooLarge, NonFiniteCoefficient
+from weylcalc.errors import KernelResidualTooLarge, NonFiniteCoefficient, SingularSystem
 from weylcalc.operators import (
     CompositeOperator,
     ConvolutionOperator,
@@ -328,6 +329,28 @@ def test_fit_condition_diagnostic_positive(gaussian_family):
         make_series([1.0]),
     )
     assert fit.condition_diag >= 1.0
+
+
+def test_tikhonov_escalates_while_the_weights_overflow():
+    # 1e304 * 1e-5 / (1e-10 + 1e-10) = 5e308 leaves the double range;
+    # at ridge 1e-9 the weight is about 9.1e307
+    w, _, level = regularized_solve(
+        np.diag([1.0, 1e-5]), np.array([0.0, 1e304]), 1e-10
+    )
+    assert level == pytest.approx(1e-9)
+    assert np.isfinite(w).all()
+
+
+def test_tikhonov_gives_up_past_the_top_of_the_ladder():
+    # 1e307 * 1e-2 / (1e-4 + 1e-4) = 5e308 even at RIDGE_MAX
+    with pytest.raises(SingularSystem, match="stayed singular up to ridge 1.0e-04"):
+        regularized_solve(np.diag([1.0, 1e-2]), np.array([0.0, 1e307]), 1e-10)
+
+
+def test_truncated_svd_without_a_finite_cutoff():
+    # every cutoff keeps 1e-5, and 1e308 / 1e-5 leaves the double range
+    with pytest.raises(SingularSystem, match="no usable truncated-SVD solution"):
+        regularized_solve(np.diag([1.0, 1e-5]), np.array([1e308, 1e308]), 0.0)
 
 
 def _basis_alone(family, lams, disk=UNIT_DISK):

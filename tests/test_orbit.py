@@ -175,7 +175,7 @@ def test_construct_orbit_translates_each_lambda_once(setting, monkeypatch):
         if hasattr(module, "_member_coeffs"):
             monkeypatch.setattr(module, "_member_coeffs", counted)
     problem = OrbitProblem(ident, [make_series([0.0, 1.0])])
-    verify_orbit(construct_orbit(problem), problem)
+    verify_orbit(construct_orbit(problem))
     assert len(calls) == 16
 
 
@@ -289,7 +289,7 @@ def test_acceptance_instance_two_routes(setting):
     con = construct_orbit(problem)
     for row in con.report["per_target"]:
         assert row["achieved_error"] < 0.1
-    rows = verify_orbit(con, problem)
+    rows = verify_orbit(con)
     assert targets_met(rows, 0.1)
     assert rows[0]["method_discrepancy"] <= 1e-6
     for row in rows:
@@ -304,7 +304,7 @@ def test_every_scheduled_iterate_has_a_direct_row(setting):
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
     problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
-    rows = verify_orbit(dataclasses.replace(con, schedule=[41, 42]), problem)
+    rows = verify_orbit(dataclasses.replace(con, schedule=[41, 42]))
     assert [row["n"] for row in rows] == [41, 42]
     for row in rows:
         assert isinstance(row["method_discrepancy"], float)
@@ -314,17 +314,21 @@ def test_every_scheduled_iterate_has_a_direct_row(setting):
     assert targets_met(rows, 10 * worst)
 
 
-def test_direct_route_past_the_double_range_names_the_iterate(setting):
-    # A^5 multiplies coefficients near 1e300 by about 127^5: the rounded
-    # direct values are infinite, an outcome rather than a discrepancy
+def test_direct_route_past_the_double_range_names_the_iterate(setting, monkeypatch):
+    # direct values past the double range are an outcome rather than a
+    # discrepancy; the route's own values past it are covered by
+    # test_direct_values_are_the_fixed_point_horners
     ident, _ = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
-    problem = OrbitProblem(ident, targets, epsilon=0.1)
-    con = construct_orbit(problem)
+    con = construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
     assert con.schedule == [5, 10]
-    huge = dataclasses.replace(con, f=make_series(np.full(128, 1e300)))
+
+    def overflowing(c, f, n, pts):
+        return np.full(pts.size, complex(np.inf, 0.0))
+
+    monkeypatch.setattr(weylcalc.orbit, "direct_power_values", overflowing)
     with pytest.raises(NonFiniteCoefficient) as exc:
-        verify_orbit(huge, problem)
+        verify_orbit(con)
     assert str(exc.value) == "direct route at n = 5 leaves the double range"
 
 
@@ -541,9 +545,9 @@ def test_tampered_weights_are_detected(setting):
     targets = [make_series([1.0], "1")]
     problem = OrbitProblem(ident, targets, epsilon=0.1)
     con = construct_orbit(problem)
-    good = verify_orbit(con, problem)[0]["eigen_error_full"]
+    good = verify_orbit(con)[0]["eigen_error_full"]
     tampered = dataclasses.replace(con, coords=con.coords * 1.5)
-    assert verify_orbit(tampered, problem)[0]["eigen_error_full"] > 10 * max(
+    assert verify_orbit(tampered)[0]["eigen_error_full"] > 10 * max(
         good, 1e-3
     )
 
@@ -601,11 +605,52 @@ def test_problem_validation(setting):
             OrbitProblem(ident, [make_series([1.0])], epsilon=bad)
         with pytest.raises(ValueError):
             OrbitProblem(ident, [make_series([1.0])], radius=bad)
-    const = CompositeOperator(
-        WeylOperator(diff_op(1), 1.0), np.array([2.0])
+    for l in ([2.0], [0.0, 0.0]):
+        const = CompositeOperator(WeylOperator(diff_op(1), 1.0), np.array(l))
+        with pytest.raises(MalformedSpec, match="L must be non-constant"):
+            OrbitProblem(EigenFamily(const), [make_series([1.0])])
+
+
+@pytest.mark.parametrize("targets", [[[1.0], [0.0, 1.0]], [[0.0, 0.0, 1.0]],
+                                     [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]],
+                         ids=["1,z", "z^2", "1,z,z^2"])
+def test_orbit_of_t_is_that_of_l_t_equal_t(setting, targets):
+    # A = T itself states the problem of L(T) = T, bit for bit
+    ident, _ = setting
+    series = [make_series(q) for q in targets]
+    con_t = construct_orbit(OrbitProblem(EigenFamily(ident.t), series))
+    con_l = construct_orbit(OrbitProblem(ident, series))
+    assert con_t.problem.family.op is ident.t
+    assert con_t.schedule == con_l.schedule
+    for got, want in [
+        (con_t.basis.lambdas.points, con_l.basis.lambdas.points),
+        (con_t.coords, con_l.coords),
+        (con_t.f.coeffs, con_l.f.coeffs),
+        (con_t.eigenvalues, con_l.eigenvalues),
+    ]:
+        assert np.array_equal(_bits(got), _bits(want))
+    assert verify_orbit(con_t) == verify_orbit(con_l)
+
+
+def test_f_and_eigenvalues_are_worked_out_from_the_construction(setting):
+    # f follows the coordinates it is built from, and cannot be set apart
+    ident, _ = setting
+    con = construct_orbit(OrbitProblem(ident, [make_series([0.0, 1.0])]))
+    assert np.array_equal(
+        con.eigenvalues, eigenvalue_of(ident.op, con.basis.lambdas.points)
     )
-    with pytest.raises(ValueError):
-        OrbitProblem(EigenFamily(const), [make_series([1.0])])
+    half = dataclasses.replace(con, coords=con.coords / 2)
+    want = linear_combine(
+        [(x, make_series(row)) for x, row in zip(con.coords / 2, con.basis.rows)]
+    )
+    assert np.array_equal(_bits(half.f.coeffs), _bits(want.coeffs))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(con, f=make_series([1.0]))
+    with pytest.raises(TypeError):
+        weylcalc.orbit.OrbitConstruction(
+            con.problem, con.schedule, con.basis, con.coords, con.report,
+            con.eigenvalues,
+        )
 
 
 @pytest.mark.parametrize("field", ["radius", "epsilon"])

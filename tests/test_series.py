@@ -1,6 +1,10 @@
 """Truncated Taylor-series arithmetic against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,3 +296,18 @@ def test_evaluate_linear_in_coefficients(coeffs, w, z):
     assert evaluate_grid(scaled, pts)[0] == pytest.approx(
         w * evaluate_grid(f, pts)[0], abs=1e-9 * (1 + abs(w))
     )
+
+
+def test_series_loads_without_the_eigen_and_orbit_layers():
+    # the package root re-exports nothing, so a module loads what it imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weylcalc.series; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    assert "weylcalc.series" in loaded
+    for layer in ("weylcalc.eigen", "weylcalc.orbit", "weylcalc.kernel_solver"):
+        assert layer not in loaded

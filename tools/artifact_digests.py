@@ -1,0 +1,60 @@
+"""SHA-256 of every artifact the benchmark workloads write.
+
+Usage, from the root of a source checkout::
+
+    python3 tools/artifact_digests.py [--seeds 0 1]
+
+Every operation of ``bench/workloads.py`` (the orbit, fit and algebra
+workloads) runs once per seed through ``weylcalc.cli.main``, in
+``<tmp>/<seed>/<op name>``, with the benchmark's BLAS pins and manifest
+timestamp, so the bytes do not depend on the machine's thread count or
+the clock.  One ``sha256  <path>`` line is printed per artifact, sorted
+by path.  Two checkouts write the same artifacts when ``diff`` finds no
+difference between their outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    args = parser.parse_args(argv)
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from run import BLAS_PINS, TIMESTAMP
+
+    # the pins must be in place before numpy is first imported
+    os.environ.update(BLAS_PINS)
+    os.environ["WEYLCALC_TIMESTAMP"] = TIMESTAMP
+    from workloads import WORKLOADS
+    from weylcalc import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for seed in args.seeds:
+            for make_ops in WORKLOADS.values():
+                for op in make_ops(seed):
+                    outdir = base / str(seed) / op.name
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        cli.main(op.argv + ["--outdir", str(outdir)])
+        paths = {p.relative_to(base).as_posix(): p for p in base.rglob("*") if p.is_file()}
+        for name in sorted(paths):
+            print(f"{hashlib.sha256(paths[name].read_bytes()).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
