@@ -84,7 +84,7 @@ from .serialize import (
     write_manifest_sidecar,
     write_report,
 )
-from .series import DEFAULT_ORDER, DiskSpec
+from .series import DEFAULT_ORDER, DiskSpec, evaluate_grid, stacked_coeffs
 
 #: largest lambda set accepted by ``complete-fit --counts`` and
 #: ``construct-orbit --lambda-count``
@@ -266,17 +266,22 @@ def _cmd_complete_fit(args) -> int:
         [_PRESETS[args.preset](count, args.seed) for count in args.counts],
         disk,
     )
+    # every basis has the same circles: each target is evaluated once
+    values = evaluate_grid(stacked_coeffs(targets), bases[0].circles)
     reports = []
-    for ti, target in enumerate(targets):
+    for ti, (target, on_circles) in enumerate(zip(targets, values)):
         label = target.label or f"target[{ti}]"
         for count, basis in zip(args.counts, bases):
             row = {"target": ti, "label": label, "count": count}
             try:
-                fit = completeness_fit(basis, target, args.ridge)
+                fit = completeness_fit(basis, on_circles, args.ridge)
             except SingularSystem as exc:
                 reports.append({**row, "status": "conditioning-failure",
                                 "detail": str(exc)})
                 continue
+            except NonFiniteCoefficient as exc:
+                raise NonFiniteCoefficient(f"target {label!r}: {exc}", target_index=ti,
+                                           **exc.fields) from exc
             reports.append({
                 **row,
                 "status": "ok",

@@ -22,10 +22,12 @@ squares fit of a target in span{f_lambda} over a collocation grid, with
 the residual always re-measured as a true sup norm on a denser
 verification circle (never the regularized objective).  The work that
 does not depend on the target is split off: :func:`completeness_bases`
-builds one :class:`CompletenessBasis` (member rows, collocation and
-verification matrices, SVD) per lambda set, translating the distinct
-lambdas of all the sets in one batch and evaluating them once per distinct
-point, and :func:`completeness_fit` solves for one target on a basis.
+builds one :class:`CompletenessBasis` (member rows, circles, collocation
+and verification matrices, SVD) per lambda set, translating the distinct
+lambdas of all the sets in one batch and evaluating them on each circle
+by one inverse FFT (:func:`~weylcalc.series.evaluate_grid`), and
+:func:`completeness_fit` solves for one target, given by its values on the
+basis's circles, which every basis of one disk shares.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accel import eval_grid, translate_kernel
+from .accel import translate_kernel
 from .errors import (
     KernelResidualTooLarge,
     MalformedSpec,
@@ -200,7 +202,7 @@ def _relation_residuals(family: EigenFamily, op, lam, disk: DiskSpec):
     _require_finite(
         combined, f"coefficients of op f_lambda - mu f_lambda {_reach(lams)}"
     )
-    sup = np.abs(eval_grid(combined, disk.boundary())).max(axis=0)
+    sup = np.abs(evaluate_grid(combined, disk)).max(axis=-1)
     return float(sup[0]) if scalar else sup
 
 
@@ -249,37 +251,33 @@ def random_disk_lambdas(count: int, seed: int = 0) -> LambdaSet:
 # completeness fitting
 
 
-def collocation_points(disk: DiskSpec) -> np.ndarray:
-    """Boundary circle plus concentric interior circles.
+def collocation_circles(disk: DiskSpec) -> tuple:
+    """The disk's boundary circle and three concentric interior rings.
 
     Pure boundary fitting under-constrains the interior behaviour of
     ill-conditioned exponential sums, hence the interior rings.
     """
-    pts = [disk.boundary()]
-    for frac in (0.25, 0.5, 0.75):
-        ring = DiskSpec(frac * disk.radius, 32)
-        pts.append(ring.boundary())
-    return np.concatenate(pts)
+    rings = tuple(DiskSpec(frac * disk.radius, 32) for frac in (0.25, 0.5, 0.75))
+    return (disk,) + rings
 
 
 @dataclass(frozen=True, eq=False)
 class CompletenessBasis:
     """Everything a fit on one lambda set shares across its targets.
 
-    ``rows`` holds the members' coefficients, one row per lambda.  For the
-    disk the basis was built on, ``collocation`` and ``verification`` hold
-    the members' values on ``points`` = ``collocation_points(disk)`` and
-    on the VERIFY_POINTS circle, one column per lambda; ``svd`` is the thin
-    SVD of ``collocation``, or None with the reason in ``svd_failure`` when
-    LAPACK gave up.  The first ``disk.grid_points`` rows of ``collocation``
-    are ``disk.boundary()``.
+    ``rows`` holds the members' coefficients, one row per lambda.
+    ``circles`` are the collocation circles of the disk the basis was
+    built on, ``collocation_circles(disk)``, and last its VERIFY_POINTS
+    verification circle; ``collocation`` and ``verification`` hold the
+    members' values on the two parts, one column per lambda.  ``svd`` is
+    the thin SVD of ``collocation``, or None with the reason in
+    ``svd_failure`` when LAPACK gave up.
     """
 
     lambdas: LambdaSet
     rows: np.ndarray
-    points: np.ndarray
+    circles: tuple
     collocation: np.ndarray
-    verify_points: np.ndarray
     verification: np.ndarray
     svd: tuple | None
     svd_failure: str = ""
@@ -288,37 +286,30 @@ class CompletenessBasis:
 def completeness_bases(
     family: EigenFamily, lambda_sets, disk: DiskSpec = UNIT_DISK
 ) -> list:
-    """One :class:`CompletenessBasis` per lambda set, in order.
+    """One :class:`CompletenessBasis` per lambda set, in order, all on the
+    same circles.
 
     The distinct lambdas of the union of the sets are turned into their
-    eigenfunctions in one batch, and evaluated in one call at the distinct
-    points of both grids, told apart by their bits (the boundary circle is
-    every other point of the verification circle); a set's rows and
-    matrices are C-contiguous gathers of the shared ones, so they hold the
-    same bits as those built for that set alone.
+    eigenfunctions in one batch and evaluated in one call; a set's rows
+    and matrices are C-contiguous gathers of the shared ones, so they hold
+    the same bits as those built for that set alone.
     """
-    pts = collocation_points(disk)
-    verify_pts = DiskSpec(disk.radius, VERIFY_POINTS).boundary()
-    pts.setflags(write=False)
-    verify_pts.setflags(write=False)
+    circles = collocation_circles(disk) + (DiskSpec(disk.radius, VERIFY_POINTS),)
     column = {}
     for lams in lambda_sets:
         for lam in lams.points:
             column.setdefault(complex(lam), (len(column), lam))
     lams = np.array([lam for _, lam in column.values()], dtype=np.complex128)
     rows = _member_coeffs(family, lams)
-    grid = np.concatenate([pts, verify_pts])
-    _, first, at = np.unique(grid.view("V16"), return_index=True, return_inverse=True)
-    at_colloc, at_verify = np.split(at, [pts.size])
-    values = eval_grid(rows, grid[first])
+    values = evaluate_grid(rows, circles)
     # an overflow would reach the SVD as a failure to converge
     _require_finite(values, f"member values on the disk of radius {disk.radius:g} "
                             "leave the double range")
     bases = []
     for lams in lambda_sets:
         idx = [column[complex(lam)][0] for lam in lams.points]
-        a_mat = np.ascontiguousarray(values[np.ix_(at_colloc, idx)])
-        verification = np.ascontiguousarray(values[np.ix_(at_verify, idx)])
+        a_mat = np.ascontiguousarray(values[idx, :-VERIFY_POINTS].T)
+        verification = np.ascontiguousarray(values[idx, -VERIFY_POINTS:].T)
         set_rows = rows[idx]
         for matrix in (set_rows, a_mat, verification):
             matrix.setflags(write=False)
@@ -326,18 +317,8 @@ def completeness_bases(
             svd, failure = np.linalg.svd(a_mat, full_matrices=False), ""
         except np.linalg.LinAlgError as exc:
             svd, failure = None, f"collocation SVD failed: {exc}"
-        bases.append(
-            CompletenessBasis(
-                lambdas=lams,
-                rows=set_rows,
-                points=pts,
-                collocation=a_mat,
-                verify_points=verify_pts,
-                verification=verification,
-                svd=svd,
-                svd_failure=failure,
-            )
-        )
+        bases.append(CompletenessBasis(lams, set_rows, circles, a_mat, verification,
+                                       svd, failure))
     return bases
 
 
@@ -400,26 +381,26 @@ def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
 
 def completeness_fit(
     basis: CompletenessBasis,
-    target: TaylorSeries,
+    values: np.ndarray,
     ridge: float = RIDGE_DEFAULT,
 ) -> FitReport:
-    """Ridge-regularized fit of target in span{f_lambda} on the disk.
+    """Ridge-regularized fit in span{f_lambda} of the target whose values
+    on ``basis.circles`` are ``values``, as ``evaluate_grid`` gives them.
 
     The solve is :func:`regularized_solve` on the collocation matrix; the
     reported residual is the true sup norm on the denser verification
     circle (never the regularized objective, nor the collocation residual
-    that picks a truncated-SVD cutoff).
+    that picks a truncated-SVD cutoff).  A residual past the double range
+    is NonFiniteCoefficient.
     """
     if basis.svd is None:
         raise SingularSystem(basis.svd_failure)
-    w, cond, level = regularized_solve(
-        basis.collocation, evaluate_grid(target, basis.points), ridge, basis.svd
-    )
-    fitted = basis.verification @ w
-    resid = float(np.abs(fitted - evaluate_grid(target, basis.verify_points)).max())
-    return FitReport(
-        weights=w,
-        residual_norm=resid,
-        condition_diag=cond,
-        ridge=level,
-    )
+    on_colloc, on_verify = values[:-VERIFY_POINTS], values[-VERIFY_POINTS:]
+    w, cond, level = regularized_solve(basis.collocation, on_colloc, ridge, basis.svd)
+    resid = float(np.abs(basis.verification @ w - on_verify).max())
+    if not np.isfinite(resid):
+        raise NonFiniteCoefficient(
+            f"fit residual at |Lambda| = {len(basis.lambdas)} leaves the double range",
+            lambda_count=len(basis.lambdas),
+        )
+    return FitReport(weights=w, residual_norm=resid, condition_diag=cond, ridge=level)

@@ -28,12 +28,14 @@ it for every per-target fit, the stacked system, the achieved errors and
 the coefficients of f.
 
 Verification has two routes.  The eigen route reads the members' values
-on the verification circle from the constructor's basis and measures the
-full vector at every scheduled iterate.  The direct route, the check that
-does not depend on the constructor, applies A to the coefficients of f at
-every scheduled iterate and must agree (:func:`targets_met`).  It powers
-A through the banded core of :mod:`weylcalc.operators` exactly, on
-Gaussian integers, and rounds once, so it carries no precision setting.
+on the verification circle from the constructor's basis, at its exact
+roots of unity, and measures the full vector at every scheduled
+iterate.  The direct route, the check that does not depend on the
+constructor, applies A to the coefficients of f at every scheduled
+iterate, at the rounded points of that circle's ``boundary()``, and must
+agree (:func:`targets_met`).  It powers A through the banded core of
+:mod:`weylcalc.operators` exactly, on Gaussian integers, and rounds
+once, so it carries no precision setting.
 It evaluates the exact coefficients in two stages
 (:func:`direct_power_values`).  A vectorised double-double pass gives
 each real and imaginary part as h + l within a bound beta, and decides
@@ -62,6 +64,7 @@ from .errors import (
 )
 from .eigen import (
     RIDGE_DEFAULT,
+    VERIFY_POINTS,
     CompletenessBasis,
     DiskSpec,
     EigenFamily,
@@ -72,7 +75,7 @@ from .eigen import (
     regularized_solve,
 )
 from .operators import CompositeOperator, exact_power, from_gaussian, to_gaussian
-from .series import TaylorSeries, evaluate_grid, linear_combine
+from .series import TaylorSeries, evaluate_grid, linear_combine, stacked_coeffs
 
 #: expanding lambda points per target
 LAMBDA_COUNT_DEFAULT = 16
@@ -525,10 +528,11 @@ def construct_orbit(
     lambdas = select_expanding_lambdas(family.op, lambda_count * m_targets, margin)
     mu = eigenvalue_of(family.op, lambdas.points)
     [basis] = completeness_bases(family, [lambdas], DiskSpec(problem.radius, 64))
+    values = evaluate_grid(stacked_coeffs(targets), basis.circles)
 
     fit_residuals = []
-    for j, q in enumerate(targets):
-        fit = completeness_fit(basis, q, ridge)
+    for j, q_values in enumerate(values):
+        fit = completeness_fit(basis, q_values, ridge)
         if fit.residual_norm > budget:
             raise BudgetExceeded(
                 f"target {j}: fit residual {fit.residual_norm:.3e} exceeds "
@@ -539,8 +543,7 @@ def construct_orbit(
             )
         fit_residuals.append(fit.residual_norm)
 
-    rhs = np.concatenate([evaluate_grid(q, basis.points) for q in targets])
-    q_verify = [evaluate_grid(q, basis.verify_points) for q in targets]
+    rhs, q_verify = values[:, :-VERIFY_POINTS].ravel(), values[:, -VERIFY_POINTS:]
     room = math.log(STACKED_MAX / np.abs(basis.collocation).max())
     cap = min(SCHEDULE_CAP, max(0, int(room / math.log(np.abs(mu).max()))))
     missed = m_targets - 1
@@ -599,11 +602,13 @@ def verify_orbit(construction: OrbitConstruction) -> list:
     c, targets = construction.problem.family.op, construction.problem.targets
     mu = construction.eigenvalues
     basis = construction.basis
-    verify_pts = basis.verify_points
+    verify = basis.circles[-1]
+    q_verify = evaluate_grid(stacked_coeffs(targets), verify)
+    pts = verify.boundary()
     rows = []
-    for j, (q, n_j) in enumerate(zip(targets, construction.schedule)):
+    for j, (q_values, n_j) in enumerate(zip(q_verify, construction.schedule)):
         eig_vals = basis.verification @ _amplitudes(construction.coords, mu, n_j)
-        direct_vals = direct_power_values(c, construction.f, n_j, verify_pts)
+        direct_vals = direct_power_values(c, construction.f, n_j, pts)
         if not np.isfinite(direct_vals).all():
             raise NonFiniteCoefficient(
                 f"direct route at n = {n_j} leaves the double range"
@@ -611,9 +616,7 @@ def verify_orbit(construction: OrbitConstruction) -> list:
         rows.append({
             "target": j,
             "n": n_j,
-            "eigen_error_full": float(
-                np.abs(eig_vals - evaluate_grid(q, verify_pts)).max()
-            ),
+            "eigen_error_full": float(np.abs(eig_vals - q_values).max()),
             "method_discrepancy": float(np.abs(direct_vals - eig_vals).max()),
         })
     return rows

@@ -107,7 +107,6 @@ def series_to_dict(s: TaylorSeries) -> dict:
     return {
         "label": s.label,
         "coeffs": [complex_pair(c) for c in s.coeffs],
-        "valid_order": len(s),
     }
 
 
@@ -125,20 +124,11 @@ def check_keys(doc: dict, allowed: tuple, what: str) -> None:
 def series_from_dict(d: dict) -> TaylorSeries:
     if not isinstance(d, dict) or not isinstance(d.get("coeffs"), list):
         raise MalformedSpec("series: expected an object with a 'coeffs' list")
-    check_keys(d, ("coeffs", "label", "valid_order"), "series")
+    check_keys(d, ("coeffs", "label"), "series")
     coeffs = [pair_to_complex(p, "series.coeffs") for p in d["coeffs"]]
     if not coeffs:
         raise MalformedSpec("series.coeffs must be non-empty")
-    valid = d.get("valid_order", len(coeffs))
-    if (
-        not isinstance(valid, int)
-        or isinstance(valid, bool)
-        or not 1 <= valid <= len(coeffs)
-    ):
-        raise MalformedSpec(f"series.valid_order out of range: {valid!r}")
-    return TaylorSeries(
-        np.array(coeffs[:valid], dtype=np.complex128), str(d.get("label", ""))
-    )
+    return TaylorSeries(np.array(coeffs, dtype=np.complex128), str(d.get("label", "")))
 
 
 def operator_to_dict(op) -> dict:

@@ -5,6 +5,10 @@ about the origin: the truncated polynomial is the representative, and how
 far it is from the entire function is a question about the tail, not a
 field of the series.  All operations are pure and all values immutable,
 so series can be shared freely across threads.
+
+Every value on a circle is taken by :func:`evaluate_grid`, at the exact
+M-th roots of unity scaled by the radius: one inverse FFT of the
+coefficients per circle, O(N + M log M) for N coefficients on M points.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import eval_grid, translate_kernel
+from .accel import translate_kernel
 from .errors import (
     EmptyCoefficients,
     EmptyCombination,
@@ -118,8 +122,44 @@ def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:
     return TaylorSeries(translate_kernel(f.coeffs, lam), f.label)
 
 
-def evaluate_grid(f: TaylorSeries, points: np.ndarray) -> np.ndarray:
-    return eval_grid(f.coeffs, points)
+def evaluate_grid(coeffs, circles) -> np.ndarray:
+    """Values of truncated series on circles, at the exact roots of unity.
+
+    ``coeffs`` is one ``(N,)`` coefficient row or a ``(K, N)`` matrix of
+    rows, ``circles`` a :class:`DiskSpec` or a sequence of them; the values
+    on DiskSpec(R, M), at R w^j for w = e^(2 pi i / M) and j < M (the
+    points of ``boundary()`` without their rounding), follow one another on
+    the last axis.  Each circle is one inverse FFT: as w^M = 1, the
+    coefficients c_k R^k folded mod M are the DFT of the values.  R^k may
+    overflow where c_k R^k does not, so with R = m 2^e, c_k m^k is scaled
+    by 2^(k e).  A batched row holds the bits of the row alone.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    k = np.arange(coeffs.shape[-1])
+    values = []
+    for disk in [circles] if isinstance(circles, DiskSpec) else circles:
+        m, e = np.frexp(disk.radius)
+        # m^k as m^(k mod 512) (m^512)^(k div 512), both normal while
+        # k < 2^18, and its exponent moved into that of 2^(k e)
+        big_m, big_e = np.frexp(m**512)
+        mant, expo = np.frexp(m ** (k % 512) * big_m ** (k // 512))
+        expo += k * e + big_e * (k // 512)
+        folds = -(-k.size // disk.grid_points)
+        folded = np.zeros(coeffs.shape[:-1] + (folds * disk.grid_points,), complex)
+        folded.real[..., : k.size] = np.ldexp(coeffs.real * mant, expo)
+        folded.imag[..., : k.size] = np.ldexp(coeffs.imag * mant, expo)
+        folded = folded.reshape(coeffs.shape[:-1] + (folds, -1)).sum(axis=-2)
+        values.append(np.fft.ifft(folded, norm="forward"))
+    return np.concatenate(values, axis=-1)
+
+
+def stacked_coeffs(series) -> np.ndarray:
+    """The coefficients of a list of series as the rows of one ``(K, N)``
+    matrix, zero-padded to the longest."""
+    rows = np.zeros((len(series), max(map(len, series))), dtype=np.complex128)
+    for row, s in zip(rows, series):
+        row[: len(s)] = s.coeffs
+    return rows
 
 
 def disk_sup_norm(f: TaylorSeries, disk: DiskSpec = UNIT_DISK) -> float:
@@ -129,7 +169,7 @@ def disk_sup_norm(f: TaylorSeries, disk: DiskSpec = UNIT_DISK) -> float:
     principle boundary sampling bounds the whole disk up to grid
     resolution.
     """
-    return float(np.abs(eval_grid(f.coeffs, disk.boundary())).max())
+    return float(np.abs(evaluate_grid(f.coeffs, disk)).max())
 
 
 def linear_combine(terms) -> TaylorSeries:

@@ -1,9 +1,11 @@
-"""The numpy hot kernels behind series translation and evaluation."""
+"""The numpy hot kernels: series translation, and values on circles
+(``series.evaluate_grid``) against the Horner loop they replaced."""
 
 import numpy as np
 import pytest
 
 from weylcalc import accel
+from weylcalc.series import DiskSpec, evaluate_grid
 
 
 def test_translate_kernel_wrapper_types():
@@ -26,9 +28,10 @@ def test_kernels_take_a_batch():
     lams = np.array([0.5, 1j, -2.0])
     assert accel.translate_kernel(coeffs, 0.5).shape == (5,)
     assert accel.translate_kernel(coeffs, lams).shape == (3, 5)
-    pts = np.linspace(0.0, 1.0, 7)
-    assert accel.eval_grid(coeffs, pts).shape == (7,)
-    assert accel.eval_grid(np.ones((3, 5)), pts).shape == (7, 3)
+    circles = [DiskSpec(1.0, 8), DiskSpec(0.5, 9)]
+    assert evaluate_grid(coeffs, circles[0]).shape == (8,)
+    assert evaluate_grid(coeffs, circles).shape == (17,)
+    assert evaluate_grid(np.ones((3, 5)), circles).shape == (3, 17)
 
 
 def _shift_one(coeffs, lam):
@@ -55,89 +58,120 @@ def test_batched_translate_rows_equal_single_shifts(n_len):
         assert np.array_equal(_bits(accel.translate_kernel(coeffs, lam)), _bits(row))
 
 
+# ---------------------------------------------------------------------------
+# values on circles
+
+
+def _circles(count):
+    """``count`` circles of 8, 13, 18, ... points (primes and odd sizes
+    among them) and radii up to 1.3."""
+    return [DiskSpec(1.3 * (i + 1) / count, 8 + 5 * i) for i in range(count)]
+
+
+def _horner(coeffs, points):
+    # the out-of-place Horner loop, (..., P) like evaluate_grid: the reference
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    y = np.zeros(coeffs.shape[:-1] + points.shape, dtype=np.complex128)
+    for c in coeffs.T[::-1]:
+        y = y * points + c[..., None]
+    return y
+
+
+def _points(circles):
+    return np.concatenate([disk.boundary() for disk in circles])
+
+
+def _bound(coeffs, circles):
+    """(8 N + 8 log2 M) u sum_k |c_k| R^k on each circle's M points, u =
+    2^-53: the rounding of the Horner loop and of the points of
+    ``boundary()``, which the values at the exact roots of unity do not
+    share, and that of an FFT of M points, prime M included."""
+    coeffs = np.asarray(coeffs)
+    n_len = coeffs.shape[-1]
+    return np.concatenate([
+        np.repeat((np.abs(coeffs) * disk.radius ** np.arange(n_len)).sum(-1)[..., None]
+                  * (8 * n_len + 8 * np.log2(disk.grid_points)) * 2.0**-53,
+                  disk.grid_points, axis=-1)
+        for disk in circles
+    ], axis=-1)
+
+
 @pytest.mark.parametrize("n_len", [1, 2, 17, 128])
 def test_eval_grid_matrix_equals_its_rows(n_len):
+    # a batched row holds the bits of the row alone
     rng = np.random.default_rng(n_len)
     rows = rng.standard_normal((9, n_len)) + 1j * rng.standard_normal((9, n_len))
-    pts = 1.3 * np.exp(2j * np.pi * rng.random(40))
-    values = accel.eval_grid(rows, pts)
+    circles = _circles(3)
+    values = evaluate_grid(rows, circles)
     for k, row in enumerate(rows):
-        assert np.array_equal(_bits(values[:, k]), _bits(accel.eval_grid(row, pts)))
+        assert np.array_equal(_bits(values[k]), _bits(evaluate_grid(row, circles)))
 
 
 @pytest.mark.parametrize("n_len", [1, 2, 17, 128])
 def test_eval_grid_equals_polyval(n_len):
     rng = np.random.default_rng(n_len)
     coeffs = rng.standard_normal(n_len) + 1j * rng.standard_normal(n_len)
-    pts = 1.3 * np.exp(2j * np.pi * rng.random(40))
-    assert np.array_equal(
-        _bits(accel.eval_grid(coeffs, pts)), _bits(np.polyval(coeffs[::-1], pts))
-    )
-
-
-def _eval_grid_reference(coeffs, points):
-    # the out-of-place Horner loop on a (P, K) array, the reference
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    points = np.ascontiguousarray(points, dtype=np.complex128)
-    x = points if coeffs.ndim == 1 else points[:, None]
-    y = np.zeros(points.shape + coeffs.shape[:-1], dtype=np.complex128)
-    for pv in coeffs.T[::-1]:
-        y = y * x + pv
-    return y
-
-
-def _same_values(a, b):
-    # bit for bit, but for the sign and payload of a NaN
-    a, b = _bits(a), _bits(b)
-    nan = np.isnan(a)
-    return (
-        a.shape == b.shape
-        and np.array_equal(nan, np.isnan(b))
-        and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
-    )
+    circles = _circles(2)
+    want = np.polyval(coeffs[::-1], _points(circles))
+    assert (np.abs(evaluate_grid(coeffs, circles) - want) <= _bound(coeffs, circles)).all()
 
 
 @pytest.mark.parametrize("k_rows", [None, 1, 2, 9])
 @pytest.mark.parametrize("n_len", [1, 2, 17, 128])
-@pytest.mark.parametrize("n_points", [1, 2, 3, 40])
-def test_eval_grid_equals_out_of_place_loop(k_rows, n_len, n_points):
-    # None: one 1-d coefficient vector
-    rng = np.random.default_rng([n_len, n_points, k_rows or 0])
+@pytest.mark.parametrize("n_circles", [1, 2, 3, 40])
+def test_eval_grid_equals_out_of_place_loop(k_rows, n_len, n_circles):
+    # None: one 1-d coefficient vector; up to 16 folds of 128 coefficients
+    # on 8 points, none on the larger circles
+    rng = np.random.default_rng([n_len, n_circles, k_rows or 0])
     shape = (n_len,) if k_rows is None else (k_rows, n_len)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    pts = 1.3 * np.exp(2j * np.pi * rng.random(n_points))
-    values = accel.eval_grid(coeffs, pts)
-    assert _same_values(values, _eval_grid_reference(coeffs, pts))
-    if k_rows is not None:
-        assert values.T.flags.c_contiguous  # the (P, K) view of a (K, P) buffer
+    circles = _circles(n_circles)
+    values = evaluate_grid(coeffs, circles)
+    assert values.shape == shape[:-1] + (sum(d.grid_points for d in circles),)
+    reference = _horner(coeffs, _points(circles))
+    assert (np.abs(values - reference) <= _bound(coeffs, circles)).all()
 
 
 @pytest.mark.parametrize("k_rows", [None, 1, 4])
 def test_eval_grid_equals_out_of_place_loop_at_signed_zeros(k_rows):
+    # row 0 is all signed zeros, row 1 has a -0.0 constant term
     rng = np.random.default_rng(7)
-    shape = (17,) if k_rows is None else (k_rows, 17)
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs[..., :2] = [complex(-0.0, -0.0), -1.0]  # the value at 0 is a signed zero
-    pts = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1e-310, 1.5])
-    values = accel.eval_grid(coeffs, pts)
-    assert _same_values(values, _eval_grid_reference(coeffs, pts))
-    assert len({v.tobytes() for v in values[:4].ravel()}) > 1
+    rows = rng.standard_normal((4, 17)) + 1j * rng.standard_normal((4, 17))
+    rows[0] = [complex(-0.0, -0.0), complex(0.0, -0.0), -0.0] * 5 + [0.0, -0.0]
+    rows[1, :2] = [complex(-0.0, -0.0), -1.0]
+    coeffs = rows[0] if k_rows is None else rows[:k_rows]
+    circles = _circles(3)
+    values = evaluate_grid(coeffs, circles)
+    assert (np.abs(values - _horner(coeffs, _points(circles)))
+            <= _bound(coeffs, circles)).all()
+    assert ((values if k_rows is None else values[0]) == 0).all()
+    for k, row in enumerate(np.atleast_2d(coeffs)):
+        alone = evaluate_grid(row, circles)
+        assert np.array_equal(_bits(np.atleast_2d(values)[k]), _bits(alone))
 
 
 @pytest.mark.parametrize("k_rows", [None, 1, 3])
 def test_eval_grid_equals_out_of_place_loop_past_the_double_range(k_rows):
-    # row 0 leaves the double range on its last add at 1.0 (inf), row 1
-    # inside the loop at 1e200j (nan)
+    # row 0 leaves the double range on its last add on the unit circle,
+    # row 1 (scaled by 1e300) on the circle of radius 1e200; row 2 is 1 on
+    # every circle, though R^k leaves the double range there: R^k is never
+    # formed alone, so no zero coefficient meets an infinite power
     rng = np.random.default_rng(8)
     coeffs = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
     coeffs[0] = 0.0
     coeffs[0, :2] = [1.5e308, 1e308]
     coeffs[1] *= 1e300
+    coeffs[2] = 0.0
+    coeffs[2, 0] = 1.0
     coeffs = coeffs[0] if k_rows is None else coeffs[:k_rows]
-    pts = np.array([1.0, 1e200j, 0.5])
+    circles = [DiskSpec(1.0, 8), DiskSpec(1e200, 8), DiskSpec(0.5, 8)]
     with np.errstate(all="ignore"):
-        values = accel.eval_grid(coeffs, pts)
-        expected = _eval_grid_reference(coeffs, pts)
-    assert np.isinf(expected).any()
-    assert np.isnan(expected).any() == (k_rows == 3)
-    assert _same_values(values, expected)
+        values = evaluate_grid(coeffs, circles).reshape(-1, 3, 8)
+        reference = _horner(coeffs, _points(circles)).reshape(-1, 3, 8)
+    assert np.isinf(reference).any()
+    # every circle where the loop leaves the double range does too
+    overflow = ~np.isfinite(reference).all(axis=-1)
+    assert (~np.isfinite(values).all(axis=-1))[overflow].all()
+    if k_rows == 3:
+        assert overflow[1].tolist() == [False, True, False]
+        assert (values[2] == 1).all()

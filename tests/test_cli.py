@@ -327,7 +327,17 @@ def test_kernel_cut_by_overflow_guard_writes_its_length(tmp_path, capsys):
                  "--terms", "200", "--outdir", str(tmp_path)])
     assert code == 0
     (sol,) = json.loads((tmp_path / "kernel_basis.json").read_text())["solutions"]
-    assert sol["valid_order"] == len(sol["coeffs"]) < 200
+    assert set(sol) == {"label", "coeffs"} and len(sol["coeffs"]) < 200
+
+
+def test_kernel_on_a_circle_where_the_powers_of_r_overflow(tmp_path, capsys):
+    # 10^k leaves the double range at k = 309, where the coefficients of
+    # exp(z^2/2) have long underflowed to zero: each c_k 10^k stays finite
+    code = main(["kernel", "--op", D_MINUS_Z, "--terms", "512", "--radius", "10",
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    (residual,) = json.loads((tmp_path / "kernel_basis.json").read_text())["residuals"]
+    assert residual == pytest.approx(1379745.0131211416, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["kernel", "eigencheck"])
@@ -479,6 +489,40 @@ def test_complete_fit_translates_each_lambda_once(tmp_path, monkeypatch):
                  "--outdir", str(tmp_path)])
     assert code == 0
     assert len(calls) == 40
+
+
+def test_complete_fit_evaluates_each_target_once(tmp_path, monkeypatch):
+    # one call for the members of every count and one for every target,
+    # on all five circles, not one per target and count
+    calls = []
+    evaluate_grid = weylcalc.series.evaluate_grid
+
+    def counted(coeffs, circles):
+        calls.append((np.shape(coeffs), len(circles)))
+        return evaluate_grid(coeffs, circles)
+
+    for module in (weylcalc.cli, weylcalc.eigen):
+        monkeypatch.setattr(module, "evaluate_grid", counted)
+    code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", TARGETS,
+                 "--preset", "inverse", "--counts", "5,10,20",
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    assert calls == [((20, 128), 5), ((2, 2), 5)]
+
+
+def test_complete_fit_residual_past_the_double_range_exits_1(tmp_path, capsys):
+    # the fit of 1e305 overflows: its residual is refused, naming the
+    # target and |Lambda|, not reported as an ok fit
+    _negative_result(["complete-fit", "--op", D_MINUS_Z, "--targets",
+                      '[{"coeffs":[[1e305,0]],"label":"big"}]', "--counts", "5,10"],
+                     tmp_path, capsys)
+    err = json.loads((tmp_path / "complete_fit_error.json").read_text())["error"]
+    assert err == {
+        "type": "NonFiniteCoefficient",
+        "message": "target 'big': fit residual at |Lambda| = 5 leaves the double range",
+        "target_index": 0,
+        "lambda_count": 5,
+    }
 
 
 @pytest.mark.parametrize("op, batches", [

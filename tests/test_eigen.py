@@ -12,7 +12,7 @@ from weylcalc.eigen import (
     CompletenessBasis,
     EigenFamily,
     LambdaSet,
-    collocation_points,
+    collocation_circles,
     completeness_bases,
     completeness_fit,
     composite_eigencheck,
@@ -25,7 +25,6 @@ from weylcalc.eigen import (
     segment_lambdas,
 )
 import weylcalc.eigen
-from weylcalc.accel import eval_grid
 from weylcalc.errors import KernelResidualTooLarge, NonFiniteCoefficient, SingularSystem
 from weylcalc.operators import (
     CompositeOperator,
@@ -69,6 +68,11 @@ def _member(family, lam):
     if family.kind == "translate":
         return translate(family.f0, lam)
     return make_series(exponential_rows([lam], family.n_terms)[0])
+
+
+def _fit(basis, target, ridge=weylcalc.eigen.RIDGE_DEFAULT):
+    """completeness_fit of a target series on the basis's circles."""
+    return completeness_fit(basis, evaluate_grid(target.coeffs, basis.circles), ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +269,7 @@ def test_fit_reproduces_span_member(gaussian_family):
     _, family = gaussian_family
     lams = LambdaSet(np.array([0.3, -0.2 + 0.1j, 0.5j]))
     target = eigenfunction(family, 0.3)
-    fit = completeness_fit(completeness_bases(family, [lams])[0], target)
+    fit = _fit(completeness_bases(family, [lams])[0], target)
     assert fit.residual_norm <= 1e-9
     assert abs(fit.weights[0] - 1.0) <= 1e-6
     assert np.abs(fit.weights[1:]).max() <= 1e-6
@@ -277,7 +281,7 @@ def test_fit_residual_curve_non_increasing(gaussian_family):
     for target in (make_series([1.0], "1"), make_series([0.0, 1.0], "z")):
         residuals = []
         for count in (5, 10, 20, 40):
-            fit = completeness_fit(
+            fit = _fit(
                 completeness_bases(family, [inverse_integer_lambdas(count)])[0],
                 target,
                 ridge=0.0,
@@ -298,8 +302,8 @@ def test_fit_scaling_equivariance(gaussian_family):
     s = 2.5 - 1.0j
     scaled = make_series(np.array([0.0, 1.0]) * s, "s*z")
     [basis] = completeness_bases(family, [lams])
-    f1 = completeness_fit(basis, target, ridge=1e-10)
-    f2 = completeness_fit(basis, scaled, ridge=1e-10)
+    f1 = _fit(basis, target, ridge=1e-10)
+    f2 = _fit(basis, scaled, ridge=1e-10)
     assert np.abs(f2.weights - s * f1.weights).max() <= 1e-8 * np.abs(
         f1.weights
     ).max()
@@ -312,19 +316,19 @@ def test_fit_report_residual_is_true_sup_norm(gaussian_family):
     _, family = gaussian_family
     lams = inverse_integer_lambdas(10)
     target = make_series([1.0], "1")
-    fit = completeness_fit(completeness_bases(family, [lams])[0], target)
-    pts = DiskSpec(1.0, 128).boundary()
+    fit = _fit(completeness_bases(family, [lams])[0], target)
+    circle = DiskSpec(1.0, 128)
     fitted = sum(
-        w * evaluate_grid(_member(family, lam), pts)
+        w * evaluate_grid(_member(family, lam).coeffs, circle)
         for w, lam in zip(fit.weights, lams.points)
     )
-    resid = np.abs(fitted - evaluate_grid(target, pts)).max()
+    resid = np.abs(fitted - evaluate_grid(target.coeffs, circle)).max()
     assert resid == pytest.approx(fit.residual_norm, rel=1e-9)
 
 
 def test_fit_condition_diagnostic_positive(gaussian_family):
     _, family = gaussian_family
-    fit = completeness_fit(
+    fit = _fit(
         completeness_bases(family, [inverse_integer_lambdas(10)])[0],
         make_series([1.0]),
     )
@@ -356,16 +360,15 @@ def test_truncated_svd_without_a_finite_cutoff():
 def _basis_alone(family, lams, disk=UNIT_DISK):
     """Basis of one lambda set built column by column, sharing nothing."""
     members = [_member(family, lam) for lam in lams.points]
-    pts = collocation_points(disk)
-    verify_pts = DiskSpec(disk.radius, VERIFY_POINTS).boundary()
-    a_mat = np.column_stack([evaluate_grid(s, pts) for s in members])
+    circles = collocation_circles(disk)
+    verify = DiskSpec(disk.radius, VERIFY_POINTS)
+    a_mat = np.column_stack([evaluate_grid(s.coeffs, circles) for s in members])
     return CompletenessBasis(
         lambdas=lams,
         rows=np.array([s.coeffs for s in members]),
-        points=pts,
+        circles=circles + (verify,),
         collocation=a_mat,
-        verify_points=verify_pts,
-        verification=np.column_stack([evaluate_grid(s, verify_pts) for s in members]),
+        verification=np.column_stack([evaluate_grid(s.coeffs, verify) for s in members]),
         svd=np.linalg.svd(a_mat, full_matrices=False),
     )
 
@@ -383,7 +386,8 @@ def test_fit_on_shared_basis_equals_fit_on_own_basis(
     gaussian_family, kind, preset, ridge
 ):
     # a basis built from several lambda sets gives the same bits as one
-    # built for its set alone; the duplicated count 5 gets its own basis
+    # built member by member for its set alone (a batched row holds the
+    # bits of the row alone); the duplicated count 5 gets its own basis
     family = gaussian_family[1] if kind == "translate" else _EXPONENTIAL
     sets = [preset(count) for count in (5, 10, 20, 40, 5)]
     bases = completeness_bases(family, sets)
@@ -395,9 +399,10 @@ def test_fit_on_shared_basis_equals_fit_on_own_basis(
         for name in ("rows", "collocation", "verification"):
             assert not getattr(shared, name).flags.writeable
             assert np.array_equal(_raw(getattr(shared, name)), _raw(getattr(alone, name)))
+        assert shared.circles == alone.circles
         for target in targets:
-            fit_shared = completeness_fit(shared, target, ridge)
-            fit_alone = completeness_fit(alone, target, ridge)
+            fit_shared = _fit(shared, target, ridge)
+            fit_alone = _fit(alone, target, ridge)
             assert (fit_shared.weights == fit_alone.weights).all()
             assert fit_shared.residual_norm == fit_alone.residual_norm
             assert fit_shared.condition_diag == fit_alone.condition_diag
@@ -406,29 +411,32 @@ def test_fit_on_shared_basis_equals_fit_on_own_basis(
 
 @pytest.mark.parametrize("kind", ["translate", "exponential"])
 def test_bases_equal_evaluation_on_each_grid(gaussian_family, kind):
-    # the boundary circle is every other point of the verification circle,
-    # and each point is evaluated once; each matrix still holds the bits
-    # of an evaluation on its own grid
+    # every basis of a disk has its circles: the collocation circles, then
+    # the verification circle; each matrix holds the bits of an evaluation
+    # of the rows on its own circles
     family = gaussian_family[1] if kind == "translate" else _EXPONENTIAL
     sets = [inverse_integer_lambdas(5), random_disk_lambdas(7, seed=2)]
-    for basis in completeness_bases(family, sets, DiskSpec(1.5, 64)):
-        for values, pts in ((basis.collocation, basis.points),
-                            (basis.verification, basis.verify_points)):
-            assert np.array_equal(_raw(values), _raw(eval_grid(basis.rows, pts)))
+    disk = DiskSpec(1.5, 64)
+    for basis in completeness_bases(family, sets, disk):
+        assert basis.circles == collocation_circles(disk) + (DiskSpec(1.5, VERIFY_POINTS),)
+        for values, circles in ((basis.collocation, basis.circles[:-1]),
+                                (basis.verification, basis.circles[-1])):
+            assert values.flags.c_contiguous
+            assert np.array_equal(_raw(values), _raw(evaluate_grid(basis.rows, circles).T))
 
 
 def test_bases_never_merge_points_of_different_bits(gaussian_family, monkeypatch):
-    # +0.0 and -0.0 in either part are one value but four points: a member
-    # with a -0.0 constant term has values of different bits there
-    rows = np.array([[complex(-0.0, -0.0), -1.0, 0.5], [1.0, 2.0, 3.0]])
-    zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
-    monkeypatch.setattr(weylcalc.eigen, "collocation_points",
-                        lambda disk: np.concatenate([zeros, disk.boundary()]))
+    # the boundary circle is every other point of the verification circle,
+    # but each takes its values from its own FFT, nothing gathered from the
+    # other; members with signed zeros among their coefficients included
+    rows = np.array([[complex(-0.0, -0.0), -1.0, 0.5], [1.0, 2.0, 3.0],
+                     [-0.0, complex(0.0, -0.0), 0.0]])
     monkeypatch.setattr(weylcalc.eigen, "_member_coeffs", lambda family, lams: rows)
-    [basis] = completeness_bases(gaussian_family[1], [LambdaSet([1.0, 2.0])])
-    expected = eval_grid(rows, basis.points)
-    assert len({v.tobytes() for v in expected[:4, 0]}) > 1
-    assert np.array_equal(_raw(basis.collocation), _raw(expected))
+    [basis] = completeness_bases(gaussian_family[1], [LambdaSet([1.0, 2.0, 3.0])])
+    boundary, verify = (evaluate_grid(rows, c).T for c in basis.circles[::4])
+    assert np.array_equal(_raw(basis.collocation[:64]), _raw(boundary))
+    assert np.array_equal(_raw(basis.verification), _raw(verify))
+    assert (basis.collocation[:, 2] == 0).all()
 
 
 def test_bases_name_the_lambda_of_a_member_past_the_double_range():

@@ -230,12 +230,12 @@ def test_single_block_bookkeeping_small_n(setting):
     lam = 1.5
     mu = 1.5  # L(a lambda) with L = identity, a = 1
     f = eigenfunction(ident, lam)
-    pts = DiskSpec(1.0, 32).boundary()
-    base = evaluate_grid(f, pts)
+    circle = DiskSpec(1.0, 32)
+    base = evaluate_grid(f.coeffs, circle)
     g = f
     for n in range(1, 11):
         g = apply_composite(ident.op, g)
-        assert np.abs(evaluate_grid(g, pts) - mu**n * base).max() <= 1e-6
+        assert np.abs(evaluate_grid(g.coeffs, circle) - mu**n * base).max() <= 1e-6
 
 
 def test_direct_power_route_matches_double_route_small_n(setting):
@@ -245,12 +245,12 @@ def test_direct_power_route_matches_double_route_small_n(setting):
     f = linear_combine(
         [(0.4, eigenfunction(quad, 0.8)), (-0.2j, eigenfunction(quad, -0.5j))]
     )
-    pts = DiskSpec(1.0, 16).boundary()
+    circle = DiskSpec(1.0, 16)
     g = f
     for n in range(1, 4):
         g = apply_composite(quad.op, g)
-        direct = direct_power_values(quad.op, f, n, pts)
-        assert np.abs(direct - evaluate_grid(g, pts)).max() <= 1e-10
+        direct = direct_power_values(quad.op, f, n, circle.boundary())
+        assert np.abs(direct - evaluate_grid(g.coeffs, circle)).max() <= 1e-10
 
 
 def test_direct_power_route_is_exact_at_large_n(setting):
@@ -521,7 +521,7 @@ def test_stage_one_decides_most_points_of_the_readme_instance(setting, monkeypat
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
     problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
-    pts = con.basis.verify_points
+    pts = con.basis.circles[-1].boundary()
     assert pts.size == 128
     stage_two = weylcalc.orbit._fixed_point_values
     sizes = []

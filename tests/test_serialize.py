@@ -138,14 +138,14 @@ def test_series_from_dict_validation():
         series_from_dict({"coeffs": [[1.0, 0.0]], "valid_order": 7})
 
 
-def test_series_from_dict_keeps_the_valid_prefix():
-    doc = {"coeffs": [[1.0, 0.0], [0.0, 0.0], [5.0, 0.0]], "valid_order": 1}
+def test_series_json_is_its_label_and_coefficients():
+    # a series is its coefficients: no second length is written or read
+    doc = {"coeffs": [[1.0, 0.0], [0.0, 0.0], [5.0, 0.0]], "label": "q"}
     s = series_from_dict(doc)
-    assert np.array_equal(s.coeffs, [1.0])
-    assert series_to_dict(s)["valid_order"] == 1
-    # JSON true passes isinstance(v, int); it is no coefficient count
-    for valid in (0, 4, True, False):
-        with pytest.raises(MalformedSpec):
+    assert np.array_equal(s.coeffs, [1.0, 0.0, 5.0])
+    assert series_to_dict(s) == doc
+    for valid in (1, 3):
+        with pytest.raises(MalformedSpec, match="unknown key"):
             series_from_dict({**doc, "valid_order": valid})
 
 

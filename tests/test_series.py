@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -191,18 +192,76 @@ def test_translate_gaussian_against_convolution_oracle():
 
 def test_evaluate_matches_polyval():
     s = make_series([1.0, -2.0, 0.5, 3.0])
-    for z in (0.3 + 0.4j, -1.0, 2.0j):
-        assert evaluate_grid(s, np.array([z]))[0] == pytest.approx(
-            complex(np.polyval(s.coeffs[::-1], z)), abs=1e-14
-        )
+    for disk in (DiskSpec(0.5, 8), DiskSpec(1.0, 8), DiskSpec(2.0, 12)):
+        want = np.polyval(s.coeffs[::-1], disk.boundary())
+        assert np.abs(evaluate_grid(s.coeffs, disk) - want).max() <= 1e-13
 
 
 def test_evaluate_grid_shape_and_values():
     s = _exponential(1.0, 64)
-    pts = DiskSpec(1.0, 16).boundary()
-    vals = evaluate_grid(s, pts)
-    assert vals.shape == (16,)
+    circles = [DiskSpec(1.0, 16), DiskSpec(0.5, 8)]
+    vals = evaluate_grid(s.coeffs, circles)
+    assert vals.shape == (24,)
+    pts = np.concatenate([disk.boundary() for disk in circles])
     assert np.abs(vals - np.exp(pts)).max() <= 1e-12
+
+
+#: pi to 60 digits
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _roots_of_unity(count: int) -> list:
+    """(cos, sin) of 2 pi j / count for j < count, to about 50 digits."""
+    x = 2 * _PI / count
+    cos, sin, term, n = Decimal(0), Decimal(0), Decimal(1), 0
+    while abs(term) > Decimal("1e-55"):
+        if n % 2:
+            sin += term if n % 4 == 1 else -term
+        else:
+            cos += term if n % 4 == 0 else -term
+        n += 1
+        term = term * x / n
+    roots = [(Decimal(1), Decimal(0))]
+    for _ in range(count - 1):
+        re, im = roots[-1]
+        roots.append((re * cos - im * sin, re * sin + im * cos))
+    return roots
+
+
+def _exact_values(coeffs, disk: DiskSpec) -> np.ndarray:
+    """The values at R w^j by Horner in 50-digit decimal arithmetic, each
+    rounded once: the oracle."""
+    radius = Decimal(disk.radius)
+    terms = [(Decimal(c.real), Decimal(c.imag)) for c in coeffs[::-1]]
+    values = []
+    for cos, sin in _roots_of_unity(disk.grid_points):
+        zr, zi = radius * cos, radius * sin
+        ar = ai = Decimal(0)
+        for cr, ci in terms:
+            ar, ai = ar * zr - ai * zi + cr, ar * zi + ai * zr + ci
+        values.append(complex(float(ar), float(ai)))
+    return np.array(values)
+
+
+def test_evaluate_grid_against_the_exact_roots_of_unity():
+    # the members of the complete-fit presets, translates of exp(z^2/2),
+    # on the boundary circle and the innermost ring: within 1e-15 of the
+    # sum of |c_k| R^k at the exact roots
+    from weylcalc.eigen import (
+        inverse_integer_lambdas, random_disk_lambdas, segment_lambdas)
+
+    lams = np.concatenate([inverse_integer_lambdas(40).points[[0, 39]],
+                           segment_lambdas(40).points[[10, 30]],
+                           random_disk_lambdas(80, seed=4).points[[0, 79]]])
+    f0 = gaussian_series(128)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for lam in lams:
+            coeffs = translate(f0, lam).coeffs
+            for disk in (DiskSpec(1.0, 64), DiskSpec(0.25, 32)):
+                scale = (np.abs(coeffs) * disk.radius ** np.arange(coeffs.size)).sum()
+                err = np.abs(evaluate_grid(coeffs, disk) - _exact_values(coeffs, disk))
+                assert err.max() <= 1e-15 * scale
 
 
 def test_disk_sup_norm_of_monomial():
@@ -292,10 +351,10 @@ def test_sup_norm_subadditive(ca, cb):
 def test_evaluate_linear_in_coefficients(coeffs, w, z):
     f = make_series(coeffs)
     scaled = make_series(np.array(coeffs) * w)
-    pts = np.array([z])
-    assert evaluate_grid(scaled, pts)[0] == pytest.approx(
-        w * evaluate_grid(f, pts)[0], abs=1e-9 * (1 + abs(w))
-    )
+    disk = DiskSpec(abs(z) or 1.0, 8)  # the circle through z
+    assert np.abs(
+        evaluate_grid(scaled.coeffs, disk) - w * evaluate_grid(f.coeffs, disk)
+    ).max() <= 1e-9 * (1 + abs(w))
 
 
 def test_series_loads_without_the_eigen_and_orbit_layers():

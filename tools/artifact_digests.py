@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout::
 
-    python3 tools/artifact_digests.py [--seeds 0 1]
+    python3 tools/artifact_digests.py [--seeds 0 1] [--keep DIR]
 
 Every operation of ``bench/workloads.py`` (the orbit, fit and algebra
 workloads) runs once per seed through ``weylcalc.cli.main``, in
@@ -10,7 +10,9 @@ workloads) runs once per seed through ``weylcalc.cli.main``, in
 timestamp, so the bytes do not depend on the machine's thread count or
 the clock.  One ``sha256  <path>`` line is printed per artifact, sorted
 by path.  Two checkouts write the same artifacts when ``diff`` finds no
-difference between their outputs.
+difference between their outputs.  With ``--keep DIR`` the artifacts are
+written under ``DIR`` (which must not exist yet) and kept there, for
+``tools/artifact_drift.py`` to say how far their values moved.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ ROOT = Path(__file__).resolve().parent.parent
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    parser.add_argument("--keep", type=Path, help="write the artifacts here and keep them")
     args = parser.parse_args(argv)
+    if args.keep is not None and args.keep.exists():
+        parser.error(f"--keep: {args.keep} already exists")
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from run import BLAS_PINS, TIMESTAMP
@@ -41,8 +46,8 @@ def main(argv=None) -> int:
     from workloads import WORKLOADS
     from weylcalc import cli
 
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
+    with contextlib.ExitStack() as stack:
+        base = args.keep or Path(stack.enter_context(tempfile.TemporaryDirectory()))
         for seed in args.seeds:
             for make_ops in WORKLOADS.values():
                 for op in make_ops(seed):
