@@ -12,7 +12,10 @@ Six subcommands expose the computational workflows::
 Each flag is declared once, in ``_FLAGS``, with its range check as its
 argparse ``type``; one writer, ``_write``, writes every artifact with its
 run manifest.  With ``WEYLCALC_TIMESTAMP`` set, identical invocations
-give byte-identical files.  The exception's class decides the exit code:
+give byte-identical files, whatever the machine's thread count: the
+variables of ``BLAS_THREADS`` are set to 1 before numpy loads, so BLAS
+sums in one order (a caller that imported numpy first must pin BLAS
+itself).  The exception's class decides the exit code:
 0 success; 2 for a usage error or an :class:`~weylcalc.errors.InputError`
 (bad input, such as an unknown key in an input JSON object), with
 nothing written; 1 for any other :class:`~weylcalc.errors.WeylcalcError`,
@@ -31,7 +34,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+#: BLAS thread-count variables, each set to "1" before numpy loads
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
+
+import numpy as np  # noqa: E402
 
 from .eigen import (
     RIDGE_DEFAULT,

@@ -63,10 +63,6 @@ class DiskSpec:
         if self.grid_points < 8:
             raise InvalidDisk(f"grid_points must be >= 8, got {self.grid_points}")
 
-    def boundary(self) -> np.ndarray:
-        theta = 2 * np.pi * np.arange(self.grid_points) / self.grid_points
-        return self.radius * np.exp(1j * theta)
-
 
 UNIT_DISK = DiskSpec(1.0, 64)
 
@@ -127,12 +123,12 @@ def evaluate_grid(coeffs, circles) -> np.ndarray:
 
     ``coeffs`` is one ``(N,)`` coefficient row or a ``(K, N)`` matrix of
     rows, ``circles`` a :class:`DiskSpec` or a sequence of them; the values
-    on DiskSpec(R, M), at R w^j for w = e^(2 pi i / M) and j < M (the
-    points of ``boundary()`` without their rounding), follow one another on
-    the last axis.  Each circle is one inverse FFT: as w^M = 1, the
-    coefficients c_k R^k folded mod M are the DFT of the values.  R^k may
-    overflow where c_k R^k does not, so with R = m 2^e, c_k m^k is scaled
-    by 2^(k e).  A batched row holds the bits of the row alone.
+    on DiskSpec(R, M), at R w^j for w = e^(2 pi i / M) and j < M, exactly
+    (no point is rounded), follow one another on the last axis.  Each
+    circle is one inverse FFT: as w^M = 1, the coefficients c_k R^k
+    folded mod M are the DFT of the values.  R^k may overflow where c_k
+    R^k does not, so with R = m 2^e, c_k m^k is scaled by 2^(k e).  A
+    batched row holds the bits of the row alone.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     k = np.arange(coeffs.shape[-1])

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from conftest import rounded_points
 from weylcalc import accel
 from weylcalc.series import DiskSpec, evaluate_grid
 
@@ -78,14 +79,14 @@ def _horner(coeffs, points):
 
 
 def _points(circles):
-    return np.concatenate([disk.boundary() for disk in circles])
+    return np.concatenate([rounded_points(disk) for disk in circles])
 
 
 def _bound(coeffs, circles):
     """(8 N + 8 log2 M) u sum_k |c_k| R^k on each circle's M points, u =
-    2^-53: the rounding of the Horner loop and of the points of
-    ``boundary()``, which the values at the exact roots of unity do not
-    share, and that of an FFT of M points, prime M included."""
+    2^-53: the rounding of the Horner loop and of its rounded points,
+    which the values at the exact roots of unity do not share, and that
+    of an FFT of M points, prime M included."""
     coeffs = np.asarray(coeffs)
     n_len = coeffs.shape[-1]
     return np.concatenate([

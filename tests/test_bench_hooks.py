@@ -14,12 +14,14 @@ import importlib
 import importlib.util
 import inspect
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import readme_cli_examples
 from weylcalc import cli
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -93,3 +95,17 @@ def test_artifact_digests_cover_every_workload_operation():
     ops = {op.name for make_ops in _bench_module("workloads").WORKLOADS.values()
            for op in make_ops(0)}
     assert {"0/" + op for op in ops} == {path.rsplit("/", 1)[0] for path in paths}
+
+
+def test_readme_orbit_with_a_real_fold_passes_its_check(tmp_path):
+    # --order 256 on the 128-point verification circle: the direct route
+    # folds the coefficients of A^n f mod 128, and the benchmark's exact
+    # power on the unit circle, which shares no code with weylcalc, checks
+    # the discrepancy it reports
+    [argv] = [a for a in readme_cli_examples() if a[0] == "construct-orbit"]
+    [op] = [op for op in _ORBIT_OPS if op.name == "orbit/readme_T_1_z"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv + ["--order", "256", "--outdir", str(tmp_path)])
+    assert _bench_module("checks").check_orbit(op.spec, tmp_path, rc) == []
+    doc = json.loads((tmp_path / "orbit.json").read_text())
+    assert len(doc["f"]["coeffs"]) == 256

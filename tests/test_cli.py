@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import readme_cli_examples
 import weylcalc.cli
 import weylcalc.eigen
 import weylcalc.series
@@ -981,3 +982,22 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     for i, argv in enumerate(calls):
         weylcalc.cli._build_parser.cache_clear()
         assert run(i, argv) == cached[i]
+
+
+def test_readme_orbit_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    # the CLI pins BLAS to one thread before numpy loads, whatever the
+    # environment asks for; each run is a fresh process, so the pin acts
+    [argv] = [a for a in readme_cli_examples() if a[0] == "construct-orbit"]
+    src = str(Path(weylcalc.__file__).parents[1])
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               **dict.fromkeys(weylcalc.cli.BLAS_THREADS, threads)}
+        subprocess.run(
+            [sys.executable, "-m", "weylcalc.cli", *argv,
+             "--outdir", str(tmp_path / threads)],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert {"orbit.json", "orbit_errors.csv"} <= set(names)
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

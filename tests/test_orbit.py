@@ -5,6 +5,7 @@ import json
 import math
 import random
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import weylcalc.eigen
 import weylcalc.orbit
+from conftest import roots_of_unity
 from weylcalc.cli import main
 from weylcalc.eigen import EigenFamily, eigenfunction, eigenvalue_of
 from weylcalc.errors import (
@@ -28,12 +30,8 @@ from weylcalc.operators import (
     WeylOperator,
     apply_composite,
     diff_op,
-    exact_power,
-    from_gaussian,
-    to_gaussian,
 )
 from weylcalc.orbit import (
-    GUARD_BITS,
     SCHEDULE_CAP,
     SEARCH_RADIUS_CAP,
     OrbitProblem,
@@ -249,14 +247,15 @@ def test_direct_power_route_matches_double_route_small_n(setting):
     g = f
     for n in range(1, 4):
         g = apply_composite(quad.op, g)
-        direct = direct_power_values(quad.op, f, n, circle.boundary())
+        direct = direct_power_values(quad.op, f, n, circle)
         assert np.abs(direct - evaluate_grid(g.coeffs, circle)).max() <= 1e-10
 
 
 def test_direct_power_route_is_exact_at_large_n(setting):
     # (T + T^2)^30 on the 24 coefficients of 1 + z/2, T = D - zI truncated
     # to them, in plain integers (2 f has integer coefficients), then the
-    # values at the fourth roots of unity, each rounded once
+    # values at the fourth roots of unity, points 0, 2, 4, 6 of M = 8,
+    # within 1e-15 of the largest: the values at +-1 are 1000 times smaller
     _, quad = setting
     size = 24
     g = [2, 1] + [0] * (size - 2)
@@ -268,7 +267,6 @@ def test_direct_power_route_is_exact_at_large_n(setting):
     for _ in range(30):
         tg = t(g)
         g = [x + y for x, y in zip(tg, t(tg))]
-    pts = np.array([1, 1j, -1, -1j])
     want = []
     for z in ((1, 0), (0, 1), (-1, 0), (0, -1)):
         re, im, zr, zi = 0, 0, 1, 0
@@ -278,8 +276,8 @@ def test_direct_power_route_is_exact_at_large_n(setting):
         want.append(complex(re / 2, im / 2))
     assert max(abs(v) for v in g) > 2**100  # far beyond double precision
     f = make_series([1.0, 0.5] + [0.0] * (size - 2))
-    got = direct_power_values(quad.op, f, 30, pts)
-    assert np.array_equal(got, np.array(want))
+    got = direct_power_values(quad.op, f, 30, DiskSpec(1.0, 8))[::2]
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_acceptance_instance_two_routes(setting):
@@ -317,14 +315,14 @@ def test_every_scheduled_iterate_has_a_direct_row(setting):
 def test_direct_route_past_the_double_range_names_the_iterate(setting, monkeypatch):
     # direct values past the double range are an outcome rather than a
     # discrepancy; the route's own values past it are covered by
-    # test_direct_values_are_the_fixed_point_horners
+    # test_verify_orbit_past_the_double_range_names_the_iterate
     ident, _ = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
     con = construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
     assert con.schedule == [5, 10]
 
-    def overflowing(c, f, n, pts):
-        return np.full(pts.size, complex(np.inf, 0.0))
+    def overflowing(c, f, n, circle):
+        return np.full(circle.grid_points, complex(np.inf, 0.0))
 
     monkeypatch.setattr(weylcalc.orbit, "direct_power_values", overflowing)
     with pytest.raises(NonFiniteCoefficient) as exc:
@@ -333,210 +331,117 @@ def test_direct_route_past_the_double_range_names_the_iterate(setting, monkeypat
 
 
 # ---------------------------------------------------------------------------
-# the direct route's two stages: every value is the fixed-point Horner's
+# the direct route's values at the exact roots of unity
 
 
-def _horner_reference(g, e, pts):
-    """sum_k g_k z^k / 2^e by the direct route's fixed-point Horner alone,
-    on every point: a copy kept here as the reference for both stages."""
-    (z_re, z_im), ez = to_gaussian(pts)
-    acc_re = np.zeros(z_re.size, dtype=object)
-    acc_im = np.zeros(z_re.size, dtype=object)
-    for g_re, g_im in zip(g[0, ::-1], g[1, ::-1]):
-        acc_re, acc_im = (
-            ((acc_re * z_re - acc_im * z_im) >> ez) + (g_re << GUARD_BITS),
-            ((acc_re * z_im + acc_im * z_re) >> ez) + (g_im << GUARD_BITS),
-        )
-    return from_gaussian(acc_re, acc_im, e + GUARD_BITS)
-
-
-def _direct_values(g, e, pts):
+def _direct_values(g, e, circle):
     """direct_power_values where A^n f has the exact coefficients g / 2^e."""
     with mock.patch.object(weylcalc.orbit, "exact_power", lambda c, coeffs, n: (g, e)):
-        return direct_power_values(None, make_series([0.0]), 0, pts)
+        return direct_power_values(None, make_series([0.0]), 0, circle)
 
 
 def _bits(values):
     return np.asarray(values, dtype=np.complex128).view(np.uint64)
 
 
-def _gaussian_ints(rng, n_coeffs, e, magnitude, decay):
-    """(2, n_coeffs) Python ints with |g_k| / 2^e about 2^(magnitude -
+def _gaussian_ints(rng, n_coeffs, e, magnitude, decay, radius=1.0):
+    """(2, n_coeffs) Python ints with |g_k| R^k / 2^e about 2^(magnitude -
     decay k), random in every bit below that, a few of them zero."""
     g = np.zeros((2, n_coeffs), dtype=object)
     for k in range(n_coeffs):
-        bits = e + magnitude - int(decay * k)
+        bits = e + magnitude - int(decay * k + k * math.log2(radius))
         for part in (0, 1):
             if bits >= 0 and rng.random() > 0.1:
                 g[part, k] = rng.randrange(-(2**bits), 2**bits + 1)
     return g
 
 
-def _points(rng, kind, radius):
-    if kind == "circle":  # the verification circle
-        return DiskSpec(radius, 128).boundary()
-    if kind == "axis":
-        scales = [radius * rng.random() for _ in range(8)] + [radius, 0.0, -0.0]
-        return np.array([s * u for s in scales for u in (1, -1, 1j, -1j)])
-    return np.array([complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-                     for _ in range(64)])
-
-
-def _exact_values(g, e, pts):
-    """The exact p(z) = sum_k g_k z^k / 2^e at each point as Fraction
-    parts, by integer Horner on z = Z / 2^ez."""
-    (z_re, z_im), ez = to_gaussian(pts)
-    n_coeffs = g.shape[1]
-    acc_re = np.zeros(z_re.size, dtype=object)
-    acc_im = np.zeros(z_re.size, dtype=object)
-    for k in range(n_coeffs - 1, -1, -1):
-        shift = ez * (n_coeffs - 1 - k)
-        acc_re, acc_im = (
-            acc_re * z_re - acc_im * z_im + (g[0, k] << shift),
-            acc_re * z_im + acc_im * z_re + (g[1, k] << shift),
-        )
-    den = 1 << (e + ez * (n_coeffs - 1))
-    return [(Fraction(x, den), Fraction(y, den)) for x, y in zip(acc_re, acc_im)]
-
-
-_COEFFICIENTS = dict(
-    seed=st.integers(0, 2**32 - 1),
-    n_coeffs=st.sampled_from([1, 2, 17, 128]),
-    decay=st.floats(0.0, 8.0),
-    radius=st.floats(0.5, 3.0),
-    kind=st.sampled_from(["circle", "axis", "random"]),
-)
+def _exact_circle_values(g, e, circle):
+    """p(R w^j) = sum_k g_k R^k w^(j k) / 2^e, each value rounded once:
+    the folds F_r = sum_{k = r mod M} g_k R^k / 2^e as exact Fractions,
+    then sum_r F_r w^(j r) in 60-digit decimal arithmetic."""
+    m = circle.grid_points
+    folds = [[Fraction(0)] * m, [Fraction(0)] * m]
+    term = Fraction(1, 1 << e)
+    for k in range(g.shape[1]):
+        for part in (0, 1):
+            folds[part][k % m] += g[part, k] * term
+        term *= Fraction(circle.radius)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        fr, fi = ([Decimal(x.numerator) / x.denominator for x in part]
+                  for part in folds)
+        roots = roots_of_unity(m)
+        values = []
+        for j in range(m):
+            re = im = Decimal(0)
+            for r in range(m):
+                cos, sin = roots[j * r % m]
+                re += fr[r] * cos - fi[r] * sin
+                im += fr[r] * sin + fi[r] * cos
+            values.append(complex(float(re), float(im)))
+    return np.array(values)
 
 
 @settings(max_examples=40, deadline=None)
-@given(e=st.integers(0, 1200), magnitude=st.integers(-1100, 1030), **_COEFFICIENTS)
-def test_direct_values_are_the_fixed_point_horners(seed, n_coeffs, e, magnitude,
-                                                    decay, radius, kind):
-    # from the subnormal range to past the double range, stage 1 decides
-    # what it can and the fixed-point Horner the rest, bit for bit as the
-    # Horner alone; the sign of a zero counts
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_coeffs=st.sampled_from([1, 2, 17, 128, 200, 512]),
+    grid_points=st.sampled_from([8, 12, 32, 100, 128]),
+    radius=st.one_of(st.just(1.0), st.floats(0.5, 3.0)),
+    magnitude=st.integers(-1000, 1000),
+    extra_bits=st.integers(0, 200),
+    decay=st.floats(0.0, 8.0),
+)
+def test_direct_values_are_the_values_at_the_exact_roots(
+        seed, n_coeffs, grid_points, radius, magnitude, extra_bits, decay):
+    # folded (N > M) or not, on any radius, from about 2^-1000 to near
+    # overflow: within 1e-14 max |p| of the exact values at R w^j
     rng = random.Random(seed)
-    g = _gaussian_ints(rng, n_coeffs, e, magnitude, decay)
-    pts = _points(rng, kind, radius)
-    want = _horner_reference(g, e, pts)
-    assert np.array_equal(_bits(_direct_values(g, e, pts)), _bits(want))
-
-
-@settings(max_examples=25, deadline=None)
-@given(e=st.integers(0, 300), magnitude=st.integers(-60, 60), **_COEFFICIENTS)
-def test_stage_one_is_within_its_bound(seed, n_coeffs, e, magnitude, decay, radius,
-                                       kind):
-    # |h + l - p(z)| <= beta in each part, against the exact value
-    rng = random.Random(seed)
-    g = _gaussian_ints(rng, n_coeffs, e, magnitude, decay)
-    pts = _points(rng, kind, radius)
-    (h, l), beta, delta = weylcalc.orbit._double_double_values(g, e, pts)
-    assert np.all(delta >= 0)
-    for j, exact in enumerate(_exact_values(g, e, pts)):
-        for part in (0, 1):
-            error = Fraction(h[part, j]) + Fraction(l[part, j]) - exact[part]
-            assert abs(error) <= Fraction(beta[j])
-
-
-@pytest.mark.parametrize("coeffs, e, z, want", [
-    # 1 + 2^-53, half way between 1 and 1 + 2^-52: to even, 1
-    ([2**53 + 1], 53, 0.5, 1.0),
-    # 1 + 3 2^-53, half way up from 1 + 2^-52: to even, 1 + 2^-51
-    ([2**53 + 3], 53, 0.5, 1.0 + 2.0**-51),
-    # the tie as a sum, 1 + 2^-53 z at z = 1
-    ([2**53, 1], 53, 1.0, 1.0),
-    # 2^-106 above the tie: up, though stage 1 cannot tell
-    ([2**106 + 2**53 + 1], 106, 0.5, 1.0 + 2.0**-52),
-    # 2^-106 below the tie: down
-    ([2**106 + 2**53 - 1], 106, 0.5, 1.0),
-    # 1 + 3x is 2^-70 above the tie, and the Horner's floor of 3x 2^64
-    # takes exactly that off: to even, 1, where 1 + 3x itself rounds up
-    ([1, 3], 0, float((Fraction(1, 2**53) + Fraction(1, 2**70)) / 3), 1.0),
-], ids=["constant", "constant-odd", "sum", "above", "below", "floored"])
-@pytest.mark.parametrize("n_coeffs", [2, 17, 128])
-def test_a_tie_is_left_to_the_fixed_point_horner(coeffs, e, z, want, n_coeffs):
-    # the real part sits on a tie of the rounding or within 2^-70 of one;
-    # the imaginary part, 1, is plainly decided
-    g = np.zeros((2, n_coeffs), dtype=object)
-    g[0, :len(coeffs)] = coeffs
-    g[1, 0] = 1 << e
-    pts = np.array([z])
-    (h, l), beta, delta = weylcalc.orbit._double_double_values(g, e, pts)
-    decided = weylcalc.orbit._decided(h, l, beta + delta)
-    assert decided.tolist() == [[False], [True]]
-    got = _direct_values(g, e, pts)
-    assert np.array_equal(_bits(got), _bits(_horner_reference(g, e, pts)))
-    assert np.array_equal(_bits(got), _bits([complex(want, 1.0)]))
-
-
-@pytest.mark.parametrize("g_re, e, want", [
-    (0, 10, 0.0),  # every coefficient zero: +0.0
-    (-1, 1200, -0.0),  # -2^-1200 rounds to -0.0
-    (1, 1074, 2.0**-1074),  # the least subnormal
-], ids=["zero", "negative-zero", "subnormal"])
-def test_values_that_are_not_normal_come_from_stage_two(g_re, e, want):
-    g = np.zeros((2, 17), dtype=object)
-    g[0, 0] = g_re
-    pts = DiskSpec(1.0, 128).boundary()
-    got = _direct_values(g, e, pts)
-    assert np.array_equal(_bits(got), _bits(_horner_reference(g, e, pts)))
-    assert np.array_equal(got.real.view(np.uint64), np.full(128, want).view(np.uint64))
+    e = extra_bits + max(0, 64 - magnitude)
+    g = _gaussian_ints(rng, n_coeffs, e, magnitude, decay, radius)
+    circle = DiskSpec(radius, grid_points)
+    got = _direct_values(g, e, circle)
+    want = _exact_circle_values(g, e, circle)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("case", ["past-the-double-range", "near-overflow",
-                                  "huge-points"])
-def test_stage_one_steps_aside_without_a_warning(case):
-    # coefficients or powers too large for stage 1: every point goes to
-    # the fixed-point Horner, and nothing overflows on the way
+                                  "huge-points", "finite-folds"])
+def test_direct_route_past_the_double_range_without_a_warning(case):
+    # a fold or a value past the double range leaves some value non-finite,
+    # and nothing on the way warns; near overflow the values are finite
     rng, e = random.Random(7), 10
-    n_coeffs, magnitude, radius = {
-        "past-the-double-range": (128, 1030, 1.0),
-        "near-overflow": (2, 1000, 1.0),
-        "huge-points": (128, 0, 1e10),
-    }[case]
-    g = _gaussian_ints(rng, n_coeffs, e, magnitude, 0.0)
-    pts = DiskSpec(radius, 128).boundary()
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        assert weylcalc.orbit._double_double_values(g, e, pts) is None
-        got = _direct_values(g, e, pts)
-    assert np.array_equal(_bits(got), _bits(_horner_reference(g, e, pts)))
+    if case == "finite-folds":
+        # every fold is 2^1020, a double; the value at z = 1 is 2^1027
+        g, radius = np.zeros((2, 128), dtype=object), 1.0
+        g[0] = 1 << (e + 1020)
+    else:
+        n_coeffs, magnitude, radius = {
+            "past-the-double-range": (128, 1030, 1.0),
+            "near-overflow": (2, 1000, 1.0),
+            "huge-points": (128, 0, 1e10),
+        }[case]
+        g = _gaussian_ints(rng, n_coeffs, e, magnitude, 0.0)
+    circle = DiskSpec(radius, 128)
+    with np.errstate(all="raise"):
+        got = _direct_values(g, e, circle)
+    if case == "near-overflow":
+        want = _exact_circle_values(g, e, circle)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    else:
+        assert not np.isfinite(got).all()
 
 
-def test_stage_one_underflows_without_a_warning():
-    # coefficients near 2^-1000 on radius 3: products underflow inside
-    # stage 1, which raises nothing and rounds no value wrongly
-    rng = random.Random(11)
-    g, e = _gaussian_ints(rng, 128, 1100, -1000, 0.5), 1100
-    pts = DiskSpec(3.0, 128).boundary()
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        assert weylcalc.orbit._double_double_values(g, e, pts) is not None
-        got = _direct_values(g, e, pts)
-    assert np.array_equal(_bits(got), _bits(_horner_reference(g, e, pts)))
-
-
-def test_stage_one_decides_most_points_of_the_readme_instance(setting, monkeypatch):
-    # at every scheduled iterate at most 10 % of the verification points
-    # reach the fixed-point Horner, and the values are its own
+def test_verify_orbit_past_the_double_range_names_the_iterate(setting):
+    # the direct route's own values at n = 300 leave the double range: the
+    # outcome is NonFiniteCoefficient naming the iterate, with no warning
     ident, _ = setting
     targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
-    problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
-    con = construct_orbit(problem)
-    pts = con.basis.circles[-1].boundary()
-    assert pts.size == 128
-    stage_two = weylcalc.orbit._fixed_point_values
-    sizes = []
-
-    def counted(g, e, some):
-        sizes.append(some.size)
-        return stage_two(g, e, some)
-
-    monkeypatch.setattr(weylcalc.orbit, "_fixed_point_values", counted)
-    for n in con.schedule:
-        sizes.clear()
-        got = direct_power_values(ident.op, con.f, n, pts)
-        assert sum(sizes) <= 0.1 * pts.size
-        want = _horner_reference(*exact_power(ident.op, con.f.coeffs, n), pts)
-        assert np.array_equal(_bits(got), _bits(want))
+    con = construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
+    with np.errstate(all="raise"), pytest.raises(NonFiniteCoefficient) as exc:
+        verify_orbit(dataclasses.replace(con, schedule=[5, 300]))
+    assert str(exc.value) == "direct route at n = 300 leaves the double range"
 
 
 def test_tampered_weights_are_detected(setting):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import rounded_points, roots_of_unity
 from weylcalc.errors import (
     EmptyCoefficients,
     EmptyCombination,
@@ -193,7 +194,7 @@ def test_translate_gaussian_against_convolution_oracle():
 def test_evaluate_matches_polyval():
     s = make_series([1.0, -2.0, 0.5, 3.0])
     for disk in (DiskSpec(0.5, 8), DiskSpec(1.0, 8), DiskSpec(2.0, 12)):
-        want = np.polyval(s.coeffs[::-1], disk.boundary())
+        want = np.polyval(s.coeffs[::-1], rounded_points(disk))
         assert np.abs(evaluate_grid(s.coeffs, disk) - want).max() <= 1e-13
 
 
@@ -202,30 +203,8 @@ def test_evaluate_grid_shape_and_values():
     circles = [DiskSpec(1.0, 16), DiskSpec(0.5, 8)]
     vals = evaluate_grid(s.coeffs, circles)
     assert vals.shape == (24,)
-    pts = np.concatenate([disk.boundary() for disk in circles])
+    pts = np.concatenate([rounded_points(disk) for disk in circles])
     assert np.abs(vals - np.exp(pts)).max() <= 1e-12
-
-
-#: pi to 60 digits
-_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-
-
-def _roots_of_unity(count: int) -> list:
-    """(cos, sin) of 2 pi j / count for j < count, to about 50 digits."""
-    x = 2 * _PI / count
-    cos, sin, term, n = Decimal(0), Decimal(0), Decimal(1), 0
-    while abs(term) > Decimal("1e-55"):
-        if n % 2:
-            sin += term if n % 4 == 1 else -term
-        else:
-            cos += term if n % 4 == 0 else -term
-        n += 1
-        term = term * x / n
-    roots = [(Decimal(1), Decimal(0))]
-    for _ in range(count - 1):
-        re, im = roots[-1]
-        roots.append((re * cos - im * sin, re * sin + im * cos))
-    return roots
 
 
 def _exact_values(coeffs, disk: DiskSpec) -> np.ndarray:
@@ -234,7 +213,7 @@ def _exact_values(coeffs, disk: DiskSpec) -> np.ndarray:
     radius = Decimal(disk.radius)
     terms = [(Decimal(c.real), Decimal(c.imag)) for c in coeffs[::-1]]
     values = []
-    for cos, sin in _roots_of_unity(disk.grid_points):
+    for cos, sin in roots_of_unity(disk.grid_points):
         zr, zi = radius * cos, radius * sin
         ar = ai = Decimal(0)
         for cr, ci in terms:
