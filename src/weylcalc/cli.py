@@ -295,7 +295,7 @@ def _cmd_complete_fit(args) -> int:
                 "status": "ok",
                 "residual_norm": fit.residual_norm,
                 "condition_diag": fit.condition_diag,
-                "ridge": fit.ridge,
+                "ridge": args.ridge,
                 "weights": [complex_pair(w) for w in fit.weights],
             })
     csv_name = "residual_curve.csv"
@@ -315,7 +315,7 @@ def _cmd_complete_fit(args) -> int:
              [r["count"] for r in reports],
              [r.get("residual_norm", "inf") for r in reports],
              [r.get("condition_diag", "inf") for r in reports],
-             [r.get("ridge", args.ridge) for r in reports],
+             [args.ridge] * len(reports),
              [r["status"] for r in reports],
          ]),
     )

@@ -23,16 +23,19 @@ the residual always re-measured as a true sup norm on a denser
 verification circle (never the regularized objective).  The work that
 does not depend on the target is split off: :func:`completeness_bases`
 builds one :class:`CompletenessBasis` (member rows, circles, collocation
-and verification matrices, SVD) per lambda set, translating the distinct
-lambdas of all the sets in one batch and evaluating them on each circle
-by one inverse FFT (:func:`~weylcalc.series.evaluate_grid`), and
-:func:`completeness_fit` solves for one target, given by its values on the
-basis's circles, which every basis of one disk shares.
+and verification matrices, and the SVD that the first fit works out) per
+lambda set, translating the distinct lambdas of all the sets in one batch
+and evaluating them on each circle by one inverse FFT
+(:func:`~weylcalc.series.evaluate_grid`), and :func:`completeness_fit`
+solves for one target, given by its values on the basis's circles, which
+every basis of one disk shares.  A positive ridge is one Tikhonov solve at
+that ridge, ridge 0 a truncated SVD (:func:`regularized_solve`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,11 +63,8 @@ from .series import (
     unfused_product,
 )
 
-#: Tikhonov ridge and its escalation ladder's top; a ridge r > 0 bounds every
-#: filter factor s / (s^2 + r) by 1 / (2 sqrt r), so the ladder climbs only when
-#: |b| / (2 sqrt r) leaves the double range, never for ill-conditioning alone
+#: Tikhonov ridge of the completeness fits and of the orbit's stacked solve
 RIDGE_DEFAULT = 1e-10
-RIDGE_MAX = 1e-4
 
 #: verification circle density for the reported sup-norm residual
 VERIFY_POINTS = 128
@@ -135,7 +135,6 @@ class FitReport:
     weights: np.ndarray
     residual_norm: float
     condition_diag: float
-    ridge: float
 
 
 def eigenfunction(family: EigenFamily, lam: complex) -> TaylorSeries:
@@ -269,9 +268,7 @@ class CompletenessBasis:
     ``circles`` are the collocation circles of the disk the basis was
     built on, ``collocation_circles(disk)``, and last its VERIFY_POINTS
     verification circle; ``collocation`` and ``verification`` hold the
-    members' values on the two parts, one column per lambda.  ``svd`` is
-    the thin SVD of ``collocation``, or None with the reason in
-    ``svd_failure`` when LAPACK gave up.
+    members' values on the two parts, one column per lambda.
     """
 
     lambdas: LambdaSet
@@ -279,8 +276,12 @@ class CompletenessBasis:
     circles: tuple
     collocation: np.ndarray
     verification: np.ndarray
-    svd: tuple | None
-    svd_failure: str = ""
+
+    @cached_property
+    def svd(self) -> tuple:
+        """Thin SVD of ``collocation``, worked out the first time a fit
+        needs it; SingularSystem when LAPACK gives up."""
+        return _svd(self.collocation)
 
 
 def completeness_bases(
@@ -313,52 +314,42 @@ def completeness_bases(
         set_rows = rows[idx]
         for matrix in (set_rows, a_mat, verification):
             matrix.setflags(write=False)
-        try:
-            svd, failure = np.linalg.svd(a_mat, full_matrices=False), ""
-        except np.linalg.LinAlgError as exc:
-            svd, failure = None, f"collocation SVD failed: {exc}"
-        bases.append(CompletenessBasis(lams, set_rows, circles, a_mat, verification,
-                                       svd, failure))
+        bases.append(CompletenessBasis(lams, set_rows, circles, a_mat, verification))
     return bases
+
+
+def _svd(a_mat: np.ndarray) -> tuple:
+    """Thin SVD of ``a_mat``; SingularSystem when LAPACK gives up."""
+    try:
+        return np.linalg.svd(a_mat, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"collocation SVD failed: {exc}") from exc
 
 
 def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
     """Ridge-regularized least squares a_mat @ w ~ b.
 
     ``svd`` is the thin SVD of ``a_mat`` when the caller already has it.
-    A positive ridge is Tikhonov through SVD filter factors, escalated by
-    factors of 10 up to RIDGE_MAX while the weights overflow (see
-    RIDGE_DEFAULT); ridge 0 is a truncated SVD whose cutoff, among those
+    A positive ridge is one Tikhonov solve at that ridge, through SVD
+    filter factors; ridge 0 is a truncated SVD whose cutoff, among those
     with finite weights, is auto-selected on the sup residual over the
-    rows of ``a_mat``.  Returns the weights, the condition estimate and
-    the ridge actually used; SingularSystem when no weights are finite.
+    rows of ``a_mat``.  Returns the weights and the condition estimate;
+    SingularSystem when the weights leave the double range.
     """
     if ridge < 0:
         raise MalformedSpec("ridge must be >= 0")
-    if svd is None:
-        try:
-            svd = np.linalg.svd(a_mat, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"collocation SVD failed: {exc}") from exc
-    u, s, vh = svd
+    u, s, vh = _svd(a_mat) if svd is None else svd
     beta = u.conj().T @ b
     # weights past the double range are detected, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         if ridge > 0:
-            # Tikhonov through SVD filter factors, escalating on overflow
-            level = ridge
-            while True:
-                w = vh.conj().T @ (beta * s / (s * s + level))
-                if np.all(np.isfinite(w.view(np.float64))):
-                    break
-                if level * 10 <= RIDGE_MAX:
-                    level *= 10
-                else:
-                    raise SingularSystem(
-                        f"regularized system stayed singular up to ridge "
-                        f"{RIDGE_MAX:.1e} for |Lambda| = {a_mat.shape[1]}"
-                    )
-            return w, float((s[0] ** 2 + level) / (s[-1] ** 2 + level)), level
+            w = vh.conj().T @ (beta * s / (s * s + ridge))
+            if not np.all(np.isfinite(w.view(np.float64))):
+                raise SingularSystem(
+                    f"Tikhonov weights at ridge {ridge:.1e} leave the double range "
+                    f"for |Lambda| = {a_mat.shape[1]}"
+                )
+            return w, float((s[0] ** 2 + ridge) / (s[-1] ** 2 + ridge))
         # ridge 0: truncated SVD, cutoff auto-selected on the sup residual
         best = None
         for cut in [0.0] + [10.0 ** e for e in range(-15, -7)]:
@@ -376,7 +367,7 @@ def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
             f"no usable truncated-SVD solution for |Lambda| = {a_mat.shape[1]}"
         )
     _, w, cond = best
-    return w, cond, 0.0
+    return w, cond
 
 
 def completeness_fit(
@@ -393,14 +384,12 @@ def completeness_fit(
     that picks a truncated-SVD cutoff).  A residual past the double range
     is NonFiniteCoefficient.
     """
-    if basis.svd is None:
-        raise SingularSystem(basis.svd_failure)
     on_colloc, on_verify = values[:-VERIFY_POINTS], values[-VERIFY_POINTS:]
-    w, cond, level = regularized_solve(basis.collocation, on_colloc, ridge, basis.svd)
+    w, cond = regularized_solve(basis.collocation, on_colloc, ridge, basis.svd)
     resid = float(np.abs(basis.verification @ w - on_verify).max())
     if not np.isfinite(resid):
         raise NonFiniteCoefficient(
             f"fit residual at |Lambda| = {len(basis.lambdas)} leaves the double range",
             lambda_count=len(basis.lambdas),
         )
-    return FitReport(weights=w, residual_norm=resid, condition_diag=cond, ridge=level)
+    return FitReport(weights=w, residual_norm=resid, condition_diag=cond)

@@ -16,10 +16,11 @@ one least-squares fit of the stacked system
 
     [E diag(mu^{n_1}); ...; E diag(mu^{n_m})] x ~ [q_1; ...; q_m],
 
-E the collocation matrix of the members, is solved through the same
-Tikhonov/TSVD code as every completeness fit
-(:func:`~weylcalc.eigen.regularized_solve`), and the first step at which
-every target is met within epsilon/2 on the verification circle wins.
+E the collocation matrix of the members, is solved at the ridge asked
+for, by the same solve as every completeness fit (one Tikhonov solve, or
+the truncated SVD at ridge 0: :func:`~weylcalc.eigen.regularized_solve`),
+and the first step at which every target is met within epsilon/2 on the
+verification circle wins.
 The :class:`OrbitConstruction` works f and mu out from the problem and x.
 Because the fit is joint, no target's correction can spoil another's:
 what is checked is A^{n_j} applied to the whole of f.  The constructor
@@ -275,7 +276,7 @@ def construct_orbit(
     for step in range(1, cap // m_targets + 1):
         schedule = [(j + 1) * step for j in range(m_targets)]
         stacked = np.vstack([basis.collocation * mu ** float(n) for n in schedule])
-        x, cond, level = regularized_solve(stacked, rhs, ridge)
+        x, cond = regularized_solve(stacked, rhs, ridge)
         errors = [
             float(np.abs(basis.verification @ _amplitudes(x, mu, n) - qv).max())
             for n, qv in zip(schedule, q_verify)
@@ -298,7 +299,7 @@ def construct_orbit(
             {"target": j, "n": n, "achieved_error": err, "fit_residual": res}
             for j, (n, err, res) in enumerate(zip(schedule, errors, fit_residuals))
         ],
-        "ridge": level,
+        "ridge": ridge,
         "condition": cond,
     }
     return OrbitConstruction(problem, schedule, basis, x, report)

@@ -473,6 +473,44 @@ def test_complete_fit_svd_failure_gives_a_row_per_target(tmp_path, monkeypatch):
     assert lines[4] == "1,z,10,inf,inf,1e-10,conditioning-failure"
 
 
+def test_complete_fit_solves_at_the_ridge_asked_for(tmp_path):
+    # for the constant 1e304 the Tikhonov weights at ridge 1e-10 leave the
+    # double range at |Lambda| = 10, and no larger ridge is tried there
+    code = main(["complete-fit", "--op", D_MINUS_Z,
+                 "--targets", '[{"coeffs":[[1e304,0]],"label":"c"}]',
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    fits = json.loads((tmp_path / "complete_fit.json").read_text())["fits"]
+    assert [(f["count"], f["status"]) for f in fits] == [
+        (5, "ok"), (10, "conditioning-failure"), (20, "ok"), (40, "ok"),
+    ]
+    assert fits[1]["detail"] == (
+        "Tikhonov weights at ridge 1.0e-10 leave the double range for |Lambda| = 10"
+    )
+    assert [f["ridge"] for f in fits if f["status"] == "ok"] == [1e-10] * 3
+    lines = (tmp_path / "residual_curve.csv").read_text().splitlines()
+    assert [line.split(",")[5] for line in lines[1:]] == ["1e-10"] * 4
+
+
+@pytest.mark.parametrize("command, calls", [("complete-fit", 4), ("construct-orbit", 6)])
+def test_readme_runs_take_one_svd_per_matrix(tmp_path, monkeypatch, command, calls):
+    # one SVD per basis, worked out by its first fit, and one per stacked
+    # orbit system (steps 1 to 5, schedule [5, 10]), each called from
+    # weylcalc.eigen, where the benchmark's tracer looks for them
+    callers = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals.get("__name__"))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    [argv] = [a for a in readme_cli_examples() if a[0] == command]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    assert callers == ["weylcalc.eigen"] * calls
+
+
 def test_complete_fit_translates_each_lambda_once(tmp_path, monkeypatch):
     # the union of 1/k for k <= 40 has 40 points; per-fit bases would
     # translate 3 x (5 + 10 + 20 + 40) = 225 times

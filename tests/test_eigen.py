@@ -1,5 +1,6 @@
 """Translate eigenfunctions and completeness fits."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -310,6 +311,43 @@ def test_fit_scaling_equivariance(gaussian_family):
     assert f2.residual_norm == pytest.approx(abs(s) * f1.residual_norm, rel=1e-6)
 
 
+@functools.cache
+def _scaling_bases() -> list:
+    """Bases of D - zI on the inverse sets of 5 to 40 points and a
+    random set of 20."""
+    sets = [inverse_integer_lambdas(count) for count in (5, 10, 20, 40)]
+    family = EigenFamily(WeylOperator(diff_op(1), 1.0))
+    return completeness_bases(family, sets + [random_disk_lambdas(20)])
+
+
+def _ldexp(z: np.ndarray, k: int) -> np.ndarray:
+    """2^k z, exactly while it stays in the double range."""
+    return np.ldexp(z.view(np.float64), k).view(np.complex128)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    index=st.integers(0, 4),
+    coeffs=st.sampled_from([[1.0], [0.0, 1.0], [0.5, 0.0, 0.0, 1.0]]),
+    k=st.integers(-900, 1030) | st.integers(1000, 1030),
+)
+def test_tikhonov_fit_is_exactly_linear_in_the_target(index, coeffs, k):
+    # at a fixed ridge the fit of 2^k q is 2^k times the fit of q, bit for
+    # bit, until it raises at the top of the double range: one ridge only
+    basis = _scaling_bases()[index]
+    values = evaluate_grid(np.array(coeffs, dtype=np.complex128), basis.circles)
+    fit = completeness_fit(basis, values, 1e-10)
+    try:
+        # the CLI turns numpy's warnings off, as here
+        with np.errstate(all="ignore"):
+            scaled = completeness_fit(basis, _ldexp(values, k), 1e-10)
+    except (SingularSystem, NonFiniteCoefficient):
+        assert k + np.log2(np.abs(fit.weights).max()) > 1020
+        return
+    assert np.array_equal(_raw(scaled.weights), _raw(_ldexp(fit.weights, k)))
+    assert scaled.residual_norm == np.ldexp(fit.residual_norm, k)
+
+
 def test_fit_report_residual_is_true_sup_norm(gaussian_family):
     # the reported residual must match an independent evaluation of the
     # fitted combination on the verification circle
@@ -335,19 +373,23 @@ def test_fit_condition_diagnostic_positive(gaussian_family):
     assert fit.condition_diag >= 1.0
 
 
-def test_tikhonov_escalates_while_the_weights_overflow():
-    # 1e304 * 1e-5 / (1e-10 + 1e-10) = 5e308 leaves the double range;
-    # at ridge 1e-9 the weight is about 9.1e307
-    w, _, level = regularized_solve(
-        np.diag([1.0, 1e-5]), np.array([0.0, 1e304]), 1e-10
-    )
-    assert level == pytest.approx(1e-9)
-    assert np.isfinite(w).all()
+def test_tikhonov_solves_at_the_ridge_asked_for():
+    # 1e304 * 1e-5 / (1e-10 + 1e-10) = 5e308 leaves the double range, and
+    # no larger ridge is tried; 1e303 gives the filter-factor weights
+    a_mat = np.diag([1.0, 1e-5])
+    with pytest.raises(SingularSystem, match=r"at ridge 1\.0e-10 leave the double range"):
+        regularized_solve(a_mat, np.array([0.0, 1e304]), 1e-10)
+    w, cond = regularized_solve(a_mat, np.array([0.0, 1e303]), 1e-10)
+    assert w[0] == 0 and w[1] == pytest.approx(1e303 * 1e-5 / (1e-10 + 1e-10))
+    assert cond == pytest.approx((1 + 1e-10) / (1e-10 + 1e-10))
 
 
-def test_tikhonov_gives_up_past_the_top_of_the_ladder():
-    # 1e307 * 1e-2 / (1e-4 + 1e-4) = 5e308 even at RIDGE_MAX
-    with pytest.raises(SingularSystem, match="stayed singular up to ridge 1.0e-04"):
+def test_tikhonov_weights_past_the_double_range_are_singular():
+    # 1e307 * 1e-2 / (1e-4 + 1e-10) is about 1e309
+    with pytest.raises(SingularSystem, match=(
+        r"^Tikhonov weights at ridge 1\.0e-10 leave the double range for "
+        r"\|Lambda\| = 2$"
+    )):
         regularized_solve(np.diag([1.0, 1e-2]), np.array([0.0, 1e307]), 1e-10)
 
 
@@ -369,7 +411,6 @@ def _basis_alone(family, lams, disk=UNIT_DISK):
         circles=circles + (verify,),
         collocation=a_mat,
         verification=np.column_stack([evaluate_grid(s.coeffs, verify) for s in members]),
-        svd=np.linalg.svd(a_mat, full_matrices=False),
     )
 
 
@@ -406,7 +447,6 @@ def test_fit_on_shared_basis_equals_fit_on_own_basis(
             assert (fit_shared.weights == fit_alone.weights).all()
             assert fit_shared.residual_norm == fit_alone.residual_norm
             assert fit_shared.condition_diag == fit_alone.condition_diag
-            assert fit_shared.ridge == fit_alone.ridge
 
 
 @pytest.mark.parametrize("kind", ["translate", "exponential"])

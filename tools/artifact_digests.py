@@ -6,9 +6,11 @@ Usage, from the root of a source checkout::
 
 Every operation of ``bench/workloads.py`` (the orbit, fit and algebra
 workloads) runs once per seed through ``weylcalc.cli.main``, in
-``<tmp>/<seed>/<op name>``, with the benchmark's BLAS pins and manifest
-timestamp, so the bytes do not depend on the machine's thread count or
-the clock.  One ``sha256  <path>`` line is printed per artifact, sorted
+``<tmp>/<seed>/<op name>``, with the benchmark's manifest timestamp, so
+the bytes do not depend on the clock.  Nor do they depend on the
+machine's thread count: importing ``weylcalc.cli`` sets the BLAS thread
+variables to 1 before numpy is first loaded, and nothing here imports
+numpy before it.  One ``sha256  <path>`` line is printed per artifact, sorted
 by path.  Two checkouts write the same artifacts when ``diff`` finds no
 difference between their outputs.  With ``--keep DIR`` the artifacts are
 written under ``DIR`` (which must not exist yet) and kept there, for
@@ -38,10 +40,8 @@ def main(argv=None) -> int:
         parser.error(f"--keep: {args.keep} already exists")
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    from run import BLAS_PINS, TIMESTAMP
+    from run import TIMESTAMP
 
-    # the pins must be in place before numpy is first imported
-    os.environ.update(BLAS_PINS)
     os.environ["WEYLCALC_TIMESTAMP"] = TIMESTAMP
     from workloads import WORKLOADS
     from weylcalc import cli
