@@ -1,10 +1,14 @@
 """Coefficient-level hot loop, vectorized with numpy.
 
-The binomial resummation behind series translation (one loop of N steps
-per batch of K shifts, O(K N^2) arithmetic) takes a batch at once: a 1-d
-array of shifts gives one row each, formed with the same products summed
-in the same order as a single shift, so a batched row holds the same bits
-as the one-at-a-time result.  Values on circles are inverse FFTs, in
+The binomial resummation behind series translation is a product: with
+the weight matrix w[j, m] = C(m + j, m) c_{m+j} (zero where m + j >= N),
+the coefficients of f(z + lambda) are the row (1, lambda, ..., lambda^(N-1))
+times w, O(N^2) per shift.  A 1-d array of K shifts is one stacked
+``np.matmul`` of ``(K, 1, N)`` power rows with w, one matrix-vector
+product per shift, so a batched row holds the same bits as the
+one-at-a-time result whatever the batch and the BLAS thread count (a
+single ``(K, N) @ (N, N)`` product would let BLAS split the sums by the
+batch's shape).  Values on circles are inverse FFTs, in
 :func:`weylcalc.series.evaluate_grid`.
 """
 
@@ -18,6 +22,18 @@ def backend() -> str:
     return "numpy"
 
 
+def _weights(coeffs: np.ndarray) -> np.ndarray:
+    """w[j, m] = C(m + j, m) c_{m+j}, zero where m + j >= N, ``(N, N)``."""
+    n_len = coeffs.shape[0]
+    j, m = np.ogrid[:n_len, :n_len]
+    # C(m + j, m) as the running product over m of (j + m) / m, all rows j
+    # at once; past the antidiagonal it stays at its last value, finite
+    ratio = np.where((m > 0) & (j + m < n_len), (j + m) / np.maximum(m, 1), 1.0)
+    padded = np.zeros(2 * n_len - 1, dtype=np.complex128)
+    padded[:n_len] = coeffs
+    return np.cumprod(ratio, axis=1) * padded[j + m]
+
+
 def translate_kernel(coeffs: np.ndarray, lam) -> np.ndarray:
     """Binomial resummation of a coefficient vector shifted by ``lam``.
 
@@ -26,13 +42,6 @@ def translate_kernel(coeffs: np.ndarray, lam) -> np.ndarray:
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     lam = np.asarray(lam, dtype=np.complex128)
-    n_len = coeffs.shape[0]
-    out = np.empty((n_len,) + lam.shape, dtype=np.complex128)  # row m: b_m per shift
-    lam_pow = lam[..., None] ** np.arange(n_len)
-    n = np.arange(n_len, dtype=np.float64)
-    binom = np.ones(n_len)  # C(n, m) for the current m
-    for m in range(n_len):
-        # b_m = sum_{n>=m} C(n, m) c_n lam^(n-m)
-        out[m] = (binom[m:] * coeffs[m:] * lam_pow[..., : n_len - m]).sum(-1)
-        binom = binom * (n - m) / (m + 1)  # C(n, m+1) = C(n, m) (n-m)/(m+1)
-    return np.ascontiguousarray(out.T)
+    lam_pow = lam.reshape(-1, 1, 1) ** np.arange(coeffs.shape[0])
+    rows = np.matmul(lam_pow, _weights(coeffs)).reshape(lam.size, -1)
+    return rows.reshape(coeffs.shape) if lam.ndim == 0 else rows

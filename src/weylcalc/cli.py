@@ -82,7 +82,6 @@ from .serialize import (
     WORKDIR_ENV,
     build_manifest,
     check_keys,
-    complex_pair,
     operator_to_dict,
     pair_to_complex,
     parse_operator_spec,
@@ -274,29 +273,30 @@ def _cmd_complete_fit(args) -> int:
         [_PRESETS[args.preset](count, args.seed) for count in args.counts],
         disk,
     )
-    # every basis has the same circles: each target is evaluated once
+    # every basis has the same circles: each target is evaluated once, and
+    # all targets are fitted on a basis in one solve
     values = evaluate_grid(stacked_coeffs(targets), bases[0].circles)
+    fits = [completeness_fit(basis, values, args.ridge) for basis in bases]
     reports = []
-    for ti, (target, on_circles) in enumerate(zip(targets, values)):
+    for ti, target in enumerate(targets):
         label = target.label or f"target[{ti}]"
-        for count, basis in zip(args.counts, bases):
+        for count, basis_fits in zip(args.counts, fits):
+            fit = basis_fits[ti]
             row = {"target": ti, "label": label, "count": count}
-            try:
-                fit = completeness_fit(basis, on_circles, args.ridge)
-            except SingularSystem as exc:
+            if isinstance(fit, NonFiniteCoefficient):
+                raise NonFiniteCoefficient(f"target {label!r}: {fit}", target_index=ti,
+                                           **fit.fields) from fit
+            if isinstance(fit, SingularSystem):
                 reports.append({**row, "status": "conditioning-failure",
-                                "detail": str(exc)})
+                                "detail": str(fit)})
                 continue
-            except NonFiniteCoefficient as exc:
-                raise NonFiniteCoefficient(f"target {label!r}: {exc}", target_index=ti,
-                                           **exc.fields) from exc
             reports.append({
                 **row,
                 "status": "ok",
                 "residual_norm": fit.residual_norm,
                 "condition_diag": fit.condition_diag,
                 "ridge": args.ridge,
-                "weights": [complex_pair(w) for w in fit.weights],
+                "weights": fit.weights,
             })
     csv_name = "residual_curve.csv"
     out = _write(
@@ -359,10 +359,10 @@ def _cmd_construct_orbit(args) -> int:
         {
             "f": series_to_dict(construction.f),
             "schedule": construction.schedule,
-            "lambdas": [complex_pair(l) for l in construction.basis.lambdas.points],
-            "eigenvalues": [complex_pair(m) for m in construction.eigenvalues],
+            "lambdas": construction.basis.lambdas.points,
+            "eigenvalues": construction.eigenvalues,
             "blocks": [
-                {"target": j, "n": n, "weights": [complex_pair(w) for w in weights]}
+                {"target": j, "n": n, "weights": weights}
                 for j, n, weights in construction.blocks()
             ],
             "report": {**construction.report, "all_targets_met": met},
@@ -416,7 +416,7 @@ def _cmd_decompose(args) -> int:
         params = {"matrix_shape": list(mat.shape), "ncap": mat.shape[1] - 1}
     a_est, m = decompose(mat)
     _write(args, params, inputs, "decompose.json",
-           {"a": a_est, "d": [complex_pair(c) for c in m.d], "order": m.order})
+           {"a": a_est, "d": m.d, "order": m.order})
     print(f"decomposed: a = {a_est}, convolution order {m.order}")
     return 0
 

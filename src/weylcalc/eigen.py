@@ -27,9 +27,14 @@ and verification matrices, and the SVD that the first fit works out) per
 lambda set, translating the distinct lambdas of all the sets in one batch
 and evaluating them on each circle by one inverse FFT
 (:func:`~weylcalc.series.evaluate_grid`), and :func:`completeness_fit`
-solves for one target, given by its values on the basis's circles, which
-every basis of one disk shares.  A positive ridge is one Tikhonov solve at
-that ridge, ridge 0 a truncated SVD (:func:`regularized_solve`).
+fits the targets given by their values on the basis's circles, which
+every basis of one disk shares: one target, or a ``(T, P)`` stack of them
+in one solve.  A positive ridge is one Tikhonov solve at that ridge,
+ridge 0 a truncated SVD with a cutoff per target
+(:func:`regularized_solve`).  A stack's products are taken one
+matrix-vector product per target, so a target has the bits of its own
+fit, and a target whose fit fails gets its own error while the others
+are fitted.
 """
 
 from __future__ import annotations
@@ -326,6 +331,15 @@ def _svd(a_mat: np.ndarray) -> tuple:
         raise SingularSystem(f"collocation SVD failed: {exc}") from exc
 
 
+def _rowwise(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Each row of the ``(T, n)`` stack ``x`` times ``matrix``, one
+    matrix-vector product per row on a contiguous row, so that a row's
+    bits depend neither on the other rows nor on the stack's layout (one
+    matrix product would let BLAS block the sums by the stack's shape,
+    and a strided row takes another BLAS path)."""
+    return np.matmul(np.ascontiguousarray(x)[:, None, :], matrix)[:, 0]
+
+
 def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
     """Ridge-regularized least squares a_mat @ w ~ b.
 
@@ -333,63 +347,93 @@ def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
     A positive ridge is one Tikhonov solve at that ridge, through SVD
     filter factors; ridge 0 is a truncated SVD whose cutoff, among those
     with finite weights, is auto-selected on the sup residual over the
-    rows of ``a_mat``.  Returns the weights and the condition estimate;
-    SingularSystem when the weights leave the double range.
+    rows of ``a_mat``.  One right-hand side ``b`` gives its weights and
+    condition estimate, and SingularSystem when the weights leave the
+    double range.  A ``(T, M)`` stack of right-hand sides, each row with
+    its own cutoff, gives the ``(T, K)`` weights, the ``(T,)`` condition
+    estimates and one entry per row: None, or the SingularSystem of that
+    row, whose weights are then zero.  A row has the bits of its own
+    solve.
     """
     if ridge < 0:
         raise MalformedSpec("ridge must be >= 0")
+    if np.ndim(b) == 1:
+        w, cond, [failure] = regularized_solve(a_mat, np.asarray(b)[None], ridge, svd)
+        if failure:
+            raise failure
+        return w[0], float(cond[0])
     u, s, vh = _svd(a_mat) if svd is None else svd
-    beta = u.conj().T @ b
+    beta = _rowwise(b, u.conj())
     # weights past the double range are detected, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         if ridge > 0:
-            w = vh.conj().T @ (beta * s / (s * s + ridge))
-            if not np.all(np.isfinite(w.view(np.float64))):
-                raise SingularSystem(
-                    f"Tikhonov weights at ridge {ridge:.1e} leave the double range "
-                    f"for |Lambda| = {a_mat.shape[1]}"
-                )
-            return w, float((s[0] ** 2 + ridge) / (s[-1] ** 2 + ridge))
-        # ridge 0: truncated SVD, cutoff auto-selected on the sup residual
-        best = None
-        for cut in [0.0] + [10.0 ** e for e in range(-15, -7)]:
-            keep = s > cut * s[0]
-            if not np.any(keep):
-                continue
-            cand = vh.conj().T[:, keep] @ (beta[keep] / s[keep])
-            if not np.all(np.isfinite(cand.view(np.float64))):
-                continue
-            sel = float(np.abs(a_mat @ cand - b).max())
-            if best is None or sel < best[0]:
-                best = (sel, cand, float(s[0] / s[keep].min()))
-    if best is None:
-        raise SingularSystem(
-            f"no usable truncated-SVD solution for |Lambda| = {a_mat.shape[1]}"
-        )
-    _, w, cond = best
-    return w, cond
+            w = _rowwise(beta * s / (s * s + ridge), vh.conj())
+            cond = np.full(len(b), (s[0] ** 2 + ridge) / (s[-1] ** 2 + ridge))
+            found = np.isfinite(w.view(np.float64)).all(axis=1)
+            failure = SingularSystem(
+                f"Tikhonov weights at ridge {ridge:.1e} leave the double range "
+                f"for |Lambda| = {a_mat.shape[1]}"
+            )
+        else:
+            # ridge 0: truncated SVD, each row's cutoff auto-selected on its
+            # sup residual, the first of equal residuals kept
+            w = np.zeros((len(b), a_mat.shape[1]), dtype=np.complex128)
+            cond, best = np.full(len(b), np.nan), np.full(len(b), np.nan)
+            found = np.zeros(len(b), dtype=bool)
+            for cut in [0.0] + [10.0 ** e for e in range(-15, -7)]:
+                keep = s > cut * s[0]
+                if not np.any(keep):
+                    continue
+                cand = _rowwise(beta[:, keep] / s[keep], vh.conj()[keep])
+                sel = np.abs(_rowwise(cand, a_mat.T) - b).max(axis=1)
+                better = np.isfinite(cand.view(np.float64)).all(axis=1) & (
+                    ~found | (sel < best))
+                w[better], best[better] = cand[better], sel[better]
+                cond[better] = s[0] / s[keep].min()
+                found |= better
+            failure = SingularSystem(
+                f"no usable truncated-SVD solution for |Lambda| = {a_mat.shape[1]}"
+            )
+    w[~found] = 0
+    return w, cond, [None if ok else failure for ok in found]
 
 
 def completeness_fit(
     basis: CompletenessBasis,
     values: np.ndarray,
     ridge: float = RIDGE_DEFAULT,
-) -> FitReport:
+):
     """Ridge-regularized fit in span{f_lambda} of the target whose values
     on ``basis.circles`` are ``values``, as ``evaluate_grid`` gives them.
 
     The solve is :func:`regularized_solve` on the collocation matrix; the
     reported residual is the true sup norm on the denser verification
     circle (never the regularized objective, nor the collocation residual
-    that picks a truncated-SVD cutoff).  A residual past the double range
-    is NonFiniteCoefficient.
+    that picks a truncated-SVD cutoff).  One target gives its FitReport,
+    and raises SingularSystem when the solve fails and
+    NonFiniteCoefficient when the residual leaves the double range.  A
+    ``(T, P)`` stack of targets is fitted in one solve and gives one entry
+    per target: its FitReport, or the error its fit ended in, which leaves
+    the other targets alone.  A target has the bits of its own fit.
     """
-    on_colloc, on_verify = values[:-VERIFY_POINTS], values[-VERIFY_POINTS:]
-    w, cond = regularized_solve(basis.collocation, on_colloc, ridge, basis.svd)
-    resid = float(np.abs(basis.verification @ w - on_verify).max())
-    if not np.isfinite(resid):
-        raise NonFiniteCoefficient(
-            f"fit residual at |Lambda| = {len(basis.lambdas)} leaves the double range",
-            lambda_count=len(basis.lambdas),
-        )
-    return FitReport(weights=w, residual_norm=resid, condition_diag=cond)
+    if np.ndim(values) == 1:
+        [fit] = completeness_fit(basis, np.asarray(values)[None], ridge)
+        if not isinstance(fit, FitReport):
+            raise fit
+        return fit
+    try:
+        svd = basis.svd
+    except SingularSystem as exc:
+        return [exc] * len(values)
+    w, cond, failures = regularized_solve(
+        basis.collocation, values[:, :-VERIFY_POINTS], ridge, svd)
+    resid = np.abs(_rowwise(w, basis.verification.T) - values[:, -VERIFY_POINTS:])
+    overflow = NonFiniteCoefficient(
+        f"fit residual at |Lambda| = {len(basis.lambdas)} leaves the double range",
+        lambda_count=len(basis.lambdas),
+    )
+    return [
+        failure or (FitReport(row, r, c) if np.isfinite(r) else overflow)
+        for row, r, c, failure in zip(w, resid.max(axis=1).tolist(), cond.tolist(),
+                                      failures)
+    ]

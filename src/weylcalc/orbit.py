@@ -25,8 +25,8 @@ The :class:`OrbitConstruction` works f and mu out from the problem and x.
 Because the fit is joint, no target's correction can spoil another's:
 what is checked is A^{n_j} applied to the whole of f.  The constructor
 builds one :class:`~weylcalc.eigen.CompletenessBasis` for Lambda and uses
-it for every per-target fit, the stacked system, the achieved errors and
-the coefficients of f.
+it for the per-target fits (all targets in one call), the stacked system,
+the achieved errors and the coefficients of f.
 
 Verification has two routes, both at the exact roots of unity of the
 verification circle.  The eigen route reads the members' values there
@@ -62,6 +62,7 @@ from .eigen import (
     CompletenessBasis,
     DiskSpec,
     EigenFamily,
+    FitReport,
     LambdaSet,
     completeness_bases,
     completeness_fit,
@@ -257,8 +258,9 @@ def construct_orbit(
     values = evaluate_grid(stacked_coeffs(targets), basis.circles)
 
     fit_residuals = []
-    for j, q_values in enumerate(values):
-        fit = completeness_fit(basis, q_values, ridge)
+    for j, fit in enumerate(completeness_fit(basis, values, ridge)):
+        if not isinstance(fit, FitReport):
+            raise fit
         if fit.residual_norm > budget:
             raise BudgetExceeded(
                 f"target {j}: fit residual {fit.residual_norm:.3e} exceeds "

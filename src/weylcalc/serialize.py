@@ -1,7 +1,9 @@
 """Bit-stable JSON/CSV serialization and run manifests.
 
 All floats are rendered with 17 significant digits and all JSON keys are
-sorted, so identical runs produce byte-identical artifacts.  CSV tables
+sorted, so identical runs produce byte-identical artifacts.  A 1-d
+complex array in a report is written as its ``[re, im]`` pairs in one
+join, with no list per value.  CSV tables
 are passed as columns and written in blocks of rows.  Each block is one
 ``uint8`` matrix of cell bytes with one mask of its valid bytes, so no
 Python code runs per row: integer cells are decimal digits by vectorised
@@ -45,12 +47,27 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _complex_pairs(arr: np.ndarray) -> str:
+    """A 1-d complex array as its ``[re, im]`` pairs, in one join; the
+    first non-finite part, in that order, is refused as ``_fmt_float``
+    refuses it."""
+    parts = arr.view(np.float64)
+    bad = ~np.isfinite(parts)
+    if bad.any():
+        _fmt_float(float(parts[bad.argmax()]))
+    pair = "[{:.17g}, {:.17g}]".format
+    return "[" + ", ".join(map(pair, parts[0::2].tolist(), parts[1::2].tolist())) + "]"
+
+
 def stable_json_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting.  The
-    exact types a report is made of are dispatched first."""
+    exact types a report is made of are dispatched first; a 1-d complex
+    array is written as the list of its ``[re, im]`` pairs."""
     kind = type(obj)
     if kind is float:
         return _fmt_float(obj)
+    if kind is np.ndarray and obj.dtype == np.complex128 and obj.ndim == 1:
+        return _complex_pairs(np.ascontiguousarray(obj))
     if kind is list:
         return "[" + ", ".join([stable_json_dumps(v) for v in obj]) + "]"
     if kind is dict:

@@ -1,5 +1,9 @@
-"""The numpy hot kernels: series translation, and values on circles
-(``series.evaluate_grid``) against the Horner loop they replaced."""
+"""The numpy hot kernels: series translation against the exact shift,
+and values on circles (``series.evaluate_grid``) against the Horner loop
+they replaced."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,28 +39,64 @@ def test_kernels_take_a_batch():
     assert evaluate_grid(np.ones((3, 5)), circles).shape == (3, 17)
 
 
-def _shift_one(coeffs, lam):
-    # the one-shift resummation loop on 1-d slices, the reference
-    n_len = coeffs.size
-    out = np.empty(n_len, dtype=np.complex128)
-    lam_pow = complex(lam) ** np.arange(n_len)
-    n = np.arange(n_len, dtype=np.float64)
-    binom = np.ones(n_len)
-    for m in range(n_len):
-        out[m] = (binom[m:] * coeffs[m:] * lam_pow[: n_len - m]).sum()
-        binom = binom * (n - m) / (m + 1)
-    return out
+def _dyadic(values) -> tuple:
+    """Doubles as integers over one power of two: (ints, e), value = int / 2^e."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (e - den.bit_length() + 1) for num, den in ratios], e
+
+
+def _exact_shift(coeffs, lam) -> list:
+    """f(z + lam) for the doubles ``coeffs`` and ``lam``, exactly: each
+    coefficient b_m as a pair of Fractions.
+
+    With c_k = C_k / 2^e and lam = L / 2^s (C_k, L Gaussian integers),
+    G_k = C_k 2^(s (N - 1 - k)) is shifted by L in integers (the Taylor
+    shift, a[k] += L a[k + 1]), and b_m = H_m 2^(s m) / 2^(e + s (N - 1)).
+    """
+    n_len = len(coeffs)
+    ints, e = _dyadic([c.real for c in coeffs] + [c.imag for c in coeffs])
+    re, im = ints[:n_len], ints[n_len:]
+    (lr, li), s = _dyadic([lam.real, lam.imag])
+    a = [(re[k] << s * (n_len - 1 - k), im[k] << s * (n_len - 1 - k))
+         for k in range(n_len)]
+    for i in range(n_len - 1):
+        for k in range(n_len - 2, i - 1, -1):
+            xr, xi = a[k + 1]
+            a[k] = (a[k][0] + lr * xr - li * xi, a[k][1] + lr * xi + li * xr)
+    den = 1 << e + s * (n_len - 1)
+    return [(Fraction(hr << s * m, den), Fraction(hi << s * m, den))
+            for m, (hr, hi) in enumerate(a)]
+
+
+def _shift_scale(coeffs, lam) -> np.ndarray:
+    """sum_j C(m + j, m) |c_(m+j)| |lam|^j for each m: the Taylor shift of
+    |c| by |lam|, in floats (no cancellation among positive terms)."""
+    a = list(np.abs(coeffs))
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] += abs(lam) * a[k + 1]
+    return np.array(a)
 
 
 @pytest.mark.parametrize("n_len", [1, 2, 17, 128, 160])
 def test_batched_translate_rows_equal_single_shifts(n_len):
+    # every batched row has the bits of its one-shift call, and is within
+    # 4 N u sum_j |C(m + j, m) c_(m+j) lam^j| of the exact shift, u = 2^-53:
+    # a row sums N terms, each a binomial rounded once per ratio of its
+    # running product, times c and lam^j; numpy takes lam^j for j >= 100
+    # as exp(j log lam), which sets the worst case here, 3.1 N u at N = 160
     rng = np.random.default_rng(n_len)
     coeffs = rng.standard_normal(n_len) + 1j * rng.standard_normal(n_len)
     lams = 8 * (rng.random(12) - 0.5) + 8j * (rng.random(12) - 0.5)
     rows = accel.translate_kernel(coeffs, lams)
     for row, lam in zip(rows, lams):
-        assert np.array_equal(_bits(row), _bits(_shift_one(coeffs, lam)))
         assert np.array_equal(_bits(accel.translate_kernel(coeffs, lam)), _bits(row))
+        err = np.array([
+            math.hypot(Fraction(b.real) - br, Fraction(b.imag) - bi)
+            for b, (br, bi) in zip(row.tolist(), _exact_shift(coeffs, lam))
+        ])
+        assert (err <= 4 * n_len * 2.0**-53 * _shift_scale(coeffs, lam)).all()
 
 
 # ---------------------------------------------------------------------------

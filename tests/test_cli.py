@@ -492,6 +492,43 @@ def test_complete_fit_solves_at_the_ridge_asked_for(tmp_path):
     assert [line.split(",")[5] for line in lines[1:]] == ["1e-10"] * 4
 
 
+def test_complete_fit_failure_of_one_target_leaves_the_others(tmp_path):
+    # all targets of a count are fitted in one solve, but the Tikhonov
+    # weights of 1e304 leaving the double range at |Lambda| = 10 are that
+    # target's conditioning failure alone
+    code = main(["complete-fit", "--op", D_MINUS_Z,
+                 "--targets", '[{"coeffs":[[1e304,0]],"label":"c"},'
+                              '{"coeffs":[[1,0]],"label":"one"}]',
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    fits = json.loads((tmp_path / "complete_fit.json").read_text())["fits"]
+    assert [(f["label"], f["count"], f["status"]) for f in fits] == [
+        ("c", 5, "ok"), ("c", 10, "conditioning-failure"), ("c", 20, "ok"),
+        ("c", 40, "ok"),
+        ("one", 5, "ok"), ("one", 10, "ok"), ("one", 20, "ok"), ("one", 40, "ok"),
+    ]
+    assert fits[1]["detail"] == (
+        "Tikhonov weights at ridge 1.0e-10 leave the double range for |Lambda| = 10"
+    )
+
+
+def test_complete_fit_names_the_first_overflow_in_target_major_order(tmp_path, capsys):
+    # the residual of 2e304 leaves the double range at |Lambda| = 40 only,
+    # that of 1e305 already at 5: the first (target, count) pair in the
+    # order of the report is named, not the first count
+    _negative_result(["complete-fit", "--op", D_MINUS_Z, "--targets",
+                      '[{"coeffs":[[2e304,0]],"label":"a"},'
+                      '{"coeffs":[[1e305,0]],"label":"b"}]'],
+                     tmp_path, capsys)
+    err = json.loads((tmp_path / "complete_fit_error.json").read_text())["error"]
+    assert err == {
+        "type": "NonFiniteCoefficient",
+        "message": "target 'a': fit residual at |Lambda| = 40 leaves the double range",
+        "target_index": 0,
+        "lambda_count": 40,
+    }
+
+
 @pytest.mark.parametrize("command, calls", [("complete-fit", 4), ("construct-orbit", 6)])
 def test_readme_runs_take_one_svd_per_matrix(tmp_path, monkeypatch, command, calls):
     # one SVD per basis, worked out by its first fit, and one per stacked

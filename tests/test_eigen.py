@@ -449,6 +449,65 @@ def test_fit_on_shared_basis_equals_fit_on_own_basis(
             assert fit_shared.condition_diag == fit_alone.condition_diag
 
 
+def _stack_targets(basis) -> np.ndarray:
+    """Values on the basis's circles of 1, z, z^2, 1/2 + z^3 and two
+    random polynomials of degree 8."""
+    rng = np.random.default_rng(5)
+    coeffs = np.zeros((6, 9), dtype=np.complex128)
+    coeffs[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+    coeffs[3, 0] = 0.5
+    coeffs[4:] = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
+    return evaluate_grid(coeffs, basis.circles)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-10])
+def test_stacked_fit_rows_equal_one_target_fits(ridge):
+    # each target of a stack, and a one-row stack, has the bits of its
+    # own fit: its weights, residual and condition (its own cutoff at
+    # ridge 0), and the solve has the bits of its own solve
+    for basis in _scaling_bases():
+        values = _stack_targets(basis)
+        stacked = completeness_fit(basis, values, ridge)
+        assert len(stacked) == len(values)
+        for row, fit in zip(values, stacked):
+            for alone in (completeness_fit(basis, row, ridge),
+                          completeness_fit(basis, row[None], ridge)[0]):
+                assert np.array_equal(_raw(fit.weights), _raw(alone.weights))
+                assert fit.residual_norm == alone.residual_norm
+                assert fit.condition_diag == alone.condition_diag
+        rhs = values[:, :-VERIFY_POINTS]
+        w, cond, failures = regularized_solve(basis.collocation, rhs, ridge)
+        assert failures == [None] * len(values)
+        for k, row in enumerate(rhs):
+            w_k, cond_k = regularized_solve(basis.collocation, row, ridge)
+            assert np.array_equal(_raw(w[k]), _raw(w_k)) and cond[k] == cond_k
+
+
+def test_stacked_fit_keeps_each_targets_failure():
+    # at ridge 1e-10 the weights of 1e304 leave the double range on the
+    # inverse set of 10 points: that target's SingularSystem, while the
+    # target 1 beside it is fitted as alone; a failed SVD fails every target
+    basis = _scaling_bases()[1]
+    values = evaluate_grid(np.array([[1e304], [1.0]], dtype=np.complex128),
+                           basis.circles)
+    failed, fit = completeness_fit(basis, values, 1e-10)
+    assert isinstance(failed, SingularSystem)
+    assert str(failed) == (
+        "Tikhonov weights at ridge 1.0e-10 leave the double range for |Lambda| = 10"
+    )
+    alone = completeness_fit(basis, values[1], 1e-10)
+    assert np.array_equal(_raw(fit.weights), _raw(alone.weights))
+    assert fit.residual_norm == alone.residual_norm
+    with pytest.raises(SingularSystem, match="leave the double range"):
+        completeness_fit(basis, values[0], 1e-10)
+    broken = CompletenessBasis(basis.lambdas, basis.rows, basis.circles,
+                               np.full_like(basis.collocation, np.nan),
+                               basis.verification)
+    failures = completeness_fit(broken, values, 1e-10)
+    assert [type(f) for f in failures] == [SingularSystem] * 2
+    assert str(failures[0]).startswith("collocation SVD failed")
+
+
 @pytest.mark.parametrize("kind", ["translate", "exponential"])
 def test_bases_equal_evaluation_on_each_grid(gaussian_family, kind):
     # every basis of a disk has its circles: the collocation circles, then

@@ -115,6 +115,7 @@ _json_values = st.recursive(
 @given(_json_values)
 @example({"b": [0.1, -0.0, 1e300, 5e-324], "a": {"x": None, 1: True}})
 @example([float("nan")])
+@example(np.array([1 + 1j, complex(2, float("nan")), complex(float("inf"), 0)]))
 @example(np.float64(-0.0))
 @example(OrderedDict([(1, "int key"), ("1", "str key")]))  # keys of one str
 def test_stable_json_equals_the_isinstance_chain(obj):

@@ -1,4 +1,5 @@
-"""The artifact tools under ``tools/``: how far two artifact sets moved."""
+"""The tools under ``tools/``: how far two artifact sets moved, and
+alternating benchmark pairs (on canned run results, never the benchmark)."""
 
 import importlib.util
 import json
@@ -7,11 +8,15 @@ from pathlib import Path
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _drift():
-    spec = importlib.util.spec_from_file_location("artifact_drift", _TOOLS / "artifact_drift.py")
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.drift
+    return module
+
+
+def _drift():
+    return _tool("artifact_drift").drift
 
 
 def _write(root: Path, name: str, text: str) -> None:
@@ -43,3 +48,55 @@ def test_artifact_drift_reports_the_largest_change_per_field(tmp_path):
         "- 0/fit/gone.txt",
         "largest relative change 0.333; 4 field(s) moved, 2 present on one side only",
     ]
+
+
+def _run_result(wall: float, rss: float, failed: int = 0) -> dict:
+    """The last-line JSON of a ``bench/run.py --trace 0`` run."""
+    return {"correct": failed == 0, "attempted": 60, "failed": failed, "metrics": {
+        "wall_s": {"value": wall, "unit": "s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+    }}
+
+
+def test_bench_pairs_alternates_and_summarises(tmp_path, capsys):
+    # canned runs: the parent's wall_s 1.0, 1.2, 1.1, 1.4 and the
+    # change's 0.9, 1.3, 0.8, 1.0, in pair order
+    walls = {"P": [1.0, 1.2, 1.1, 1.4], "C": [0.9, 1.3, 0.8, 1.0]}
+    calls = []
+
+    def run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        k = sum(name == checkout.name for name, *_ in calls) - 1
+        return _run_result(walls[checkout.name][k], 48.0 + (checkout.name == "C"),
+                           failed=int(checkout.name == "C" and k == 3))
+
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"what": "kept", "workloads": {"orbit/seed0": {}}}))
+    code = _tool("bench_pairs").main(
+        [str(tmp_path / "P"), str(tmp_path / "C"), "--workload", "fit", "--seed", "7",
+         "--pairs", "4", "--seconds", "2", "--out", str(out)], run=run)
+    assert code == 0
+    # the parent first in even pairs, the change first in odd ones
+    assert [name for name, *_ in calls] == ["P", "C", "C", "P", "P", "C", "C", "P"]
+    assert {tuple(rest) for _, *rest in calls} == {("fit", 7, 2.0)}
+    entry = json.loads(capsys.readouterr().out)
+    assert list(entry) == ["fit/seed7"]
+    summary = entry["fit/seed7"]
+    assert summary["pairs"] == 4
+    assert summary["attempted"] == {"parent": [60] * 4, "change": [60] * 4}
+    assert summary["failed"] == {"parent": [0] * 4, "change": [0, 0, 0, 1]}
+    assert summary["correct"] == {"parent": True, "change": False}
+    wall = summary["metrics"]["wall_s"]
+    assert wall["unit"] == "s"
+    assert wall["parent_runs"] == walls["P"] and wall["change_runs"] == walls["C"]
+    # inclusive quartiles of 1.0, 1.1, 1.2, 1.4 and of 0.8, 0.9, 1.0, 1.3
+    assert wall["parent"] == {"median": 1.15, "q1": 1.075, "q3": 1.25}
+    assert wall["change"] == {"median": 0.95, "q1": 0.875, "q3": 1.075}
+    assert wall["change_lower_in_pairs"] == 3
+    assert wall["relative_change"] == round(0.95 / 1.15 - 1, 4)
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert rss["change_lower_in_pairs"] == 0 and rss["relative_change"] == 0.0208
+    # the entry is merged into the file's workloads, its other keys kept
+    doc = json.loads(out.read_text())
+    assert doc["what"] == "kept"
+    assert doc["workloads"] == {"orbit/seed0": {}, "fit/seed7": summary}
