@@ -347,9 +347,10 @@ def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
     A positive ridge is one Tikhonov solve at that ridge, through SVD
     filter factors; ridge 0 is a truncated SVD whose cutoff, among those
     with finite weights, is auto-selected on the sup residual over the
-    rows of ``a_mat``.  One right-hand side ``b`` gives its weights and
-    condition estimate, and SingularSystem when the weights leave the
-    double range.  A ``(T, M)`` stack of right-hand sides, each row with
+    rows of ``a_mat``.  A 1-d ``b`` is the form for a single right-hand
+    side only (the orbit's stacked system): it gives its weights and
+    condition estimate, and raises SingularSystem when the weights leave
+    the double range.  A ``(T, M)`` stack of right-hand sides, each row with
     its own cutoff, gives the ``(T, K)`` weights, the ``(T,)`` condition
     estimates and one entry per row: None, or the SingularSystem of that
     row, whose weights are then zero.  A row has the bits of its own
@@ -409,12 +410,13 @@ def completeness_fit(
     The solve is :func:`regularized_solve` on the collocation matrix; the
     reported residual is the true sup norm on the denser verification
     circle (never the regularized objective, nor the collocation residual
-    that picks a truncated-SVD cutoff).  One target gives its FitReport,
-    and raises SingularSystem when the solve fails and
-    NonFiniteCoefficient when the residual leaves the double range.  A
-    ``(T, P)`` stack of targets is fitted in one solve and gives one entry
-    per target: its FitReport, or the error its fit ended in, which leaves
-    the other targets alone.  A target has the bits of its own fit.
+    that picks a truncated-SVD cutoff).  A 1-d ``values`` is the form for
+    a single target only: it gives its FitReport, and raises
+    SingularSystem when the solve fails and NonFiniteCoefficient when the
+    residual leaves the double range.  A ``(T, P)`` stack of targets is
+    fitted in one solve and gives one entry per target: its FitReport, or
+    the error its fit ended in, which leaves the other targets alone.  A
+    target has the bits of its own fit.
     """
     if np.ndim(values) == 1:
         [fit] = completeness_fit(basis, np.asarray(values)[None], ridge)

@@ -64,21 +64,19 @@ def test_bench_pairs_alternates_and_summarises(tmp_path, capsys):
     walls = {"P": [1.0, 1.2, 1.1, 1.4], "C": [0.9, 1.3, 0.8, 1.0]}
     calls = []
 
-    def run(checkout, workload, seed, seconds):
-        calls.append((checkout.name, workload, seed, seconds))
+    def run(checkout, workload, seed):
+        calls.append((checkout.name, workload, seed))
         k = sum(name == checkout.name for name, *_ in calls) - 1
         return _run_result(walls[checkout.name][k], 48.0 + (checkout.name == "C"),
                            failed=int(checkout.name == "C" and k == 3))
 
-    out = tmp_path / "BENCH.json"
-    out.write_text(json.dumps({"what": "kept", "workloads": {"orbit/seed0": {}}}))
     code = _tool("bench_pairs").main(
         [str(tmp_path / "P"), str(tmp_path / "C"), "--workload", "fit", "--seed", "7",
-         "--pairs", "4", "--seconds", "2", "--out", str(out)], run=run)
+         "--pairs", "4"], run=run)
     assert code == 0
     # the parent first in even pairs, the change first in odd ones
     assert [name for name, *_ in calls] == ["P", "C", "C", "P", "P", "C", "C", "P"]
-    assert {tuple(rest) for _, *rest in calls} == {("fit", 7, 2.0)}
+    assert {tuple(rest) for _, *rest in calls} == {("fit", 7)}
     entry = json.loads(capsys.readouterr().out)
     assert list(entry) == ["fit/seed7"]
     summary = entry["fit/seed7"]
@@ -96,7 +94,3 @@ def test_bench_pairs_alternates_and_summarises(tmp_path, capsys):
     assert wall["relative_change"] == round(0.95 / 1.15 - 1, 4)
     rss = summary["metrics"]["peak_rss_mb"]
     assert rss["change_lower_in_pairs"] == 0 and rss["relative_change"] == 0.0208
-    # the entry is merged into the file's workloads, its other keys kept
-    doc = json.loads(out.read_text())
-    assert doc["what"] == "kept"
-    assert doc["workloads"] == {"orbit/seed0": {}, "fit/seed7": summary}

@@ -3,21 +3,18 @@
 Usage, with two source checkouts::
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seed S --pairs N
-                                 [--seconds S] [--out FILE]
 
-Each of the N pairs runs ``bench/run.py --workload W --seed S --seconds S
---trace 0`` once from the root of each checkout, the parent first in
-even pairs (0, 2, ...) and the change first in odd ones, so that a drift
-of the machine falls on both sides alike.  The last line of a run, its
+Each of the N pairs runs ``bench/run.py --workload W --seed S --trace 0``
+once from the root of each checkout, at the benchmark's own run length,
+the parent first in even pairs (0, 2, ...) and the change first in odd
+ones, so that a drift of the machine falls on both sides alike.  The last line of a run, its
 JSON result, is kept.  The summary is printed as JSON, in the layout of
 the ``workloads`` entries of the ``BENCH_<n>.json`` files, under the key
 ``W/seedS``: per side the runs' ``attempted``, ``failed`` and
 ``correct``, and per metric each side's runs, median and inclusive
 quartiles, the number of pairs in which the change was lower (every
 end-to-end metric is better lower) and the relative change of the
-medians.  With ``--out FILE`` the entry is also written into the
-``workloads`` object of FILE, which is created if it does not exist;
-its other keys are kept.
+medians.
 """
 
 from __future__ import annotations
@@ -32,11 +29,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run from ``checkout``: the JSON of its last line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -88,8 +85,6 @@ def main(argv=None, run=run_bench) -> int:
     parser.add_argument("--workload", required=True, choices=["orbit", "fit", "algebra"])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--out", type=Path, help="JSON file to write the entry into")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs: expected at least 1")
@@ -98,17 +93,12 @@ def main(argv=None, run=run_bench) -> int:
     results = {side: [] for side in SIDES}
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            result = run(checkouts[side], args.workload, args.seed, args.seconds)
+            result = run(checkouts[side], args.workload, args.seed)
             results[side].append(result)
             wall = result["metrics"].get("wall_s", {}).get("value")
             print(f"pair {pair} {side}: wall_s {wall}, failed {result['failed']}",
                   file=sys.stderr)
-    entry = {f"{args.workload}/seed{args.seed}": summarize(results)}
-    print(json.dumps(entry, indent=1))
-    if args.out is not None:
-        doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
-        doc.setdefault("workloads", {}).update(entry)
-        args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(json.dumps({f"{args.workload}/seed{args.seed}": summarize(results)}, indent=1))
     return 0
 
 
