@@ -381,10 +381,15 @@ def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
             w = np.zeros((len(b), a_mat.shape[1]), dtype=np.complex128)
             cond, best = np.full(len(b), np.nan), np.full(len(b), np.nan)
             found = np.zeros(len(b), dtype=bool)
+            # adjacent cutoffs often keep the same prefix of s: each rank is
+            # scored once, as its candidate would not be better the second time
+            scored = {0}
             for cut in [0.0] + [10.0 ** e for e in range(-15, -7)]:
                 keep = s > cut * s[0]
-                if not np.any(keep):
+                rank = np.count_nonzero(keep)
+                if rank in scored:
                     continue
+                scored.add(rank)
                 cand = _rowwise(beta[:, keep] / s[keep], vh.conj()[keep])
                 sel = np.abs(_rowwise(cand, a_mat.T) - b).max(axis=1)
                 better = np.isfinite(cand.view(np.float64)).all(axis=1) & (

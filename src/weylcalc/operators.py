@@ -28,6 +28,7 @@ from a monomial matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +161,25 @@ def _quotient(num: int, den: int) -> float:
 
 
 def from_gaussian(re, im, e: int) -> np.ndarray:
-    """(re + i im) / 2**e for integer sequences re, im, each part rounded once."""
-    den = 1 << e
-    return np.array(
-        [complex(_quotient(x, den), _quotient(y, den)) for x, y in zip(re, im)],
-        dtype=np.complex128,
-    )
+    """(re + i im) / 2**e for integer sequences re, im, each part rounded once.
+
+    Each integer is converted to the nearest double, and the scaling by
+    2**-e is exact while the result is a normal double; only a part whose
+    result would be subnormal (rounded twice otherwise), or whose integer
+    is past the double range, is one correctly rounded division.
+    """
+    ints = np.array([re, im], dtype=object)
+    try:
+        wide = ints.astype(np.float64)
+    except OverflowError:  # a part past the double range
+        wide = np.array([[_quotient(x, 1) for x in row] for row in ints])
+    parts = np.ldexp(wide, -e)
+    slow = ((wide != 0) & ~(np.abs(parts) >= sys.float_info.min)) | np.isinf(parts)
+    for k, j in zip(*np.nonzero(slow)):
+        parts[k, j] = _quotient(ints[k, j], 1 << e)
+    out = np.empty(parts.shape[1], dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
 
 
 def _polynomial_form(op):
@@ -386,11 +400,12 @@ def scalar_identity_diagnostics(e: np.ndarray):
     ncols = e.shape[1]
     diag = np.diagonal(e[:ncols, :ncols])
     a_est = complex(diag.mean())
-    dev = e.copy()
-    dev[np.arange(ncols), np.arange(ncols)] -= a_est
-    offdiag_max = float(np.abs(dev).max()) if dev.size else 0.0
-    diag_spread = float(np.abs(diag - a_est).max())
-    return a_est, offdiag_max, diag_spread
+    diag_dev = np.abs(diag - a_est)
+    # the off-diagonal |e| beside the diagonal's deviations from a_est
+    mag = np.abs(e)
+    mag[np.arange(diag.size), np.arange(diag.size)] = 0.0
+    offdiag_max = float(np.maximum(mag.max(), diag_dev.max()))
+    return a_est, offdiag_max, float(diag_dev.max())
 
 
 # ---------------------------------------------------------------------------

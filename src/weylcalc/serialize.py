@@ -3,16 +3,19 @@
 All floats are rendered with 17 significant digits and all JSON keys are
 sorted, so identical runs produce byte-identical artifacts.  A 1-d
 complex array in a report is written as its ``[re, im]`` pairs in one
-join, with no list per value.  CSV tables
-are passed as columns and written in blocks of rows.  Each block is one
-``uint8`` matrix of cell bytes with one mask of its valid bytes, so no
-Python code runs per row: integer cells are decimal digits by vectorised
-divmod; float cells are ``0`` for an exact ``+0.0``, and only the others
-go through ``.17g`` (``-0.0`` as ``-0``); text cells are encoded one by
-one.  Every report embeds (JSON) or accompanies (CSV) its run manifest,
-the dict of :func:`build_manifest`.  A NaN or infinite value cannot be
-serialized: :class:`~weylcalc.errors.NonFiniteCoefficient`, a result
-outside the double range.
+join, with no list per value.  CSV tables are passed as columns and
+written in blocks of rows.  Each block is one record array of (cell,
+separator) fields, each column's cells one fixed-width byte-string array,
+so no Python code runs per row: an integer block of a range narrower
+than the block formats each value of the range once and gathers, any
+other integer block is formatted value by value; float cells are ``0``
+for an exact ``+0.0``, and only the others go through ``.17g`` (``-0.0``
+as ``-0``); text cells are encoded one by one.  One pass over the
+record's bytes drops the padding.  Every report embeds (JSON) or
+accompanies (CSV) its run manifest, the dict of :func:`build_manifest`.
+A NaN or infinite value cannot be serialized:
+:class:`~weylcalc.errors.NonFiniteCoefficient`, a result outside the
+double range.
 """
 
 from __future__ import annotations
@@ -205,8 +208,9 @@ def _cell(v) -> str:
 
 
 def _column(values):
-    """A float or integer array, flat and checked finite, kept for
-    formatting block by block; any other column formatted cell by cell."""
+    """A float array, or an integer array as int64 or uint64, flat and
+    checked finite, kept for formatting block by block; any other column
+    formatted cell by cell."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
         values = values.ravel()
         if values.dtype.kind == "f":
@@ -215,70 +219,61 @@ def _column(values):
                 raise NonFiniteCoefficient(
                     f"non-finite value {float(bad[0])} cannot be serialized"
                 )
-        return values
+            return values
+        return values.astype(np.uint64 if values.dtype.kind == "u" else np.int64,
+                             copy=False)
     return [_cell(v) for v in values]
 
 
-def _int_cells(part: np.ndarray):
-    """Right-aligned decimal digits of an integer block, by vectorised
-    divmod of the magnitudes as uint64 (which holds that of INT64_MIN)."""
-    neg = part < 0
-    mag = part.astype(np.uint64)
-    mag[neg] = -mag[neg]
-    width = len(str(int(mag.max()))) + bool(neg.any())
-    # built transposed, byte k of every cell in row k, so that each step
-    # writes one contiguous row
-    cells = np.empty((width, part.size), dtype=np.uint8)
-    digits = np.ones(part.size, dtype=np.intp)
-    for k in range(width - 1, -1, -1):
-        mag, cells[k] = np.divmod(mag, np.uint64(10))
-        digits += mag > 0
-    cells += ord("0")
-    length = digits + neg
-    cells[width - length[neg], neg] = ord("-")
-    return cells.T, (np.arange(width)[:, None] >= width - length).T
-
-
-def _float_cells(part: np.ndarray):
-    """Left-aligned ``f"{x:.17g}"`` of a float block."""
-    # most cells of a banded matrix are +0.0, whose f"{x:.17g}" is "0";
-    # -0.0 goes through the formatter to keep its sign
-    idx = np.flatnonzero((part != 0) | np.signbit(part))
-    text = np.array([f"{x:.17g}" for x in part[idx].tolist()], dtype="S")
-    cells = np.zeros((part.size, text.itemsize), dtype=np.uint8)
-    cells[:, 0] = ord("0")
-    if idx.size:
-        cells[idx] = text.view(np.uint8).reshape(idx.size, -1)
-    return cells, cells != 0  # the formatted text holds no NUL byte
-
-
-def _text_cells(part: list):
-    """Left-aligned UTF-8 of text cells; the explicit lengths keep
-    interior and trailing NUL bytes."""
-    raw = [c.encode() for c in part]
-    length = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
-    cells = np.array(raw, dtype=f"S{max(int(length.max()), 1)}")
-    cells = cells.view(np.uint8).reshape(len(raw), -1)
-    return cells, (np.arange(cells.shape[1])[:, None] < length).T
+def _cells(part):
+    """The cell texts of one column's block as one fixed-width byte-string
+    array, and the byte length of each cell where a cell may hold a NUL
+    byte (text cells only; None otherwise)."""
+    if not isinstance(part, np.ndarray):
+        raw = [c.encode() for c in part]
+        nul = any(b"\0" in c for c in raw)
+        return np.array(raw, dtype="S"), (
+            np.fromiter(map(len, raw), np.intp, len(raw)) if nul else None)
+    if part.dtype.kind == "f":
+        # most cells of a banded matrix are +0.0, whose f"{x:.17g}" is "0";
+        # -0.0 goes through the formatter to keep its sign
+        idx = np.flatnonzero((part != 0) | np.signbit(part))
+        text = np.array([f"{x:.17g}" for x in part[idx].tolist()], dtype="S")
+        cells = np.full(part.size, b"0", dtype=text.dtype)
+        cells[idx] = text
+        return cells, None
+    # integers: each value of a range narrower than the block formatted
+    # once and gathered, the values of any other block one by one
+    lo, hi = part.min(), part.max()
+    width = f"S{max(len(str(lo)), len(str(hi)))}"
+    span = int(hi) - int(lo)
+    if span < part.size:
+        return (np.arange(span + 1, dtype=part.dtype) + lo).astype(width)[part - lo], None
+    return part.astype(width), None
 
 
 def _block_bytes(parts) -> bytes:
-    """One block of rows as one byte matrix: the cells of each column,
-    each followed by a comma, the last by a newline, and one mask that
-    keeps the valid bytes in row order."""
-    mats, masks = [], []
-    for part in parts:
-        if not isinstance(part, np.ndarray):
-            cells, mask = _text_cells(part)
-        elif part.dtype.kind == "f":
-            cells, mask = _float_cells(part)
-        else:
-            cells, mask = _int_cells(part)
-        sep = np.full((len(cells), 1), ord(","), dtype=np.uint8)
-        mats += [cells, sep]
-        masks += [mask, np.ones(sep.shape, dtype=bool)]
-    mats[-1][:] = ord("\n")
-    return np.hstack(mats)[np.hstack(masks)].tobytes()
+    """One block of rows as one record array of (cell, separator) fields,
+    a comma after each cell and a newline after the last, filled one
+    column at a time; the NUL padding of the fixed-width cells is then
+    dropped in one pass over the record's bytes, by a length mask where a
+    text cell holds NUL bytes of its own."""
+    cells, lengths = zip(*map(_cells, parts))
+    rec = np.empty(len(cells[0]), dtype=[
+        field for i, c in enumerate(cells) for field in ((f"c{i}", c.dtype), (f"s{i}", "S1"))])
+    for i, c in enumerate(cells):
+        rec[f"c{i}"], rec[f"s{i}"] = c, b","
+    rec[f"s{len(cells) - 1}"] = b"\n"
+    if all(length is None for length in lengths):
+        return rec.tobytes().translate(None, b"\0")
+    raw = rec.view(np.uint8).reshape(len(rec), -1)
+    keep = raw != 0
+    for i, length in enumerate(lengths):
+        if length is not None:
+            dtype, offset = rec.dtype.fields[f"c{i}"]
+            keep[:, offset:offset + dtype.itemsize] = (
+                np.arange(dtype.itemsize) < length[:, None])
+    return raw[keep].tobytes()
 
 
 def write_csv(path: Path, header: list, columns) -> None:
@@ -291,7 +286,9 @@ def write_csv(path: Path, header: list, columns) -> None:
     else as ``str``).  Every column is checked
     before the file is opened, so a non-finite float raises
     ``NonFiniteCoefficient`` and writes nothing.  Rows go out in blocks of
-    :data:`CSV_BLOCK_ROWS`, each formatted as one byte matrix.
+    :data:`CSV_BLOCK_ROWS`, each formatted as one record array of
+    fixed-width cell texts and separators, whose NUL padding is dropped
+    in one pass (by a length mask where a text cell holds NUL bytes).
     """
     cols = [_column(c) for c in columns]
     if len(cols) != len(header) or len({len(c) for c in cols}) > 1:

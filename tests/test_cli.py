@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import readme_cli_examples
+from test_serialize import _reference_csv
 import weylcalc.cli
 import weylcalc.eigen
 import weylcalc.series
@@ -386,6 +387,19 @@ def test_commutator_csv_matches_a_per_entry_rendering(tmp_path):
         for (r, c), v in np.ndenumerate(entries)
     )
     assert (tmp_path / "commutator_matrix.csv").read_bytes() == expected.encode()
+
+
+def test_commutator_csv_equals_the_cell_by_cell_reference(tmp_path):
+    # D - zI at --ncap 256: 65,792 rows in 17 blocks, all but the 256
+    # diagonal cells +0.0
+    code = main(["commutator-check", "--op", D_MINUS_Z, "--ncap", "256",
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    entries = commutator_matrix(parse_operator_spec(json.loads(D_MINUS_Z)), diff_op(1), 256)
+    rows, cols = np.indices(entries.shape)
+    expected = _reference_csv(["row", "col", "re", "im"],
+                              [rows, cols, entries.real, entries.imag])
+    assert (tmp_path / "commutator_matrix.csv").read_bytes() == expected
 
 
 def test_eigencheck_with_composite(tmp_path):

@@ -483,6 +483,35 @@ def test_stacked_fit_rows_equal_one_target_fits(ridge):
             assert np.array_equal(_raw(w[k]), _raw(w_k)) and cond[k] == cond_k
 
 
+def test_truncated_svd_scores_each_rank_once(monkeypatch):
+    # adjacent cutoffs that keep the same prefix of the singular values
+    # (at |Lambda| = 10 on D - zI, ranks 10, 9, 9, 8, 8, 7, 7, 7, 6) form
+    # that rank's candidate weights once, for all targets in one call
+    formed = []
+    rowwise = weylcalc.eigen._rowwise
+
+    def spy(x, matrix):
+        # a rank-r candidate: the (T, r) coefficients times r rows of vh
+        if matrix.shape == (x.shape[1], k) and x.shape[1] <= k:
+            formed.append((x.shape[1], len(x)))
+        return rowwise(x, matrix)
+
+    monkeypatch.setattr(weylcalc.eigen, "_rowwise", spy)
+    repeated = False
+    for basis in _scaling_bases():
+        k = basis.collocation.shape[1]
+        s = basis.svd[1]
+        ranks = [np.count_nonzero(s > cut * s[0])
+                 for cut in [0.0] + [10.0 ** e for e in range(-15, -7)]]
+        repeated |= len(set(ranks)) < len(ranks)
+        rhs = _stack_targets(basis)[:, :-VERIFY_POINTS]
+        for stack in (rhs, rhs[:1]):
+            formed.clear()
+            regularized_solve(basis.collocation, stack, 0.0, basis.svd)
+            assert formed == [(rank, len(stack)) for rank in dict.fromkeys(ranks) if rank]
+    assert repeated
+
+
 def test_stacked_fit_keeps_each_targets_failure():
     # at ridge 1e-10 the weights of 1e304 leave the double range on the
     # inverse set of 10 points: that target's SingularSystem, while the

@@ -1,9 +1,11 @@
 """Operator algebra: commutators, ladder, conjugation, decomposition."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_weyl_operators, unit_disk_complex
 from weylcalc.errors import (
@@ -264,6 +266,46 @@ def test_from_gaussian_past_the_double_range_is_a_signed_infinity():
     out = from_gaussian([huge, -huge, 3], [-huge, 0, huge], 1)
     assert np.array_equal(out.real, [np.inf, -np.inf, 1.5])
     assert np.array_equal(out.imag, [-np.inf, 0.0, np.inf])
+
+
+def _fraction_rounded(x: int, e: int) -> float:
+    """x / 2**e rounded once by Fraction, a signed infinity past the range."""
+    try:
+        return float(Fraction(x, 1 << e))
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+#: integers whose quotients are exact ties, subnormal, or past the range
+_GAUSSIAN_PARTS = st.one_of(
+    st.sampled_from([0, 1, -1, 3, -3, 2**53 + 1, -(2**53 + 3), 2**1024 - 2**970,
+                     -(2**1024), 2**1100 + 1]),
+    st.integers(-(2**64), 2**64),
+    st.integers(-(2**1100), 2**1100),
+    # a run of ones, which rounding to 53 bits turns into a tie further up
+    st.builds(lambda a, b, c: a * 2**b - c, st.integers(-(2**12), 2**12),
+              st.integers(40, 70), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.tuples(_GAUSSIAN_PARTS, _GAUSSIAN_PARTS), max_size=8),
+       e=st.one_of(st.integers(0, 200), st.integers(1000, 1200), st.integers(2000, 2300)))
+@example(parts=[(1, -1), (3, -3), (2**53 + 1, 5)], e=1075)  # ties below the normals
+@example(parts=[(1, -1), (0, 2**52 + 1)], e=1100)  # +0, -0 and a subnormal
+# rounded to 53 bits, 2**60 + 2**50 + 2**49 - 1 ties at the subnormal grid
+@example(parts=[(2**60 + 2**50 + 2**49 - 1, -(2**60 + 2**50 + 2**49 - 1))], e=1124)
+# 2**54 + 1 rounds to 2**54, whose quotient is a tie that rounds to 0
+@example(parts=[(2**54 + 1, -(2**54 + 1))], e=1129)
+@example(parts=[(2**53 + 1, -(2**53 + 3)), (2**1024 - 2**970, 0)], e=0)
+@example(parts=[(2**1100 + 1, -(2**1024))], e=100)  # past 2**1024, finite after
+def test_from_gaussian_equals_fraction_rounding(parts, e):
+    re = [x for x, _ in parts]
+    im = [y for _, y in parts]
+    got = from_gaussian(re, im, e)
+    want = np.array([complex(_fraction_rounded(x, e), _fraction_rounded(y, e))
+                     for x, y in parts], dtype=np.complex128)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

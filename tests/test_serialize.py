@@ -296,35 +296,77 @@ def _reference_csv(header, columns) -> bytes:
             return "1" if v else "0"
         return f"{v:.17g}" if isinstance(v, float) else str(v)
 
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    cols = [c.ravel().tolist() if isinstance(c, np.ndarray) else c for c in columns]
     lines = [header, *zip(*cols)]
     return "".join(",".join(map(cell, row)) + "\n" for row in lines).encode()
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-#: cell strategies and array dtypes of the column kinds; "mixed" is a list
+INT64_MIN, INT64_MAX, UINT64_MAX = -2**63, 2**63 - 1, 2**64 - 1
+#: cell strategies and array dtypes of the column kinds; "mixed" and
+#: "nul" are lists
 _CELLS = {
-    "int64": (st.one_of(st.sampled_from([-2**63, 2**63 - 1, -1, 0]),
-                        st.integers(-2**63, 2**63 - 1)), np.int64),
-    "uint64": (st.one_of(st.sampled_from([2**64 - 1, 2**64 - 2, 2**63, 0]),
-                         st.integers(0, 2**64 - 1)), np.uint64),
+    "int64": (st.one_of(st.sampled_from([INT64_MIN, INT64_MAX, -1, 0]),
+                        st.integers(INT64_MIN, INT64_MAX)), np.int64),
+    "uint64": (st.one_of(st.sampled_from([UINT64_MAX, 2**64 - 2, 2**63, 0]),
+                         st.integers(0, UINT64_MAX)), np.uint64),
+    # the two ends of a type's range in one block
+    "int64 ends": (st.sampled_from([INT64_MIN, INT64_MAX]), np.int64),
+    "uint64 ends": (st.sampled_from([UINT64_MAX, 0]), np.uint64),
     "float": (st.one_of(st.sampled_from(EDGE_FLOATS), _FINITE), np.float64),
     "mixed": (st.one_of(
         st.sampled_from(["", "\x00", "a\x00", "\x00b\x00", "é", "日本", "inf"]),
         st.text(), st.booleans(), st.integers(), _FINITE), None),
+    # text cells with interior and trailing NUL bytes
+    "nul": (st.one_of(st.sampled_from(["\x00", "a\x00", "\x00\x00", "", "7"]),
+                      st.text(st.sampled_from("\x00a-7,é"))), None),
 }
+#: the nonzero cells of a commutator-shaped listing
+_SPARSE = st.one_of(st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                     1.0, -2.5]), _FINITE)
 
 
 @st.composite
-def _tables(draw):
-    n = draw(st.integers(0, 12))
-    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+def _narrow_ints(draw, n):
+    """An integer column of a range narrower than its length, around a
+    negative value (INT64_MIN included)."""
+    base = draw(st.one_of(st.integers(-8, -1), st.integers(INT64_MIN, -9)))
+    offsets = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    return np.array(offsets, dtype=np.int64) + np.int64(base)
+
+
+@st.composite
+def _column_tables(draw, n):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS) + ["narrow"]),
+                          min_size=1, max_size=5))
     cols = []
     for kind in kinds:
+        if kind == "narrow":
+            cols.append(draw(_narrow_ints(n)))
+            continue
         cells, dtype = _CELLS[kind]
         values = draw(st.lists(cells, min_size=n, max_size=n))
         cols.append(values if dtype is None else np.array(values, dtype=dtype))
     return [f"c{i}" for i in range(len(cols))], cols
+
+
+@st.composite
+def _commutator_listings(draw, shape):
+    """As commutator_matrix.csv: the np.indices of a matrix beside the
+    real and imaginary parts of its entries, almost all +0.0."""
+    entries = np.zeros(draw(shape), dtype=np.complex128)
+    parts = entries.view(np.float64).reshape(-1)
+    at = draw(st.lists(st.integers(0, parts.size - 1), max_size=12))
+    parts[at] = draw(st.lists(_SPARSE, min_size=len(at), max_size=len(at)))
+    rows, cols = np.indices(entries.shape)
+    return ["row", "col", "re", "im"], [rows, cols, entries.real, entries.imag]
+
+
+@st.composite
+def _tables(draw):
+    if draw(st.booleans()):
+        return draw(_column_tables(draw(st.integers(0, 12))))
+    return draw(_commutator_listings(st.tuples(st.integers(1, 4), st.integers(1, 4))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,4 +377,32 @@ def test_write_csv_equals_cell_by_cell_reference(table, block):
         path = Path(tmp) / "table.csv"
         with mock.patch.object(serialize, "CSV_BLOCK_ROWS", block):
             write_csv(path, header, columns)
+        assert path.read_bytes() == _reference_csv(header, columns)
+
+
+@st.composite
+def _full_block_tables(draw):
+    """Tables past one block of CSV_BLOCK_ROWS rows: a commutator listing,
+    or a small table repeated beside random integers of each type's full
+    range."""
+    if draw(st.booleans()):
+        return draw(_commutator_listings(st.tuples(st.integers(41, 90),
+                                                   st.integers(100, 110))))
+    header, columns = draw(_column_tables(draw(st.integers(1, 12))))
+    size = len(columns[0])
+    reps = -(-(serialize.CSV_BLOCK_ROWS + draw(st.integers(1, 4))) // size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wide = [rng.integers(INT64_MIN, INT64_MAX, size * reps, np.int64, endpoint=True),
+            rng.integers(0, UINT64_MAX, size * reps, np.uint64, endpoint=True)]
+    columns = [c * reps if isinstance(c, list) else np.tile(c, reps) for c in columns]
+    return header + ["w0", "w1"], columns + wide
+
+
+@settings(max_examples=30, deadline=None)
+@given(table=_full_block_tables())
+def test_write_csv_in_full_blocks_equals_cell_by_cell_reference(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, columns)
         assert path.read_bytes() == _reference_csv(header, columns)
