@@ -23,7 +23,9 @@ the residual always re-measured as a true sup norm on a denser
 verification circle (never the regularized objective).  The work that
 does not depend on the target is split off: :func:`completeness_bases`
 builds one :class:`CompletenessBasis` (member rows, circles, collocation
-and verification matrices, and the SVD that the first fit works out) per
+and verification matrices, and the SVD that the first fit works out, from
+which the SVD of a stack of scaled copies of the collocation matrix
+follows by that of a small core: :meth:`CompletenessBasis.stacked`) per
 lambda set, translating the distinct lambdas of all the sets in one batch
 and evaluating them on each circle by one inverse FFT
 (:func:`~weylcalc.series.evaluate_grid`), and :func:`completeness_fit`
@@ -287,6 +289,22 @@ class CompletenessBasis:
         """Thin SVD of ``collocation``, worked out the first time a fit
         needs it; SingularSystem when LAPACK gives up."""
         return _svd(self.collocation)
+
+    def stacked(self, scales: list) -> tuple:
+        """The stack S = [E diag(s_1); ...; E diag(s_m)] of the collocation
+        matrix E, one scaled copy per 1-d array s_j of column scales, and
+        its thin SVD, from the one SVD of E.
+
+        With E = U Sigma V^H, S = (I_m kron U) C for the small core C =
+        [Sigma V^H diag(s_j)]_j, so one SVD U_C s_C V_C^H of C gives S's
+        as ((I_m kron U) U_C, s_C, V_C^H), and no tall matrix is factored.
+        """
+        u, s, vh = self.svd
+        sigma_vh = s[:, None] * vh
+        core_u, core_s, core_vh = _svd(np.vstack([sigma_vh * sj for sj in scales]))
+        lifted = np.vstack(u @ core_u.reshape(len(scales), s.size, -1))
+        matrix = np.vstack([self.collocation * sj for sj in scales])
+        return matrix, (lifted, core_s, core_vh)
 
 
 def completeness_bases(

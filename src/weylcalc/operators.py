@@ -15,9 +15,11 @@ is composed from them by Horner's scheme, and a commutator is two
 compositions and a subtraction.  The same numpy code runs on complex128
 arrays and on exact integer pairs at one power-of-two scale: the real and
 imaginary parts as two rows of Python ints, whose complex multiply-add is
-written out by hand.  Operator and series coefficients are doubles, hence
-dyadic rationals, so commutators and operator powers are formed exactly
-and rounded once.  The rounded core acts on one coefficient vector or on a
+written out by hand, without the two products with the imaginary parts of
+a band whose imaginary parts are all zero (every band of a real
+operator).  Operator and series coefficients are doubles, hence dyadic
+rationals, so commutators and operator powers are formed exactly and
+rounded once.  The rounded core acts on one coefficient vector or on a
 ``(K, N)`` stack of them, row by row with the same bits.
 Truncated-series application (differentiation included),
 monomial matrices, commutators, the ladder check and the direct orbit
@@ -199,19 +201,30 @@ def _polynomial_form(op):
     raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
-def _mul_add(acc: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+def _real_bands(section: dict) -> set:
+    """Offsets of the exact section's bands whose imaginary parts are all
+    zero (none of a rounded section)."""
+    return {s for s, v in section.items() if v.dtype == object and not v[1].any()}
+
+
+def _mul_add(acc: np.ndarray, x: np.ndarray, y: np.ndarray, real: bool = False) -> None:
     """acc += x * y elementwise; exact operands are ``(2, ...)`` integer
-    parts, multiplied out by hand."""
-    if acc.dtype == object:
+    parts, multiplied out by hand, and the two products with the
+    imaginary parts of x are skipped when ``real`` says they are zero."""
+    if acc.dtype != object:
+        acc += x * y
+    elif real:
+        acc[0] += x[0] * y[0]
+        acc[1] += x[0] * y[1]
+    else:
         acc[0] += x[0] * y[0] - x[1] * y[1]
         acc[1] += x[0] * y[1] + x[1] * y[0]
-    else:
-        acc += x * y
 
 
 def _compose(x: dict, y: dict) -> dict:
     """Section of x y (y applied first)."""
     size = next(iter(y.values())).shape[-1]
+    real_x, real_y = _real_bands(x), _real_bands(y)
     out: dict = {}
     for sy, vy in y.items():
         for sx, vx in x.items():
@@ -223,7 +236,10 @@ def _compose(x: dict, y: dict) -> dict:
             acc = out.get(sx + sy)
             if acc is None:
                 acc = out[sx + sy] = np.zeros(vy.shape, dtype=vy.dtype)
-            _mul_add(acc[..., lo:hi], vx[..., lo - sy : hi - sy], vy[..., lo:hi])
+            bx, by = vx[..., lo - sy : hi - sy], vy[..., lo:hi]
+            if sy in real_y and sx not in real_x:
+                bx, by = by, bx  # the products commute exactly
+            _mul_add(acc[..., lo:hi], bx, by, sx in real_x or sy in real_y)
     return out
 
 
@@ -266,14 +282,15 @@ def _bands(op, size: int, exact: bool):
     return section, scale
 
 
-def _act(section: dict, x: np.ndarray) -> np.ndarray:
+def _act(section: dict, x: np.ndarray, real=frozenset()) -> np.ndarray:
     """Image of the coefficient vector x, or of each row of a ``(K, N)``
-    stack x, under the section."""
+    stack x, under the section; ``real`` holds the offsets of its exact
+    bands with zero imaginary parts (:func:`_real_bands`)."""
     size = x.shape[-1]
     out = np.zeros(x.shape, dtype=x.dtype)
     for s, v in section.items():
         lo, hi = max(0, s), size + min(0, s)
-        _mul_add(out[..., lo - s : hi - s], v[..., lo:hi], x[..., lo:hi])
+        _mul_add(out[..., lo - s : hi - s], v[..., lo:hi], x[..., lo:hi], s in real)
     return out
 
 
@@ -307,9 +324,10 @@ def exact_power(op, coeffs, n: int):
     with the image equal to (G[0] + i G[1]) / 2**e.
     """
     section, scale = _bands(op, len(coeffs), exact=True)
+    real = _real_bands(section)
     g, e = to_gaussian(coeffs)
     for _ in range(n):
-        g = _act(section, g)
+        g = _act(section, g, real)
     return g, e + n * scale
 
 

@@ -20,7 +20,9 @@ E the collocation matrix of the members, is solved at the ridge asked
 for, by the same solve as every completeness fit (one Tikhonov solve, or
 the truncated SVD at ridge 0: :func:`~weylcalc.eigen.regularized_solve`),
 and the first step at which every target is met within epsilon/2 on the
-verification circle wins.
+verification circle wins.  No stacked matrix is factored: the basis holds
+the SVD U Sigma V^H of E, and each step factors only the small core
+[Sigma V^H diag(mu^{n_j})]_j (:meth:`~weylcalc.eigen.CompletenessBasis.stacked`).
 The :class:`OrbitConstruction` works f and mu out from the problem and x.
 Because the fit is joint, no target's correction can spoil another's:
 what is checked is A^{n_j} applied to the whole of f.  The constructor
@@ -31,9 +33,11 @@ the achieved errors and the coefficients of f.
 Verification has two routes, both at the exact roots of unity of the
 verification circle.  The eigen route reads the members' values there
 from the constructor's basis and measures the full vector at every
-scheduled iterate.  The direct route, the check that does not depend on
-the constructor, applies A to the coefficients of f at every scheduled
-iterate and must agree (:func:`targets_met`).  It powers A through the
+scheduled iterate: it is the constructor's own product, so its error
+equals the report's ``achieved_error`` by construction.  The direct
+route, the check that does not depend on the constructor, applies A to
+the coefficients of f at every scheduled iterate and must agree
+(:func:`targets_met`).  It powers A through the
 banded core of :mod:`weylcalc.operators` exactly, on Gaussian integers,
 folds the exact coefficients mod the number of points, rounds each fold
 once and takes the values by one inverse FFT
@@ -191,10 +195,12 @@ def select_expanding_lambdas(c, count: int, margin: float) -> LambdaSet:
     one per equispaced ray.
 
     All rays are marched outward from the origin over the same radii, up
-    to SEARCH_RADIUS_CAP (else SearchExhausted), and each ray's first
-    crossing of the level 1 + margin is bisected, all rays at once, so the
-    points cluster near the level set (large spread in |eigenvalue| would
-    wreck the conditioning of the later fits).
+    to SEARCH_RADIUS_CAP (else SearchExhausted), in one evaluation, and
+    each ray's first crossing of the level 1 + margin is bisected, all
+    rays at once, so the points cluster near the level set (large spread
+    in |eigenvalue| would wreck the conditioning of the later fits).  The
+    bisection ends after 60 steps, or at the first step that moves no
+    bracket, as every later step would repeat it.
     """
     if not 1.0 + margin > 1.0:
         raise MalformedSpec(f"1 + margin must exceed 1, got margin {margin}")
@@ -209,24 +215,29 @@ def select_expanding_lambdas(c, count: int, margin: float) -> LambdaSet:
         mu = eigenvalue_of(c, r * directions)
         return np.hypot(mu.real, mu.imag) >= level
 
-    lo = np.zeros(count)
-    hi = np.full(count, np.nan)
-    r = 0.05
-    while r <= SEARCH_RADIUS_CAP and np.isnan(hi).any():
-        marching = np.isnan(hi)
-        hit = marching & reached(r)
-        hi[hit] = r
-        lo[marching & ~hit] = r
-        r *= 1.25
-    exhausted = np.flatnonzero(np.isnan(hi))
+    # the radii 0.05 * 1.25^k <= SEARCH_RADIUS_CAP, each the previous one
+    # times 1.25; those past a ray's first hit are evaluated too, and
+    # discarded
+    radii = [0.05]
+    while radii[-1] * 1.25 <= SEARCH_RADIUS_CAP:
+        radii.append(radii[-1] * 1.25)
+    radii = np.array(radii)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hits = reached(radii[:, None])
+    exhausted = np.flatnonzero(~hits.any(axis=0))
     if exhausted.size:
         raise SearchExhausted(
             f"no |symbol| >= {level} within radius {SEARCH_RADIUS_CAP} on ray "
             f"{exhausted[0]}/{count}"
         )
+    first = hits.argmax(axis=0)
+    hi = radii[first]
+    lo = np.where(first > 0, radii[first - 1], 0.0)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         hit = reached(mid)
+        if not np.where(hit, mid != hi, mid != lo).any():
+            break
         hi = np.where(hit, mid, hi)
         lo = np.where(hit, lo, mid)
     return LambdaSet(hi * directions)
@@ -246,7 +257,11 @@ def construct_orbit(
     n_m <= SCHEDULE_CAP and the largest mu^{n_m} keeps the stacked
     system within STACKED_MAX, and the first whose stacked fit meets
     every target within epsilon/2 on the verification circle is kept
-    (ScheduleOverflow when none does).
+    (ScheduleOverflow when none does).  Each step's stacked system is
+    solved through its SVD worked out from the basis's one SVD and that
+    of the step's small core (:meth:`CompletenessBasis.stacked`); the
+    ridge-0 cutoff is still chosen on the residual of the full stacked
+    system.
     """
     family = problem.family
     targets = problem.targets
@@ -277,8 +292,8 @@ def construct_orbit(
     missed = m_targets - 1
     for step in range(1, cap // m_targets + 1):
         schedule = [(j + 1) * step for j in range(m_targets)]
-        stacked = np.vstack([basis.collocation * mu ** float(n) for n in schedule])
-        x, cond = regularized_solve(stacked, rhs, ridge)
+        stacked, svd = basis.stacked([mu ** float(n) for n in schedule])
+        x, cond = regularized_solve(stacked, rhs, ridge, svd)
         errors = [
             float(np.abs(basis.verification @ _amplitudes(x, mu, n) - qv).max())
             for n, qv in zip(schedule, q_verify)
@@ -323,8 +338,11 @@ def verify_orbit(construction: OrbitConstruction) -> list:
 
     The eigen-sum on the constructor's basis is compared against direct
     repeated operator application, and both against the target; rows are
-    data, not judgements; the family and the targets are those of
-    ``construction.problem``.  A direct route whose values leave the double
+    data, not judgements.  The eigen-sum is the constructor's own product
+    on the same points, so ``eigen_error_full`` equals the report's
+    ``achieved_error`` by construction, and only the direct route is
+    independent of the constructor.  The family and the targets are those
+    of ``construction.problem``.  A direct route whose values leave the double
     range raises NonFiniteCoefficient.
     """
     c, targets = construction.problem.family.op, construction.problem.targets

@@ -225,10 +225,24 @@ def _column(values):
     return [_cell(v) for v in values]
 
 
-def _cells(part):
+def _int_texts(col):
+    """(lo, texts) for an integer column whose range is narrower than the
+    column, texts[v - lo] the cell text of the value v, each value of the
+    range formatted once; None for any other column."""
+    if not (isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.size):
+        return None
+    lo, hi = col.min(), col.max()
+    if int(hi) - int(lo) >= col.size:
+        return None
+    width = f"S{max(len(str(lo)), len(str(hi)))}"
+    return lo, (np.arange(int(hi) - int(lo) + 1, dtype=col.dtype) + lo).astype(width)
+
+
+def _cells(part, int_texts=None):
     """The cell texts of one column's block as one fixed-width byte-string
     array, and the byte length of each cell where a cell may hold a NUL
-    byte (text cells only; None otherwise)."""
+    byte (text cells only; None otherwise).  ``int_texts`` is the
+    column's :func:`_int_texts`, gathered from when it is not None."""
     if not isinstance(part, np.ndarray):
         raw = [c.encode() for c in part]
         nul = any(b"\0" in c for c in raw)
@@ -242,23 +256,21 @@ def _cells(part):
         cells = np.full(part.size, b"0", dtype=text.dtype)
         cells[idx] = text
         return cells, None
-    # integers: each value of a range narrower than the block formatted
-    # once and gathered, the values of any other block one by one
-    lo, hi = part.min(), part.max()
-    width = f"S{max(len(str(lo)), len(str(hi)))}"
-    span = int(hi) - int(lo)
-    if span < part.size:
-        return (np.arange(span + 1, dtype=part.dtype) + lo).astype(width)[part - lo], None
+    if int_texts is not None:
+        lo, texts = int_texts
+        return texts[part - lo], None
+    width = f"S{max(len(str(part.min())), len(str(part.max())))}"
     return part.astype(width), None
 
 
 def _block_bytes(parts) -> bytes:
-    """One block of rows as one record array of (cell, separator) fields,
-    a comma after each cell and a newline after the last, filled one
-    column at a time; the NUL padding of the fixed-width cells is then
-    dropped in one pass over the record's bytes, by a length mask where a
-    text cell holds NUL bytes of its own."""
-    cells, lengths = zip(*map(_cells, parts))
+    """One block of rows, given by the :func:`_cells` of each column, as
+    one record array of (cell, separator) fields, a comma after each cell
+    and a newline after the last, filled one column at a time; the NUL
+    padding of the fixed-width cells is then dropped in one pass over the
+    record's bytes, by a length mask where a text cell holds NUL bytes of
+    its own."""
+    cells, lengths = zip(*parts)
     rec = np.empty(len(cells[0]), dtype=[
         field for i, c in enumerate(cells) for field in ((f"c{i}", c.dtype), (f"s{i}", "S1"))])
     for i, c in enumerate(cells):
@@ -295,11 +307,13 @@ def write_csv(path: Path, header: list, columns) -> None:
         raise ValueError("write_csv: expected one column per header name, "
                          "all of one length")
     n_rows = len(cols[0]) if cols else 0
+    int_texts = [_int_texts(c) for c in cols]
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for start in range(0, n_rows, CSV_BLOCK_ROWS):
-                fh.write(_block_bytes(c[start:start + CSV_BLOCK_ROWS] for c in cols))
+                fh.write(_block_bytes([_cells(c[start:start + CSV_BLOCK_ROWS], t)
+                                       for c, t in zip(cols, int_texts)]))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

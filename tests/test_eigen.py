@@ -512,6 +512,29 @@ def test_truncated_svd_scores_each_rank_once(monkeypatch):
     assert repeated
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_svd_from_the_basis_svd_rebuilds_the_stack(seed):
+    # S = [E diag(mu^n_1); ...; E diag(mu^n_m)] from the SVD of E and of the
+    # small core: the factors rebuild S, and their singular values are
+    # S's own, within a few u |S|
+    rng = np.random.default_rng(seed)
+    rows, k, m = int(rng.integers(4, 60)), int(rng.integers(2, 40)), int(rng.integers(1, 5))
+    e_mat = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+    mu = rng.uniform(1.0, 4.0, k) * np.exp(2j * np.pi * rng.random(k))
+    schedule = np.sort(rng.choice(np.arange(1, 25), m, replace=False))
+    basis = CompletenessBasis(LambdaSet(np.arange(k)), None, (), e_mat, None)
+    scales = [mu ** float(n) for n in schedule]
+    matrix, (u, s, vh) = basis.stacked(scales)
+    stack = np.vstack([e_mat * scale for scale in scales])
+    assert np.array_equal(matrix, stack)
+    assert u.shape == (m * rows, s.size) and vh.shape == (s.size, k)
+    norm, u_round = np.linalg.norm(stack, 2), np.finfo(float).eps
+    assert np.abs((u * s) @ vh - stack).max() <= 50 * u_round * norm
+    assert np.abs(s - np.linalg.svd(stack, compute_uv=False)[: s.size]).max() <= (
+        50 * u_round * norm)
+    assert np.abs(u.conj().T @ u - np.eye(s.size)).max() <= 50 * u_round
+
+
 def test_stacked_fit_keeps_each_targets_failure():
     # at ridge 1e-10 the weights of 1e304 leave the double range on the
     # inverse set of 10 points: that target's SingularSystem, while the

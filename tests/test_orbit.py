@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import weylcalc.eigen
 import weylcalc.orbit
-from conftest import roots_of_unity
+from conftest import readme_cli_examples, roots_of_unity
 from weylcalc.cli import main
 from weylcalc.eigen import EigenFamily, eigenfunction, eigenvalue_of
 from weylcalc.errors import (
@@ -115,6 +115,9 @@ def _select_ray_by_ray(c, count, margin):
 
 @pytest.mark.parametrize("case", ["ident", "quad", "complex_a", "exponential"])
 def test_selection_of_all_rays_at_once_equals_ray_by_ray(setting, case):
+    # all radii marched in one evaluation, and the bisection stopped at its
+    # first step that moves no bracket, give the bits of the ray-by-ray
+    # march and its 60 bisection steps, for every count and margin
     ident, quad = setting
     l_quad = np.array([0.0, 1.0, 1.0])
     c = {
@@ -123,9 +126,45 @@ def test_selection_of_all_rays_at_once_equals_ray_by_ray(setting, case):
         "complex_a": CompositeOperator(WeylOperator(diff_op(1), 0.6 - 0.8j), l_quad),
         "exponential": CompositeOperator(WeylOperator(diff_op(1), 0.0), l_quad),
     }[case]
-    lams = select_expanding_lambdas(c, 24, margin=2.0)
-    expected = _select_ray_by_ray(c, 24, 2.0)
+    for count in (1, 7, 16, 24, 48):
+        for margin in (0.5, 2.0, 5.0):
+            lams = select_expanding_lambdas(c, count, margin)
+            expected = _select_ray_by_ray(c, count, margin)
+            assert np.array_equal(lams.points.view(np.float64),
+                                  expected.view(np.float64)), (count, margin)
+
+
+def test_selection_ignores_overflow_past_the_first_hit():
+    # |lambda|^200 >= 3 from r ~ 1.0055 on, and leaves the double range
+    # from r ~ 34.8 on: the march evaluates those radii too and discards
+    # them, without a floating-point warning
+    l_high = np.zeros(201)
+    l_high[200] = 1.0
+    c = CompositeOperator(WeylOperator(diff_op(1), 1.0), l_high)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lams = select_expanding_lambdas(c, 7, margin=2.0)
+    expected = _select_ray_by_ray(c, 7, 2.0)
     assert np.array_equal(lams.points.view(np.float64), expected.view(np.float64))
+
+
+def test_bisection_stops_at_its_first_step_that_moves_no_bracket(setting, monkeypatch):
+    # L = T on 7 rays: the march is one evaluation, and the bisection
+    # ends before its 60 steps, at a step that changes no endpoint
+    ident, _ = setting
+    calls = []
+    eigenvalue = weylcalc.orbit.eigenvalue_of
+
+    def counted(c, lam):
+        calls.append(np.shape(lam))
+        return eigenvalue(c, lam)
+
+    monkeypatch.setattr(weylcalc.orbit, "eigenvalue_of", counted)
+    select_expanding_lambdas(ident.op, 7, margin=2.0)
+    radii = math.floor(math.log(SEARCH_RADIUS_CAP / 0.05) / math.log(1.25)) + 1
+    assert calls[0] == (radii, 7)
+    assert all(shape == (7,) for shape in calls[1:])
+    assert len(calls) < 1 + 60
 
 
 def test_exponential_family_symbol_composes():
@@ -455,6 +494,23 @@ def test_tampered_weights_are_detected(setting):
     assert verify_orbit(tampered)[0]["eigen_error_full"] > 10 * max(
         good, 1e-3
     )
+
+
+def test_readme_orbit_factors_no_stacked_matrix(tmp_path, monkeypatch):
+    # the collocation matrix (160 x 32) is factored once, and each of the
+    # steps 1 to 5 factors only its (2 * 32) x 32 core, never the
+    # (2 * 160) x 32 stacked matrix
+    shapes = []
+    svd = weylcalc.eigen._svd
+
+    def spy(a_mat):
+        shapes.append(a_mat.shape)
+        return svd(a_mat)
+
+    monkeypatch.setattr(weylcalc.eigen, "_svd", spy)
+    [argv] = [a for a in readme_cli_examples() if a[0] == "construct-orbit"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    assert shapes == [(160, 32)] + [(64, 32)] * 5
 
 
 def test_operator_5_two_targets_met(tmp_path):

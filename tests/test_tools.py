@@ -1,8 +1,10 @@
-"""The tools under ``tools/``: how far two artifact sets moved, and
-alternating benchmark pairs (on canned run results, never the benchmark)."""
+"""The tools under ``tools/``: how far two artifact sets moved,
+alternating benchmark pairs (on canned run results, never the benchmark),
+and the accuracy ledger's line format."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -94,3 +96,25 @@ def test_bench_pairs_alternates_and_summarises(tmp_path, capsys):
     assert wall["relative_change"] == round(0.95 / 1.15 - 1, 4)
     rss = summary["metrics"]["peak_rss_mb"]
     assert rss["change_lower_in_pairs"] == 0 and rss["relative_change"] == 0.0208
+
+
+def test_accuracy_ledger_prints_one_sorted_line_per_quantity(capsys):
+    # the format of the lines, not the values they hold
+    ledger = _tool("accuracy_ledger")
+    assert len(ledger.INSTANCES) == 8
+    name = "T+T2:1,z:ridge=1e-10"
+    assert ledger.main(["--instance", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == sorted(lines)
+    number = r"-?\d\.\de[+-]\d\d"
+    at_iterates = rf"n=3:{number} n=6:{number}"
+    patterns = {
+        "condition": number,
+        "eigen_error_full": at_iterates,
+        "exit": r"[01]",
+        "max|x_mu^n|": at_iterates,
+        "method_discrepancy": at_iterates,
+    }
+    assert [line.split("  ")[:2] for line in lines] == [[name, q] for q in patterns]
+    for line, pattern in zip(lines, patterns.values()):
+        assert re.fullmatch(pattern, line.split("  ")[2]), line
