@@ -7,7 +7,7 @@ times w, O(N^2) per shift.  The binomials are exact integers rounded
 once, one table per length N, kept across calls.  A 1-d array of K
 shifts is one stacked ``np.matmul`` of ``(K, 1, N)`` power rows with w,
 one matrix-vector product per shift, so a batched row holds the same
-bits as the one-at-a-time result whatever the batch and the BLAS thread
+bits as a one-shift batch whatever the batch and the BLAS thread
 count (a single ``(K, N) @ (N, N)`` product would let BLAS split the
 sums by the batch's shape).  Values on circles are inverse FFTs, in
 :func:`weylcalc.series.evaluate_grid`.
@@ -48,14 +48,10 @@ def _weights(coeffs: np.ndarray) -> np.ndarray:
     return _binomials(n_len) * padded[j + m]
 
 
-def translate_kernel(coeffs: np.ndarray, lam) -> np.ndarray:
-    """Binomial resummation of a coefficient vector shifted by ``lam``.
-
-    A scalar ``lam`` gives the ``(N,)`` shifted coefficients; a 1-d array
-    of K shifts gives a ``(K, N)`` matrix, one row per shift.
-    """
+def translate_kernel(coeffs: np.ndarray, lams) -> np.ndarray:
+    """Binomial resummation of a coefficient vector shifted by each of a
+    1-d array of K shifts: a ``(K, N)`` matrix, one row per shift."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
-    lam_pow = lam.reshape(-1, 1, 1) ** np.arange(coeffs.shape[0])
-    rows = np.matmul(lam_pow, _weights(coeffs)).reshape(lam.size, -1)
-    return rows.reshape(coeffs.shape) if lam.ndim == 0 else rows
+    lams = np.asarray(lams, dtype=np.complex128)
+    lam_pow = lams[:, None, None] ** np.arange(coeffs.shape[0])
+    return np.matmul(lam_pow, _weights(coeffs))[:, 0]

@@ -173,7 +173,7 @@ def _square_grid(grid: int, lam_max: float) -> np.ndarray:
 
 def _cmd_kernel(args) -> int:
     op, inputs = _operator(args)
-    disk = DiskSpec(args.radius, 64)
+    disk = DiskSpec(args.radius)
     t = op.base if isinstance(op, CompositeOperator) else op
     basis = kernel_basis(t, args.terms, disk)
     _write(
@@ -220,7 +220,7 @@ def _cmd_commutator_check(args) -> int:
 
 def _cmd_eigencheck(args) -> int:
     op, inputs = _operator(args)
-    disk = DiskSpec(args.radius, 64)
+    disk = DiskSpec(args.radius)
     family = EigenFamily(op, args.order)
     lams = _square_grid(args.grid, args.lam_max)
     residuals = eigen_residual(family, lams, disk)
@@ -266,7 +266,7 @@ def _cmd_complete_fit(args) -> int:
     if not isinstance(tdoc, list) or not tdoc:
         raise MalformedSpec("--targets: expected a non-empty JSON list of series")
     targets = [series_from_dict(d) for d in tdoc]
-    disk = DiskSpec(args.radius, 64)
+    disk = DiskSpec(args.radius)
     family = EigenFamily(op, args.order)
     bases = completeness_bases(
         family,

@@ -12,10 +12,9 @@ one map from lambda to the eigenvalue, of T or of L(T), and
 :func:`_member_coeffs` the one builder of the members' coefficients; the
 eigen-relation checks, the completeness bases and the orbit constructor
 all read them.  The checks :func:`eigen_residual` (of T) and
-:func:`composite_eigencheck` (of the family's operator) take a scalar
-lambda or a 1-d array of them: an array's members are built, acted on and
-evaluated in one batch, each residual with the bits of its one-at-a-time
-value.
+:func:`composite_eigencheck` (of the family's operator) take a 1-d array
+of lambdas, whose members are built, acted on and evaluated in one batch,
+each residual with the bits of its one-at-a-time value.
 
 The completeness side is probed numerically: a ridge-regularized least
 squares fit of a target in span{f_lambda} over a collocation grid, with
@@ -29,14 +28,13 @@ follows by that of a small core: :meth:`CompletenessBasis.stacked`) per
 lambda set, translating the distinct lambdas of all the sets in one batch
 and evaluating them on each circle by one inverse FFT
 (:func:`~weylcalc.series.evaluate_grid`), and :func:`completeness_fit`
-fits the targets given by their values on the basis's circles, which
-every basis of one disk shares: one target, or a ``(T, P)`` stack of them
-in one solve.  A positive ridge is one Tikhonov solve at that ridge,
-ridge 0 a truncated SVD with a cutoff per target
-(:func:`regularized_solve`).  A stack's products are taken one
-matrix-vector product per target, so a target has the bits of its own
-fit, and a target whose fit fails gets its own error while the others
-are fitted.
+fits a ``(T, P)`` stack of targets, given by their values on the basis's
+circles, which every basis of one disk shares, in one solve.  A positive
+ridge is one Tikhonov solve at that ridge, ridge 0 a truncated SVD with
+a cutoff per target (:func:`regularized_solve`).  A stack's products are
+taken one matrix-vector product per target, so a target has the bits of
+its own fit, and a target whose fit fails gets its own error while the
+others are fitted.
 """
 
 from __future__ import annotations
@@ -188,17 +186,16 @@ def _require_finite(values: np.ndarray, message: str) -> None:
         raise NonFiniteCoefficient(message)
 
 
-def _relation_residuals(family: EigenFamily, op, lam, disk: DiskSpec):
+def _relation_residuals(family: EigenFamily, op, lams, disk: DiskSpec):
     """Sup norms on the disk of op f_lambda - mu f_lambda, op = family.t or
-    family.op and mu its eigenvalue at f_lambda, for every lambda at once.
+    family.op and mu its eigenvalue at f_lambda, for a 1-d array of lambdas.
 
     The member rows are built in one batch, acted on by the banded core
     and combined as ``linear_combine([(1.0, op f), (-mu, f)])`` combines
     one member, so each entry holds the bits of the one-at-a-time
-    residual.  A scalar ``lam`` gives a float, a 1-d array an array.
+    residual.
     """
-    scalar = np.ndim(lam) == 0
-    lams = np.asarray(lam, dtype=np.complex128).reshape(-1)
+    lams = np.asarray(lams, dtype=np.complex128)
     rows = _member_coeffs(family, lams)
     image = truncated_image(op, rows)
     mu = eigenvalue_of(op, lams)
@@ -208,24 +205,21 @@ def _relation_residuals(family: EigenFamily, op, lam, disk: DiskSpec):
     _require_finite(
         combined, f"coefficients of op f_lambda - mu f_lambda {_reach(lams)}"
     )
-    sup = np.abs(evaluate_grid(combined, disk)).max(axis=-1)
-    return float(sup[0]) if scalar else sup
+    return np.abs(evaluate_grid(combined, disk)).max(axis=-1)
 
 
-def eigen_residual(
-    family: EigenFamily, lam, disk: DiskSpec = UNIT_DISK
-) -> float | np.ndarray:
-    """Sup norm of T f_lambda - mu f_lambda on the disk, T = family.t;
-    elementwise when ``lam`` is an array."""
-    return _relation_residuals(family, family.t, lam, disk)
+def eigen_residual(family: EigenFamily, lams, disk: DiskSpec = UNIT_DISK) -> np.ndarray:
+    """Sup norm of T f_lambda - mu f_lambda on the disk, T = family.t, at
+    each of a 1-d array of lambdas."""
+    return _relation_residuals(family, family.t, lams, disk)
 
 
 def composite_eigencheck(
-    family: EigenFamily, lam, disk: DiskSpec = UNIT_DISK
-) -> float | np.ndarray:
+    family: EigenFamily, lams, disk: DiskSpec = UNIT_DISK
+) -> np.ndarray:
     """Sup norm of L(T) f_lambda - L(mu) f_lambda on the disk, L(T) =
-    family.op; elementwise when ``lam`` is an array."""
-    return _relation_residuals(family, family.op, lam, disk)
+    family.op, at each of a 1-d array of lambdas."""
+    return _relation_residuals(family, family.op, lams, disk)
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +353,20 @@ def _rowwise(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def regularized_solve(a_mat: np.ndarray, b: np.ndarray, ridge: float, svd=None):
-    """Ridge-regularized least squares a_mat @ w ~ b.
+    """Ridge-regularized least squares a_mat @ w ~ b for each row of the
+    ``(T, M)`` stack ``b`` of right-hand sides.
 
     ``svd`` is the thin SVD of ``a_mat`` when the caller already has it.
     A positive ridge is one Tikhonov solve at that ridge, through SVD
     filter factors; ridge 0 is a truncated SVD whose cutoff, among those
-    with finite weights, is auto-selected on the sup residual over the
-    rows of ``a_mat``.  A 1-d ``b`` is the form for a single right-hand
-    side only (the orbit's stacked system): it gives its weights and
-    condition estimate, and raises SingularSystem when the weights leave
-    the double range.  A ``(T, M)`` stack of right-hand sides, each row with
-    its own cutoff, gives the ``(T, K)`` weights, the ``(T,)`` condition
-    estimates and one entry per row: None, or the SingularSystem of that
-    row, whose weights are then zero.  A row has the bits of its own
-    solve.
+    with finite weights, is auto-selected per row on the sup residual over
+    the rows of ``a_mat``.  Gives the ``(T, K)`` weights, the ``(T,)``
+    condition estimates and one entry per row: None, or the SingularSystem
+    of that row, whose weights are then zero.  A row has the bits of its
+    own solve.
     """
     if ridge < 0:
         raise MalformedSpec("ridge must be >= 0")
-    if np.ndim(b) == 1:
-        w, cond, [failure] = regularized_solve(a_mat, np.asarray(b)[None], ridge, svd)
-        if failure:
-            raise failure
-        return w[0], float(cond[0])
     u, s, vh = _svd(a_mat) if svd is None else svd
     beta = _rowwise(b, u.conj())
     # weights past the double range are detected, not warned about
@@ -427,25 +413,19 @@ def completeness_fit(
     values: np.ndarray,
     ridge: float = RIDGE_DEFAULT,
 ):
-    """Ridge-regularized fit in span{f_lambda} of the target whose values
-    on ``basis.circles`` are ``values``, as ``evaluate_grid`` gives them.
+    """Ridge-regularized fit in span{f_lambda} of each target of the
+    ``(T, P)`` stack ``values``, a target's row its values on
+    ``basis.circles`` as ``evaluate_grid`` gives them, in one solve.
 
     The solve is :func:`regularized_solve` on the collocation matrix; the
     reported residual is the true sup norm on the denser verification
     circle (never the regularized objective, nor the collocation residual
-    that picks a truncated-SVD cutoff).  A 1-d ``values`` is the form for
-    a single target only: it gives its FitReport, and raises
-    SingularSystem when the solve fails and NonFiniteCoefficient when the
-    residual leaves the double range.  A ``(T, P)`` stack of targets is
-    fitted in one solve and gives one entry per target: its FitReport, or
-    the error its fit ended in, which leaves the other targets alone.  A
-    target has the bits of its own fit.
+    that picks a truncated-SVD cutoff).  Gives one entry per target: its
+    FitReport, or the error its fit ended in (SingularSystem when the
+    solve fails, NonFiniteCoefficient when the residual leaves the double
+    range), which leaves the other targets alone.  A target has the bits
+    of its own fit.
     """
-    if np.ndim(values) == 1:
-        [fit] = completeness_fit(basis, np.asarray(values)[None], ridge)
-        if not isinstance(fit, FitReport):
-            raise fit
-        return fit
     try:
         svd = basis.svd
     except SingularSystem as exc:

@@ -269,7 +269,7 @@ def construct_orbit(
     budget = problem.epsilon / 2
     lambdas = select_expanding_lambdas(family.op, lambda_count * m_targets, margin)
     mu = eigenvalue_of(family.op, lambdas.points)
-    [basis] = completeness_bases(family, [lambdas], DiskSpec(problem.radius, 64))
+    [basis] = completeness_bases(family, [lambdas], DiskSpec(problem.radius))
     values = evaluate_grid(stacked_coeffs(targets), basis.circles)
 
     fit_residuals = []
@@ -293,7 +293,9 @@ def construct_orbit(
     for step in range(1, cap // m_targets + 1):
         schedule = [(j + 1) * step for j in range(m_targets)]
         stacked, svd = basis.stacked([mu ** float(n) for n in schedule])
-        x, cond = regularized_solve(stacked, rhs, ridge, svd)
+        [x], [cond], [failure] = regularized_solve(stacked, rhs[None], ridge, svd)
+        if failure:
+            raise failure
         errors = [
             float(np.abs(basis.verification @ _amplitudes(x, mu, n) - qv).max())
             for n, qv in zip(schedule, q_verify)
@@ -317,7 +319,7 @@ def construct_orbit(
             for j, (n, err, res) in enumerate(zip(schedule, errors, fit_residuals))
         ],
         "ridge": ridge,
-        "condition": cond,
+        "condition": float(cond),
     }
     return OrbitConstruction(problem, schedule, basis, x, report)
 

@@ -10,7 +10,8 @@ so no Python code runs per row: an integer block of a range narrower
 than the block formats each value of the range once and gathers, any
 other integer block is formatted value by value; float cells are ``0``
 for an exact ``+0.0``, and only the others go through ``.17g`` (``-0.0``
-as ``-0``); text cells are encoded one by one.  One pass over the
+as ``-0``); text cells are encoded one by one, quoted as RFC 4180 quotes
+them when they hold a comma, quote, CR or LF.  One pass over the
 record's bytes drops the padding.  Every report embeds (JSON) or
 accompanies (CSV) its run manifest, the dict of :func:`build_manifest`.
 A NaN or infinite value cannot be serialized:
@@ -204,7 +205,10 @@ def _cell(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return _fmt_float(float(v))
-    return str(v)
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _column(values):
@@ -295,7 +299,8 @@ def write_csv(path: Path, header: list, columns) -> None:
     ``f"{x:.17g}"`` of each value, an exact ``+0.0`` as ``0`` without
     the formatter; an integer array as ``str`` of each value; any other
     sequence cell by cell (bools as 1/0, ints, .17g floats, anything
-    else as ``str``).  Every column is checked
+    else as ``str``, wrapped in quotes with each ``"`` doubled when it
+    holds a comma, quote, CR or LF).  Every column is checked
     before the file is opened, so a non-finite float raises
     ``NonFiniteCoefficient`` and writes nothing.  Rows go out in blocks of
     :data:`CSV_BLOCK_ROWS`, each formatted as one record array of

@@ -64,7 +64,7 @@ class DiskSpec:
             raise InvalidDisk(f"grid_points must be >= 8, got {self.grid_points}")
 
 
-UNIT_DISK = DiskSpec(1.0, 64)
+UNIT_DISK = DiskSpec()
 
 
 def make_series(coeffs, label: str = "") -> TaylorSeries:
@@ -102,7 +102,7 @@ def exponential_rows(lams, n_terms: int = DEFAULT_ORDER) -> np.ndarray:
     """Coefficients of exp(lam * z) for a 1-d array of lams, ``(K, N)``,
     by c[n] = c[n-1] lam / n on every lam at once.  No row is checked
     finite here."""
-    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+    lams = np.asarray(lams, dtype=np.complex128)
     rows = np.empty((lams.size, n_terms), dtype=np.complex128)
     rows[:, 0] = 1.0
     for n in range(1, n_terms):
@@ -115,7 +115,7 @@ def translate(f: TaylorSeries, lam: complex) -> TaylorSeries:
     lam = complex(lam)
     if lam == 0:
         return f
-    return TaylorSeries(translate_kernel(f.coeffs, lam), f.label)
+    return TaylorSeries(translate_kernel(f.coeffs, np.array([lam]))[0], f.label)
 
 
 def evaluate_grid(coeffs, circles) -> np.ndarray:

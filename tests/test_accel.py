@@ -14,10 +14,10 @@ from weylcalc.series import DiskSpec, evaluate_grid
 
 
 def test_translate_kernel_wrapper_types():
-    out = accel.translate_kernel(np.array([1.0, 1.0]), 0.5)
+    out = accel.translate_kernel(np.array([1.0, 1.0]), np.array([0.5]))
     assert out.dtype == np.complex128
     # (z + 0.5) shifted: coefficients [1.5, 1]
-    assert np.allclose(out, [1.5, 1.0])
+    assert np.allclose(out, [[1.5, 1.0]])
 
 
 def test_active_backend_is_reported():
@@ -31,7 +31,7 @@ def _bits(a):
 def test_kernels_take_a_batch():
     coeffs = np.arange(5.0)
     lams = np.array([0.5, 1j, -2.0])
-    assert accel.translate_kernel(coeffs, 0.5).shape == (5,)
+    assert accel.translate_kernel(coeffs, lams[:1]).shape == (1, 5)
     assert accel.translate_kernel(coeffs, lams).shape == (3, 5)
     circles = [DiskSpec(1.0, 8), DiskSpec(0.5, 9)]
     assert evaluate_grid(coeffs, circles[0]).shape == (8,)
@@ -81,7 +81,7 @@ def _shift_scale(coeffs, lam) -> np.ndarray:
 
 @pytest.mark.parametrize("n_len", [1, 2, 17, 128, 160])
 def test_batched_translate_rows_equal_single_shifts(n_len):
-    # every batched row has the bits of its one-shift call, and is within
+    # every batched row has the bits of its one-shift batch, and is within
     # 4 N u sum_j |C(m + j, m) c_(m+j) lam^j| of the exact shift, u = 2^-53:
     # a row sums N terms, each a binomial rounded once per ratio of its
     # running product, times c and lam^j; numpy takes lam^j for j >= 100
@@ -91,7 +91,8 @@ def test_batched_translate_rows_equal_single_shifts(n_len):
     lams = 8 * (rng.random(12) - 0.5) + 8j * (rng.random(12) - 0.5)
     rows = accel.translate_kernel(coeffs, lams)
     for row, lam in zip(rows, lams):
-        assert np.array_equal(_bits(accel.translate_kernel(coeffs, lam)), _bits(row))
+        alone = accel.translate_kernel(coeffs, [lam])[0]
+        assert np.array_equal(_bits(alone), _bits(row))
         err = np.array([
             math.hypot(Fraction(b.real) - br, Fraction(b.imag) - bi)
             for b, (br, bi) in zip(row.tolist(), _exact_shift(coeffs, lam))

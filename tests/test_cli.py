@@ -1,6 +1,7 @@
 """CLI exit codes, artifacts and determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -422,6 +423,23 @@ def test_complete_fit_curve(tmp_path):
     assert len(lines) == 9
     doc = json.loads((tmp_path / "complete_fit.json").read_text())
     assert all(fit["status"] == "ok" for fit in doc["fits"])
+
+
+def test_complete_fit_quotes_text_cells_of_the_curve(tmp_path):
+    # labels with a comma, a quote or a line break are quoted as RFC 4180
+    # quotes them, so the curve reads back with one field per column
+    labels = ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "z^2"]
+    targets = json.dumps([{"coeffs": [[1, 0]] * (i + 1), "label": label}
+                          for i, label in enumerate(labels)])
+    code = main(["complete-fit", "--op", D_MINUS_Z, "--targets", targets,
+                 "--counts", "5", "--outdir", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "residual_curve.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [7] * (1 + len(labels))
+    assert [row[1] for row in rows[1:]] == labels
+    text = (tmp_path / "residual_curve.csv").read_text(encoding="utf-8")
+    assert "\n4,z^2,5," in text
 
 
 def test_complete_fit_bad_counts_exits_2(tmp_path, capsys):

@@ -72,8 +72,17 @@ def _member(family, lam):
 
 
 def _fit(basis, target, ridge=weylcalc.eigen.RIDGE_DEFAULT):
-    """completeness_fit of a target series on the basis's circles."""
-    return completeness_fit(basis, evaluate_grid(target.coeffs, basis.circles), ridge)
+    """The outcome of completeness_fit of a target series on the basis's
+    circles, fitted as a one-row stack."""
+    values = evaluate_grid(target.coeffs[None], basis.circles)
+    [fit] = completeness_fit(basis, values, ridge)
+    return fit
+
+
+def _grid(half, count):
+    """The count x count square grid of lambdas in [-half, half]^2, row by row."""
+    axis = np.linspace(-half, half, count)
+    return (axis[None, :] + 1j * axis[:, None]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -116,33 +125,23 @@ def test_family_kind_follows_from_a():
 def test_translate_eigen_relation_grid(gaussian_family):
     # T f_lambda = a lambda f_lambda over a 5x5 grid with |lambda| <= 2
     _, family = gaussian_family
-    axis = np.linspace(-2 / np.sqrt(2), 2 / np.sqrt(2), 5)
-    worst = 0.0
-    for x in axis:
-        for y in axis:
-            worst = max(worst, eigen_residual(family, complex(x, y)))
-    assert worst <= 1e-6
+    assert eigen_residual(family, _grid(2 / np.sqrt(2), 5)).max() <= 1e-6
 
 
 def test_composite_eigen_relation_grid(gaussian_family):
     # L(T) f_lambda = L(a lambda) f_lambda with L(l) = l^2 + l
     t, _ = gaussian_family
     family = EigenFamily(CompositeOperator(t, np.array([0.0, 1.0, 1.0])))
-    axis = np.linspace(-2 / np.sqrt(2), 2 / np.sqrt(2), 5)
-    worst = 0.0
-    for x in axis:
-        for y in axis:
-            worst = max(worst, composite_eigencheck(family, complex(x, y)))
-    assert worst <= 1e-5
+    assert composite_eigencheck(family, _grid(2 / np.sqrt(2), 5)).max() <= 1e-5
 
 
 def test_exponential_family_for_convolution_operator():
     # a = 0: D e^{lambda z} = lambda e^{lambda z}, eigenvalue L(lambda)
     t = WeylOperator(diff_op(1), 0.0)
     family = EigenFamily(t, 96)
-    for lam in (0.5, -0.3 + 0.7j):
-        assert eigenvalue_of(t, lam) == pytest.approx(lam)
-        assert eigen_residual(family, lam) <= 1e-8
+    lams = np.array([0.5, -0.3 + 0.7j])
+    assert eigenvalue_of(t, lams) == pytest.approx(lams)
+    assert (eigen_residual(family, lams) <= 1e-8).all()
 
 
 def test_eigenvalue_of_translate_family(gaussian_family):
@@ -197,8 +196,7 @@ def test_eigen_checks_on_an_array_equal_each_lambda(case):
     # public pieces, lambda = 0 (f0 itself) included
     family, check, apply = _relation_settings()[case]
     op = family.op
-    axis = np.linspace(-2 / np.sqrt(2), 2 / np.sqrt(2), 7)
-    lams = np.append((axis[None, :] + 1j * axis[:, None]).ravel(), 0.0)
+    lams = np.append(_grid(2 / np.sqrt(2), 7), 0.0)
     each = []
     for lam in lams:
         f_lam = _member(family, lam)
@@ -208,9 +206,7 @@ def test_eigen_checks_on_an_array_equal_each_lambda(case):
     batch = check(family, lams)
     assert batch.shape == lams.shape
     assert np.array_equal(batch, np.array(each))
-    single = check(family, lams[3])
-    assert type(single) is float
-    assert single == each[3]
+    assert np.array_equal(check(family, lams[3:4]), [each[3]])
 
 
 coeff_lists = st.integers(1, 160).flatmap(
@@ -335,13 +331,12 @@ def test_tikhonov_fit_is_exactly_linear_in_the_target(index, coeffs, k):
     # at a fixed ridge the fit of 2^k q is 2^k times the fit of q, bit for
     # bit, until it raises at the top of the double range: one ridge only
     basis = _scaling_bases()[index]
-    values = evaluate_grid(np.array(coeffs, dtype=np.complex128), basis.circles)
-    fit = completeness_fit(basis, values, 1e-10)
-    try:
-        # the CLI turns numpy's warnings off, as here
-        with np.errstate(all="ignore"):
-            scaled = completeness_fit(basis, _ldexp(values, k), 1e-10)
-    except (SingularSystem, NonFiniteCoefficient):
+    values = evaluate_grid(np.array([coeffs], dtype=np.complex128), basis.circles)
+    [fit] = completeness_fit(basis, values, 1e-10)
+    # the CLI turns numpy's warnings off, as here
+    with np.errstate(all="ignore"):
+        [scaled] = completeness_fit(basis, _ldexp(values, k), 1e-10)
+    if isinstance(scaled, (SingularSystem, NonFiniteCoefficient)):
         assert k + np.log2(np.abs(fit.weights).max()) > 1020
         return
     assert np.array_equal(_raw(scaled.weights), _raw(_ldexp(fit.weights, k)))
@@ -377,26 +372,30 @@ def test_tikhonov_solves_at_the_ridge_asked_for():
     # 1e304 * 1e-5 / (1e-10 + 1e-10) = 5e308 leaves the double range, and
     # no larger ridge is tried; 1e303 gives the filter-factor weights
     a_mat = np.diag([1.0, 1e-5])
-    with pytest.raises(SingularSystem, match=r"at ridge 1\.0e-10 leave the double range"):
-        regularized_solve(a_mat, np.array([0.0, 1e304]), 1e-10)
-    w, cond = regularized_solve(a_mat, np.array([0.0, 1e303]), 1e-10)
+    w, _, [failure] = regularized_solve(a_mat, np.array([[0.0, 1e304]]), 1e-10)
+    assert isinstance(failure, SingularSystem) and (w == 0).all()
+    assert "at ridge 1.0e-10 leave the double range" in str(failure)
+    [w], [cond], [failure] = regularized_solve(a_mat, np.array([[0.0, 1e303]]), 1e-10)
+    assert failure is None
     assert w[0] == 0 and w[1] == pytest.approx(1e303 * 1e-5 / (1e-10 + 1e-10))
     assert cond == pytest.approx((1 + 1e-10) / (1e-10 + 1e-10))
 
 
 def test_tikhonov_weights_past_the_double_range_are_singular():
     # 1e307 * 1e-2 / (1e-4 + 1e-10) is about 1e309
-    with pytest.raises(SingularSystem, match=(
-        r"^Tikhonov weights at ridge 1\.0e-10 leave the double range for "
-        r"\|Lambda\| = 2$"
-    )):
-        regularized_solve(np.diag([1.0, 1e-2]), np.array([0.0, 1e307]), 1e-10)
+    w, _, [failure] = regularized_solve(
+        np.diag([1.0, 1e-2]), np.array([[0.0, 1e307]]), 1e-10)
+    assert isinstance(failure, SingularSystem) and (w == 0).all()
+    assert str(failure) == (
+        "Tikhonov weights at ridge 1.0e-10 leave the double range for |Lambda| = 2")
 
 
 def test_truncated_svd_without_a_finite_cutoff():
     # every cutoff keeps 1e-5, and 1e308 / 1e-5 leaves the double range
-    with pytest.raises(SingularSystem, match="no usable truncated-SVD solution"):
-        regularized_solve(np.diag([1.0, 1e-5]), np.array([1e308, 1e308]), 0.0)
+    w, _, [failure] = regularized_solve(
+        np.diag([1.0, 1e-5]), np.array([[1e308, 1e308]]), 0.0)
+    assert isinstance(failure, SingularSystem) and (w == 0).all()
+    assert str(failure) == "no usable truncated-SVD solution for |Lambda| = 2"
 
 
 def _basis_alone(family, lams, disk=UNIT_DISK):
@@ -462,24 +461,25 @@ def _stack_targets(basis) -> np.ndarray:
 
 @pytest.mark.parametrize("ridge", [0.0, 1e-10])
 def test_stacked_fit_rows_equal_one_target_fits(ridge):
-    # each target of a stack, and a one-row stack, has the bits of its
-    # own fit: its weights, residual and condition (its own cutoff at
-    # ridge 0), and the solve has the bits of its own solve
+    # each target of a stack has the bits of its fit as a one-row stack:
+    # its weights, residual and condition (its own cutoff at ridge 0), and
+    # each row of the solve the bits of its one-row solve
     for basis in _scaling_bases():
         values = _stack_targets(basis)
         stacked = completeness_fit(basis, values, ridge)
         assert len(stacked) == len(values)
         for row, fit in zip(values, stacked):
-            for alone in (completeness_fit(basis, row, ridge),
-                          completeness_fit(basis, row[None], ridge)[0]):
-                assert np.array_equal(_raw(fit.weights), _raw(alone.weights))
-                assert fit.residual_norm == alone.residual_norm
-                assert fit.condition_diag == alone.condition_diag
+            [alone] = completeness_fit(basis, row[None], ridge)
+            assert np.array_equal(_raw(fit.weights), _raw(alone.weights))
+            assert fit.residual_norm == alone.residual_norm
+            assert fit.condition_diag == alone.condition_diag
         rhs = values[:, :-VERIFY_POINTS]
         w, cond, failures = regularized_solve(basis.collocation, rhs, ridge)
         assert failures == [None] * len(values)
         for k, row in enumerate(rhs):
-            w_k, cond_k = regularized_solve(basis.collocation, row, ridge)
+            [w_k], [cond_k], [failure] = regularized_solve(basis.collocation, row[None],
+                                                           ridge)
+            assert failure is None
             assert np.array_equal(_raw(w[k]), _raw(w_k)) and cond[k] == cond_k
 
 
@@ -547,11 +547,12 @@ def test_stacked_fit_keeps_each_targets_failure():
     assert str(failed) == (
         "Tikhonov weights at ridge 1.0e-10 leave the double range for |Lambda| = 10"
     )
-    alone = completeness_fit(basis, values[1], 1e-10)
+    [alone] = completeness_fit(basis, values[1:], 1e-10)
     assert np.array_equal(_raw(fit.weights), _raw(alone.weights))
     assert fit.residual_norm == alone.residual_norm
-    with pytest.raises(SingularSystem, match="leave the double range"):
-        completeness_fit(basis, values[0], 1e-10)
+    [failed_alone] = completeness_fit(basis, values[:1], 1e-10)
+    assert isinstance(failed_alone, SingularSystem)
+    assert str(failed_alone) == str(failed)
     broken = CompletenessBasis(basis.lambdas, basis.rows, basis.circles,
                                np.full_like(basis.collocation, np.nan),
                                basis.verification)

@@ -531,6 +531,29 @@ def test_operator_5_two_targets_met(tmp_path):
         assert row["method_discrepancy"] <= 0.1 / 10
 
 
+@pytest.mark.parametrize("l_coeffs", [None, [[0, 0], [1, 0], [1, 0]]],
+                         ids=["T", "T+T^2"])
+def test_ridge_0_orbits_of_1_and_z_are_met(tmp_path, l_coeffs):
+    # the README instance and T + T^2 with targets 1 and z at --ridge 0.
+    # Ridge 0 is on a knife edge (ROADMAP item 8): the truncated-SVD cutoff
+    # is chosen on the collocation residual alone, and a change of the
+    # member rows in their last bits once moved it to cutoff 0 and turned
+    # both orbits to exit 1, which no test that runs at ridge 1e-10 sees
+    operator = {"d": [[0, 0], [1, 0]], "a": [1, 0]}
+    if l_coeffs is not None:
+        operator["L"] = l_coeffs
+    problem = json.dumps({
+        "operator": operator,
+        "targets": [{"coeffs": [[1, 0]]}, {"coeffs": [[0, 0], [1, 0]]}],
+        "radius": 1.0,
+        "epsilon": 0.1,
+    })
+    assert main(["construct-orbit", "--problem", problem, "--ridge", "0",
+                 "--outdir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "orbit.json").read_text())
+    assert doc["report"]["all_targets_met"] is True
+
+
 def test_blocks_sum_to_the_coordinates(setting):
     # the block form sum_b w_b mu^(n - n_b) of A^n f is x mu^n
     ident, _ = setting

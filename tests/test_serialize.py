@@ -290,11 +290,17 @@ def test_columns_must_match_the_header(tmp_path):
 
 def _reference_csv(header, columns) -> bytes:
     """The table formatted cell by cell: bools as 1/0, floats as .17g,
-    anything else as ``str``."""
+    anything else as ``str``, quoted with each quote doubled when it holds
+    a comma, quote, CR or LF (RFC 4180)."""
     def cell(v):
         if isinstance(v, bool):
             return "1" if v else "0"
-        return f"{v:.17g}" if isinstance(v, float) else str(v)
+        if isinstance(v, float):
+            return f"{v:.17g}"
+        text = str(v)
+        if set(text) & set(',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
 
     cols = [c.ravel().tolist() if isinstance(c, np.ndarray) else c for c in columns]
     lines = [header, *zip(*cols)]

@@ -101,7 +101,7 @@ def test_bench_pairs_alternates_and_summarises(tmp_path, capsys):
 def test_accuracy_ledger_prints_one_sorted_line_per_quantity(capsys):
     # the format of the lines, not the values they hold
     ledger = _tool("accuracy_ledger")
-    assert len(ledger.INSTANCES) == 8
+    assert len(ledger.INSTANCES) == 12
     name = "T+T2:1,z:ridge=1e-10"
     assert ledger.main(["--instance", name]) == 0
     lines = capsys.readouterr().out.splitlines()

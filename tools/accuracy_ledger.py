@@ -7,8 +7,10 @@ Usage, from the root of a source checkout::
 
 Each instance is one ``construct-orbit`` run through ``weylcalc.cli.main``
 in a temporary directory, on the unit disk with epsilon 0.1: A = T or
-A = T + T^2 for T = D - zI, the targets 1, z or 1, z, z^2, at ridge 1e-10
-or 0, eight instances named like ``T+T2:1,z:ridge=0``.  One line
+A = T + T^2 for T = D - zI with the targets 1, z or 1, z, z^2, and A = T
+for T = D (a = 0, the exponential family) with 1, z or the six targets
+1, z, 1, z, 1, z, each at ridge 1e-10 and 0; twelve instances named like
+``T+T2:1,z:ridge=0``.  One line
 ``NAME  QUANTITY  VALUES`` is printed per instance and quantity, sorted,
 every number to two significant digits, so that last-bit drift does not
 show and a real move does:
@@ -37,18 +39,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: T = D - zI, and L(T) = T or T + T^2
-OPERATORS = {"T": [[0, 0], [1, 0]], "T+T2": [[0, 0], [1, 0], [1, 0]]}
+#: a and L of L(T) = T or T + T^2 for T = D - zI, and L(T) = T for T = D
+OPERATORS = {
+    "T": {"a": [1, 0], "L": [[0, 0], [1, 0]]},
+    "T+T2": {"a": [1, 0], "L": [[0, 0], [1, 0], [1, 0]]},
+    "D": {"a": [0, 0], "L": [[0, 0], [1, 0]]},
+}
 
 #: the targets 1, z, z^2 by name
 MONOMIALS = {"1": [[1, 0]], "z": [[0, 0], [1, 0]], "z2": [[0, 0], [0, 0], [1, 0]]}
 
-TARGET_LISTS = (("1", "z"), ("1", "z", "z2"))
+#: the target lists of each operator
+TARGET_LISTS = {
+    "T": (("1", "z"), ("1", "z", "z2")),
+    "T+T2": (("1", "z"), ("1", "z", "z2")),
+    "D": (("1", "z"), ("1", "z") * 3),
+}
 
 RIDGES = ("1e-10", "0")
 
 INSTANCES = [f"{op}:{','.join(targets)}:ridge={ridge}"
-             for op in OPERATORS for targets in TARGET_LISTS for ridge in RIDGES]
+             for op, lists in TARGET_LISTS.items() for targets in lists
+             for ridge in RIDGES]
 
 
 def _num(x: float) -> str:
@@ -62,7 +74,7 @@ def _complex(pairs) -> list:
 def _argv(name: str) -> list:
     op, targets, ridge = name.split(":")
     problem = {
-        "operator": {"d": [[0, 0], [1, 0]], "a": [1, 0], "L": OPERATORS[op]},
+        "operator": {"d": [[0, 0], [1, 0]], **OPERATORS[op]},
         "targets": [{"coeffs": MONOMIALS[q]} for q in targets.split(",")],
         "radius": 1.0,
         "epsilon": 0.1,
@@ -106,7 +118,7 @@ def ledger_lines(name: str, run) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--instance", nargs="+", choices=INSTANCES, default=INSTANCES,
-                        help="instances to run (default: all eight)")
+                        help="instances to run (default: all twelve)")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(ROOT / "src")]
