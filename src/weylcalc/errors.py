@@ -94,8 +94,9 @@ class ConvolutionCase(WeylcalcError):
 
 
 class SingularSystem(WeylcalcError):
-    """The regularized collocation system stayed singular through ridge
-    escalation."""
+    """The regularized collocation system has no usable solution: the
+    collocation SVD failed, no truncated-SVD cutoff gives finite weights,
+    or the Tikhonov weights leave the double range."""
 
 
 class SearchExhausted(WeylcalcError):

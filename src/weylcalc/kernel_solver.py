@@ -1,11 +1,14 @@
 """Power-series basis of ker T for T = M - a z I.
 
 The kernel equation sum_k d_k f^(k)(z) = a z f(z) becomes a coefficient
-recurrence: for each n >= 0,
+recurrence: for each n >= 0, with t_k(j) the entry of T's superdiagonal
+k on column j,
 
-    sum_{k<=p} d_k (n+k)!/n! c_{n+k} = a c_{n-1}      (c_{-1} = 0),
+    sum_{k<=p} t_k(n+k) c_{n+k} = a c_{n-1}      (c_{-1} = 0),
 
-which yields c_{n+p} from earlier coefficients whenever d_p != 0.  The p
+which yields c_{n+p} from earlier coefficients whenever d_p != 0.  The
+diagonals are read from the banded core of :mod:`weylcalc.operators`,
+the one place that lays T out on the monomials.  The p
 initial-condition vectors e_0..e_{p-1} give p structurally independent
 solutions.  Entirety at truncation scale is evidenced by the residuals,
 not proven; reports flag the basis as formal.
@@ -24,7 +27,7 @@ from .errors import (
     OrderExhausted,
     ZeroOrderOperator,
 )
-from .operators import WeylOperator, apply_weyl
+from .operators import WeylOperator, _bands, apply_weyl
 from .series import DiskSpec, TaylorSeries, UNIT_DISK, disk_sup_norm
 
 #: recurrence halts once a coefficient magnitude passes this guard
@@ -57,19 +60,17 @@ def kernel_basis(
         )
     if n_terms < p + 2:
         raise MalformedSpec(f"n_terms must be >= {p + 2}")
-    d = t.m.d[: p + 1]
+    section = _bands(t, n_terms, exact=False)[0]
+    lower = [k for k in range(p) if k in section]
     solutions = []
     for j in range(p):
         c = np.zeros(n_terms, dtype=np.complex128)
         c[j] = 1.0
         for n in range(n_terms - p):
             rhs = t.a * c[n - 1] if n >= 1 else 0.0
-            fall = 1.0  # (n+k)! / n!, updated incrementally
-            for k in range(p):
-                if d[k] != 0:
-                    rhs -= d[k] * fall * c[n + k]
-                fall *= n + k + 1
-            c[n + p] = rhs / (d[p] * fall)
+            for k in lower:
+                rhs -= section[k][n + k] * c[n + k]
+            c[n + p] = rhs / section[p][n + p]
             if abs(c[n + p]) > OVERFLOW_GUARD:
                 if n == 0:
                     raise OrderExhausted(

@@ -386,16 +386,11 @@ def truncated_image(op, coeffs: np.ndarray) -> np.ndarray:
     return op_on_poly(op, coeffs)[..., : size - drop]
 
 
-def apply_conv(m: ConvolutionOperator, f: TaylorSeries) -> TaylorSeries:
-    """sum_k d_k f^(k)."""
-    return TaylorSeries(truncated_image(m, f.coeffs))
-
-
 def differentiate(f: TaylorSeries, k: int = 1) -> TaylorSeries:
     """k-th derivative f^(k), the series image of D^k."""
     if k < 0:
         raise MalformedSpec("derivative order must be >= 0")
-    return apply_conv(diff_op(k), f)
+    return TaylorSeries(truncated_image(diff_op(k), f.coeffs))
 
 
 def apply_weyl(t: WeylOperator, f: TaylorSeries) -> TaylorSeries:

@@ -153,8 +153,6 @@ def series_from_dict(d: dict) -> TaylorSeries:
 
 
 def operator_to_dict(op) -> dict:
-    if isinstance(op, ConvolutionOperator):
-        return {"d": [complex_pair(c) for c in op.d], "a": [0.0, 0.0]}
     if isinstance(op, WeylOperator):
         return {
             "d": [complex_pair(c) for c in op.m.d],

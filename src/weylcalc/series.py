@@ -67,14 +67,6 @@ class DiskSpec:
 UNIT_DISK = DiskSpec()
 
 
-def make_series(coeffs, label: str = "") -> TaylorSeries:
-    """Build a series from explicit coefficients."""
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
-    if arr.size == 0:
-        raise EmptyCoefficients("coefficient list must be non-empty")
-    return TaylorSeries(arr, label)
-
-
 def gaussian_series(n_terms: int = DEFAULT_ORDER) -> TaylorSeries:
     """Truncation of exp(z^2/2), the kernel generator of D - zI."""
     c = np.zeros(n_terms, dtype=np.complex128)

@@ -36,11 +36,11 @@ from weylcalc.operators import (
 )
 from weylcalc.orbit import OrbitProblem, construct_orbit, verify_orbit
 from weylcalc.series import (
+    TaylorSeries,
     disk_sup_norm,
     evaluate_grid,
     gaussian_series,
     linear_combine,
-    make_series,
     multiply_by_poly,
 )
 
@@ -191,9 +191,9 @@ def test_criterion_7_completeness_curve(capsys, gaussian_family, tmp_path):
     crit = _Criterion(7, "completeness evidence", 60.0, capsys)
     _, family = gaussian_family
     targets = [
-        make_series([1.0], "1"),
-        make_series([0.0, 1.0], "z"),
-        make_series([0.0, 0.0, 1.0], "z^2"),
+        TaylorSeries([1.0], "1"),
+        TaylorSeries([0.0, 1.0], "z"),
+        TaylorSeries([0.0, 0.0, 1.0], "z^2"),
     ]
     for target in targets:
         residuals = []
@@ -230,7 +230,7 @@ def test_criterion_7_completeness_curve(capsys, gaussian_family, tmp_path):
 def test_criterion_8_orbit_construction(capsys, gaussian_family):
     crit = _Criterion(8, "orbit construction", 300.0, capsys)
     t, _ = gaussian_family
-    targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
+    targets = [TaylorSeries([1.0], "1"), TaylorSeries([0.0, 1.0], "z")]
     ident = EigenFamily(CompositeOperator(t, np.array([0.0, 1.0])))
     problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)

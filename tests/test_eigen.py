@@ -43,12 +43,12 @@ from weylcalc.orbit import (
 from weylcalc.series import (
     UNIT_DISK,
     DiskSpec,
+    TaylorSeries,
     disk_sup_norm,
     evaluate_grid,
     exponential_rows,
     gaussian_series,
     linear_combine,
-    make_series,
     translate,
 )
 
@@ -68,7 +68,7 @@ def _member(family, lam):
     exponential recurrence, not by the batched builder."""
     if family.kind == "translate":
         return translate(family.f0, lam)
-    return make_series(exponential_rows([lam], family.n_terms)[0])
+    return TaylorSeries(exponential_rows([lam], family.n_terms)[0])
 
 
 def _fit(basis, target, ridge=weylcalc.eigen.RIDGE_DEFAULT):
@@ -228,7 +228,7 @@ shift_lists = st.lists(
 def test_translate_rows_equal_per_lambda_translate(coeffs, lams):
     # the lambda = 0 row is f0 itself, as translate returns it; the builder
     # reads only the kind and f0 of a family, so any f0 stands in here
-    f0 = make_series(coeffs)
+    f0 = TaylorSeries(coeffs)
     lams = np.array(lams + [0.0], dtype=np.complex128)
     rows = _member_coeffs(SimpleNamespace(kind="translate", f0=f0), lams)
     assert rows.shape == (lams.size, len(coeffs))
@@ -275,7 +275,7 @@ def test_fit_reproduces_span_member(gaussian_family):
 def test_fit_residual_curve_non_increasing(gaussian_family):
     # richer lambda sets can only help (truncated-SVD path, ridge = 0)
     _, family = gaussian_family
-    for target in (make_series([1.0], "1"), make_series([0.0, 1.0], "z")):
+    for target in (TaylorSeries([1.0], "1"), TaylorSeries([0.0, 1.0], "z")):
         residuals = []
         for count in (5, 10, 20, 40):
             fit = _fit(
@@ -295,9 +295,9 @@ def test_fit_scaling_equivariance(gaussian_family):
     # at a fixed ridge the solution is linear in the target
     _, family = gaussian_family
     lams = inverse_integer_lambdas(10)
-    target = make_series([0.0, 1.0], "z")
+    target = TaylorSeries([0.0, 1.0], "z")
     s = 2.5 - 1.0j
-    scaled = make_series(np.array([0.0, 1.0]) * s, "s*z")
+    scaled = TaylorSeries(np.array([0.0, 1.0]) * s, "s*z")
     [basis] = completeness_bases(family, [lams])
     f1 = _fit(basis, target, ridge=1e-10)
     f2 = _fit(basis, scaled, ridge=1e-10)
@@ -348,7 +348,7 @@ def test_fit_report_residual_is_true_sup_norm(gaussian_family):
     # fitted combination on the verification circle
     _, family = gaussian_family
     lams = inverse_integer_lambdas(10)
-    target = make_series([1.0], "1")
+    target = TaylorSeries([1.0], "1")
     fit = _fit(completeness_bases(family, [lams])[0], target)
     circle = DiskSpec(1.0, 128)
     fitted = sum(
@@ -363,7 +363,7 @@ def test_fit_condition_diagnostic_positive(gaussian_family):
     _, family = gaussian_family
     fit = _fit(
         completeness_bases(family, [inverse_integer_lambdas(10)])[0],
-        make_series([1.0]),
+        TaylorSeries([1.0]),
     )
     assert fit.condition_diag >= 1.0
 
@@ -433,7 +433,7 @@ def test_fit_on_shared_basis_equals_fit_on_own_basis(
     bases = completeness_bases(family, sets)
     assert len(bases) == len(sets)
     assert len({row.tobytes() for basis in bases for row in basis.rows}) == 40
-    targets = [make_series([0.0, 0.0, 1.0]), make_series([0.5, 0.0, 0.0, 1.0])]
+    targets = [TaylorSeries([0.0, 0.0, 1.0]), TaylorSeries([0.5, 0.0, 0.0, 1.0])]
     for lams, shared in zip(sets, bases):
         alone = _basis_alone(family, lams)
         for name in ("rows", "collocation", "verification"):

@@ -21,7 +21,6 @@ from weylcalc.operators import (
     ConvolutionOperator,
     WeylOperator,
     apply_composite,
-    apply_conv,
     apply_weyl,
     commutator_matrix,
     decompose,
@@ -35,10 +34,10 @@ from weylcalc.operators import (
     scalar_identity_diagnostics,
 )
 from weylcalc.series import (
+    TaylorSeries,
     disk_sup_norm,
     gaussian_series,
     linear_combine,
-    make_series,
     multiply_by_poly,
 )
 
@@ -74,21 +73,21 @@ def test_composite_eigenvalue_is_poly_eval():
 
 def test_apply_weyl_on_constant():
     # (D - zI) 1 = -z; the result lives on the common coefficient range
-    out = apply_weyl(d_minus_z(), make_series([1.0, 0.0, 0.0, 0.0]))
+    out = apply_weyl(d_minus_z(), TaylorSeries([1.0, 0.0, 0.0, 0.0]))
     assert np.allclose(out.coeffs, [0.0, -1.0, 0.0])
 
 
-def test_apply_conv_is_derivative_combination():
-    # (D^2 + 3D) z^3 = 6z + 9z^2
+def test_weyl_with_a_zero_is_derivative_combination():
+    # (D^2 + 3D) z^3 = 6z + 9z^2: with a = 0, T is the convolution operator
     m = ConvolutionOperator(np.array([0.0, 3.0, 1.0]))
-    out = apply_conv(m, make_series([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+    out = apply_weyl(WeylOperator(m, 0.0), TaylorSeries([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
     assert np.allclose(out.coeffs[:3], [0.0, 6.0, 9.0])
 
 
-def test_apply_conv_order_exhausted():
+def test_weyl_with_a_zero_order_exhausted():
     m = diff_op(3)
     with pytest.raises(OrderExhausted):
-        apply_conv(m, make_series([1.0, 1.0]))
+        apply_weyl(WeylOperator(m, 0.0), TaylorSeries([1.0, 1.0]))
 
 
 def test_composite_horner_matches_expanded_operator():
@@ -178,7 +177,7 @@ def test_ladder_check_gaussian():
 
 def test_ladder_check_rejects_non_kernel_series():
     with pytest.raises(KernelResidualTooLarge):
-        ladder_check(d_minus_z(), make_series([1.0] * 32), 2)
+        ladder_check(d_minus_z(), TaylorSeries([1.0] * 32), 2)
 
 
 def test_conjugation_identity_random_polynomials():

@@ -41,7 +41,7 @@ from weylcalc.orbit import (
     targets_met,
     verify_orbit,
 )
-from weylcalc.series import DiskSpec, evaluate_grid, linear_combine, make_series
+from weylcalc.series import DiskSpec, TaylorSeries, evaluate_grid, linear_combine
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +181,7 @@ def test_exponential_family_symbol_composes():
 
 def test_zero_target_yields_negligible_block(setting):
     ident, _ = setting
-    problem = OrbitProblem(ident, [make_series(np.zeros(4))], epsilon=0.1)
+    problem = OrbitProblem(ident, [TaylorSeries(np.zeros(4))], epsilon=0.1)
     con = construct_orbit(problem)
     assert con.schedule == [1]
     assert np.abs(con.coords).max() <= 1e-8
@@ -190,8 +190,8 @@ def test_zero_target_yields_negligible_block(setting):
 
 def test_schedule_strictly_increasing(setting):
     ident, _ = setting
-    targets = [make_series([1.0]), make_series([0.0, 1.0]),
-               make_series([0.0, 0.0, 1.0])]
+    targets = [TaylorSeries([1.0]), TaylorSeries([0.0, 1.0]),
+               TaylorSeries([0.0, 0.0, 1.0])]
     con = construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
     assert all(a < b for a, b in zip(con.schedule, con.schedule[1:]))
 
@@ -211,14 +211,14 @@ def test_construct_orbit_translates_each_lambda_once(setting, monkeypatch):
     for module in (weylcalc.eigen, weylcalc.orbit):
         if hasattr(module, "_member_coeffs"):
             monkeypatch.setattr(module, "_member_coeffs", counted)
-    problem = OrbitProblem(ident, [make_series([0.0, 1.0])])
+    problem = OrbitProblem(ident, [TaylorSeries([0.0, 1.0])])
     verify_orbit(construct_orbit(problem))
     assert len(calls) == 16
 
 
 def test_budget_exceeded_carries_diagnostics(setting):
     ident, _ = setting
-    problem = OrbitProblem(ident, [make_series([1.0])], epsilon=1e-4)
+    problem = OrbitProblem(ident, [TaylorSeries([1.0])], epsilon=1e-4)
     with pytest.raises(BudgetExceeded) as exc:
         construct_orbit(problem, lambda_count=4)
     assert exc.value.target_index == 0
@@ -228,7 +228,7 @@ def test_budget_exceeded_carries_diagnostics(setting):
 def test_schedule_overflow_raised(setting, monkeypatch):
     # measured: the schedule is [5, 10], so every cap below 10 overflows
     ident, _ = setting
-    targets = [make_series([1.0]), make_series([0.0, 1.0])]
+    targets = [TaylorSeries([1.0]), TaylorSeries([0.0, 1.0])]
     monkeypatch.setattr("weylcalc.orbit.SCHEDULE_CAP", 9)
     with pytest.raises(ScheduleOverflow) as info:
         construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
@@ -239,7 +239,7 @@ def test_schedule_stays_within_double_range(setting):
     # |mu| = 51 at margin 50: the stacked system would leave the double
     # range long before SCHEDULE_CAP, so the search ends early and quietly
     ident, _ = setting
-    targets = [make_series([1.0]), make_series([0.0, 1.0])]
+    targets = [TaylorSeries([1.0]), TaylorSeries([0.0, 1.0])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ScheduleOverflow) as info:
@@ -314,14 +314,49 @@ def test_direct_power_route_is_exact_at_large_n(setting):
             zr, zi = zr * z[0] - zi * z[1], zr * z[1] + zi * z[0]
         want.append(complex(re / 2, im / 2))
     assert max(abs(v) for v in g) > 2**100  # far beyond double precision
-    f = make_series([1.0, 0.5] + [0.0] * (size - 2))
+    f = TaylorSeries([1.0, 0.5] + [0.0] * (size - 2))
     got = direct_power_values(quad.op, f, 30, DiskSpec(1.0, 8))[::2]
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def _exp_half_z2(sign: int, size: int) -> list:
+    """The first ``size`` coefficients of e^(sign z^2 / 2), exactly."""
+    c = [Fraction(0)] * size
+    for m in range((size + 1) // 2):
+        c[2 * m] = Fraction(sign, 2) ** m / math.factorial(m)
+    return c
+
+
+@pytest.mark.parametrize("grid_points", [128, 64, 8])
+def test_direct_power_route_meets_a_known_orbit(grid_points):
+    # A MacLane-type vector for T = D - zI: T^n (e^(z^2/2) h) = e^(z^2/2)
+    # D^n h, so with h = sum_j D^(-n_j) r_j, r_j the degree-8 Taylor
+    # polynomial of e^(-z^2/2) q_j and D^(-n) z^k = k!/(k+n)! z^(k+n),
+    # T^(n_1) f is e^(z^2/2) r_1 ~ 1 plus terms below 1e-6; built in
+    # fractions and rounded once to 128 doubles.  The misses are those of
+    # the Taylor polynomials, the same on every circle, and pinned to two
+    # digits: a dropped fold on the 8-point circle moves them to 3.8e-6
+    # and 5.1e-6.  From n = 27 on, the rounding of f dominates.
+    size, schedule = 128, [9, 18, 27, 36]
+    h = [Fraction(0)] * size
+    for j, n in enumerate(schedule):
+        r = [Fraction(0)] * j + _exp_half_z2(-1, 9 - j)
+        for k, c in enumerate(r):
+            h[k + n] += c * Fraction(math.factorial(k), math.factorial(k + n))
+    g = _exp_half_z2(1, size)
+    f = TaylorSeries([float(sum(g[k - i] * h[i] for i in range(k + 1)))
+                      for k in range(size)])
+    t = WeylOperator(diff_op(1), 1.0)
+    circle = DiskSpec(1.0, grid_points)
+    z = np.exp(2j * np.pi * np.arange(grid_points) / grid_points)
+    misses = [np.abs(direct_power_values(t, f, n, circle) - z**j).max()
+              for j, n in enumerate(schedule[:2])]
+    assert [f"{miss:.1e}" for miss in misses] == ["4.0e-04", "3.9e-03"]
+
+
 def test_acceptance_instance_two_routes(setting):
     ident, _ = setting
-    targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
+    targets = [TaylorSeries([1.0], "1"), TaylorSeries([0.0, 1.0], "z")]
     problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
     for row in con.report["per_target"]:
@@ -338,7 +373,7 @@ def test_every_scheduled_iterate_has_a_direct_row(setting):
     # however late the iterate, both routes run, and success is decided on
     # their numbers alone
     ident, _ = setting
-    targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
+    targets = [TaylorSeries([1.0], "1"), TaylorSeries([0.0, 1.0], "z")]
     problem = OrbitProblem(ident, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
     rows = verify_orbit(dataclasses.replace(con, schedule=[41, 42]))
@@ -356,7 +391,7 @@ def test_direct_route_past_the_double_range_names_the_iterate(setting, monkeypat
     # discrepancy; the route's own values past it are covered by
     # test_verify_orbit_past_the_double_range_names_the_iterate
     ident, _ = setting
-    targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
+    targets = [TaylorSeries([1.0], "1"), TaylorSeries([0.0, 1.0], "z")]
     con = construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
     assert con.schedule == [5, 10]
 
@@ -376,7 +411,7 @@ def test_direct_route_past_the_double_range_names_the_iterate(setting, monkeypat
 def _direct_values(g, e, circle):
     """direct_power_values where A^n f has the exact coefficients g / 2^e."""
     with mock.patch.object(weylcalc.orbit, "exact_power", lambda c, coeffs, n: (g, e)):
-        return direct_power_values(None, make_series([0.0]), 0, circle)
+        return direct_power_values(None, TaylorSeries([0.0]), 0, circle)
 
 
 def _bits(values):
@@ -476,7 +511,7 @@ def test_verify_orbit_past_the_double_range_names_the_iterate(setting):
     # the direct route's own values at n = 300 leave the double range: the
     # outcome is NonFiniteCoefficient naming the iterate, with no warning
     ident, _ = setting
-    targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
+    targets = [TaylorSeries([1.0], "1"), TaylorSeries([0.0, 1.0], "z")]
     con = construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
     with np.errstate(all="raise"), pytest.raises(NonFiniteCoefficient) as exc:
         verify_orbit(dataclasses.replace(con, schedule=[5, 300]))
@@ -486,7 +521,7 @@ def test_verify_orbit_past_the_double_range_names_the_iterate(setting):
 def test_tampered_weights_are_detected(setting):
     # corrupting the coordinates of f must show up in the verification pass
     ident, _ = setting
-    targets = [make_series([1.0], "1")]
+    targets = [TaylorSeries([1.0], "1")]
     problem = OrbitProblem(ident, targets, epsilon=0.1)
     con = construct_orbit(problem)
     good = verify_orbit(con)[0]["eigen_error_full"]
@@ -557,7 +592,7 @@ def test_ridge_0_orbits_of_1_and_z_are_met(tmp_path, l_coeffs):
 def test_blocks_sum_to_the_coordinates(setting):
     # the block form sum_b w_b mu^(n - n_b) of A^n f is x mu^n
     ident, _ = setting
-    targets = [make_series([1.0]), make_series([0.0, 1.0])]
+    targets = [TaylorSeries([1.0]), TaylorSeries([0.0, 1.0])]
     con = construct_orbit(OrbitProblem(ident, targets, epsilon=0.1))
     mu = con.eigenvalues
     blocks = con.blocks()
@@ -570,7 +605,7 @@ def test_blocks_sum_to_the_coordinates(setting):
 def test_quadratic_symbol_pipeline_honest(setting):
     # the paper-instance polynomial symbol completes with honest reports
     _, quad = setting
-    targets = [make_series([1.0], "1"), make_series([0.0, 1.0], "z")]
+    targets = [TaylorSeries([1.0], "1"), TaylorSeries([0.0, 1.0], "z")]
     problem = OrbitProblem(quad, targets, radius=1.0, epsilon=0.1)
     con = construct_orbit(problem)
     for row in con.report["per_target"]:
@@ -583,16 +618,16 @@ def test_problem_validation(setting):
     with pytest.raises(ValueError):
         OrbitProblem(ident, [], epsilon=0.1)
     with pytest.raises(ValueError):
-        OrbitProblem(ident, [make_series([1.0])], epsilon=-1.0)
+        OrbitProblem(ident, [TaylorSeries([1.0])], epsilon=-1.0)
     for bad in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            OrbitProblem(ident, [make_series([1.0])], epsilon=bad)
+            OrbitProblem(ident, [TaylorSeries([1.0])], epsilon=bad)
         with pytest.raises(ValueError):
-            OrbitProblem(ident, [make_series([1.0])], radius=bad)
+            OrbitProblem(ident, [TaylorSeries([1.0])], radius=bad)
     for l in ([2.0], [0.0, 0.0]):
         const = CompositeOperator(WeylOperator(diff_op(1), 1.0), np.array(l))
         with pytest.raises(MalformedSpec, match="L must be non-constant"):
-            OrbitProblem(EigenFamily(const), [make_series([1.0])])
+            OrbitProblem(EigenFamily(const), [TaylorSeries([1.0])])
 
 
 @pytest.mark.parametrize("targets", [[[1.0], [0.0, 1.0]], [[0.0, 0.0, 1.0]],
@@ -601,7 +636,7 @@ def test_problem_validation(setting):
 def test_orbit_of_t_is_that_of_l_t_equal_t(setting, targets):
     # A = T itself states the problem of L(T) = T, bit for bit
     ident, _ = setting
-    series = [make_series(q) for q in targets]
+    series = [TaylorSeries(q) for q in targets]
     con_t = construct_orbit(OrbitProblem(EigenFamily(ident.t), series))
     con_l = construct_orbit(OrbitProblem(ident, series))
     assert con_t.problem.family.op is ident.t
@@ -619,17 +654,17 @@ def test_orbit_of_t_is_that_of_l_t_equal_t(setting, targets):
 def test_f_and_eigenvalues_are_worked_out_from_the_construction(setting):
     # f follows the coordinates it is built from, and cannot be set apart
     ident, _ = setting
-    con = construct_orbit(OrbitProblem(ident, [make_series([0.0, 1.0])]))
+    con = construct_orbit(OrbitProblem(ident, [TaylorSeries([0.0, 1.0])]))
     assert np.array_equal(
         con.eigenvalues, eigenvalue_of(ident.op, con.basis.lambdas.points)
     )
     half = dataclasses.replace(con, coords=con.coords / 2)
     want = linear_combine(
-        [(x, make_series(row)) for x, row in zip(con.coords / 2, con.basis.rows)]
+        [(x, TaylorSeries(row)) for x, row in zip(con.coords / 2, con.basis.rows)]
     )
     assert np.array_equal(_bits(half.f.coeffs), _bits(want.coeffs))
     with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(con, f=make_series([1.0]))
+        dataclasses.replace(con, f=TaylorSeries([1.0]))
     with pytest.raises(TypeError):
         weylcalc.orbit.OrbitConstruction(
             con.problem, con.schedule, con.basis, con.coords, con.report,
@@ -644,7 +679,7 @@ def test_problem_number_must_be_a_finite_positive_number(setting, field, value):
     # a bool is not a number, and an int past the double range is not finite
     ident, _ = setting
     with pytest.raises(MalformedSpec) as exc:
-        OrbitProblem(ident, [make_series([1.0])], **{field: value})
+        OrbitProblem(ident, [TaylorSeries([1.0])], **{field: value})
     assert str(exc.value) == (
         f"{field!r}: expected a finite positive number, got {value!r}"
     )
@@ -652,7 +687,7 @@ def test_problem_number_must_be_a_finite_positive_number(setting, field, value):
 
 def test_problem_numbers_are_stored_as_floats(setting):
     ident, _ = setting
-    problem = OrbitProblem(ident, [make_series([1.0])],
+    problem = OrbitProblem(ident, [TaylorSeries([1.0])],
                            radius=np.int64(2), epsilon=1)
     assert (problem.radius, problem.epsilon) == (2.0, 1.0)
     assert isinstance(problem.radius, float) and isinstance(problem.epsilon, float)

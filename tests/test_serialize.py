@@ -23,7 +23,7 @@ from weylcalc.serialize import (
     write_csv,
     write_report,
 )
-from weylcalc.series import make_series
+from weylcalc.series import TaylorSeries
 
 
 def test_stable_json_sorted_keys_and_float_format():
@@ -123,7 +123,7 @@ def test_stable_json_equals_the_isinstance_chain(obj):
 
 
 def test_series_round_trip():
-    s = make_series([1.0, 0.5 - 0.25j, 3.0], label="probe")
+    s = TaylorSeries([1.0, 0.5 - 0.25j, 3.0], label="probe")
     back = series_from_dict(series_to_dict(s))
     assert np.array_equal(back.coeffs, s.coeffs)
     assert len(back) == len(s)
@@ -166,6 +166,12 @@ def test_operator_round_trip_composite():
     assert isinstance(back, CompositeOperator)
     assert np.array_equal(back.l, c.l)
     assert back.base.a == c.base.a
+
+
+def test_operator_to_dict_takes_only_what_the_spec_parser_returns():
+    # M alone is a Weyl operator with a = 0 in the spec format
+    with pytest.raises(TypeError):
+        operator_to_dict(diff_op(1))
 
 
 def test_parse_operator_named_examples():

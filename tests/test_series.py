@@ -28,7 +28,6 @@ from weylcalc.series import (
     exponential_rows,
     gaussian_series,
     linear_combine,
-    make_series,
     multiply_by_poly,
     translate,
 )
@@ -36,21 +35,21 @@ from weylcalc.series import (
 
 def _exponential(lam, n_terms):
     """The truncation of exp(lam z) to n_terms coefficients."""
-    return make_series(exponential_rows([lam], n_terms)[0])
+    return TaylorSeries(exponential_rows([lam], n_terms)[0])
 
 
 # ---------------------------------------------------------------------------
 # construction and validation
 
 
-def test_make_series_trusts_all_coefficients():
-    s = make_series([1.0, 2.0, 3.0])
+def test_series_trusts_all_coefficients():
+    s = TaylorSeries([1.0, 2.0, 3.0])
     assert len(s) == 3
 
 
 def test_empty_coefficients_rejected():
     with pytest.raises(EmptyCoefficients):
-        make_series([])
+        TaylorSeries([])
 
 
 def test_non_finite_coefficients_rejected():
@@ -61,7 +60,7 @@ def test_non_finite_coefficients_rejected():
 
 
 def test_coefficients_are_immutable():
-    s = make_series([1.0, 2.0])
+    s = TaylorSeries([1.0, 2.0])
     with pytest.raises(ValueError):
         s.coeffs[0] = 5.0
 
@@ -123,19 +122,19 @@ def test_exponential_rows_equal_scalar_recurrence(lams, n_terms):
 
 def test_differentiate_oracle():
     # d/dz of 1 + 2z + 3z^2 + 4z^3 = 2 + 6z + 12z^2
-    s = make_series([1.0, 2.0, 3.0, 4.0])
+    s = TaylorSeries([1.0, 2.0, 3.0, 4.0])
     d = differentiate(s)
     assert np.allclose(d.coeffs, [2.0, 6.0, 12.0])
 
 
 def test_differentiate_second_order():
-    s = make_series([0.0, 0.0, 0.0, 1.0])  # z^3
+    s = TaylorSeries([0.0, 0.0, 0.0, 1.0])  # z^3
     d2 = differentiate(s, 2)
     assert np.allclose(d2.coeffs, [0.0, 6.0])
 
 
 def test_differentiate_order_exhausted():
-    s = make_series([1.0, 2.0])
+    s = TaylorSeries([1.0, 2.0])
     with pytest.raises(OrderExhausted):
         differentiate(s, 2)
 
@@ -153,7 +152,7 @@ def test_differentiate_of_exponential_is_scaling():
 
 def test_translate_polynomial_exact():
     # (z + lam)^2 = lam^2 + 2 lam z + z^2
-    s = make_series([0.0, 0.0, 1.0])
+    s = TaylorSeries([0.0, 0.0, 1.0])
     lam = 0.5 - 0.25j
     t = translate(s, lam)
     assert np.allclose(t.coeffs, [lam**2, 2 * lam, 1.0])
@@ -192,7 +191,7 @@ def test_translate_gaussian_against_convolution_oracle():
 
 
 def test_evaluate_matches_polyval():
-    s = make_series([1.0, -2.0, 0.5, 3.0])
+    s = TaylorSeries([1.0, -2.0, 0.5, 3.0])
     for disk in (DiskSpec(0.5, 8), DiskSpec(1.0, 8), DiskSpec(2.0, 12)):
         want = np.polyval(s.coeffs[::-1], rounded_points(disk))
         assert np.abs(evaluate_grid(s.coeffs, disk) - want).max() <= 1e-13
@@ -245,7 +244,7 @@ def test_evaluate_grid_against_the_exact_roots_of_unity():
 
 def test_disk_sup_norm_of_monomial():
     # |z^3| on |z| = 2 is 8
-    s = make_series([0.0, 0.0, 0.0, 1.0])
+    s = TaylorSeries([0.0, 0.0, 0.0, 1.0])
     assert disk_sup_norm(s, DiskSpec(2.0, 64)) == pytest.approx(8.0)
 
 
@@ -254,8 +253,8 @@ def test_disk_sup_norm_of_monomial():
 
 
 def test_linear_combine_oracle():
-    a = make_series([1.0, 1.0])
-    b = make_series([0.0, 2.0, 5.0])
+    a = TaylorSeries([1.0, 1.0])
+    b = TaylorSeries([0.0, 2.0, 5.0])
     c = linear_combine([(2.0, a), (-1.0, b)])
     assert np.allclose(c.coeffs, [2.0, 0.0])
     assert len(c) == 2
@@ -268,7 +267,7 @@ def test_linear_combine_empty_rejected():
 
 def test_multiply_by_poly_oracle():
     # (1 + z) * (1 - z) = 1 - z^2
-    s = make_series([1.0, 1.0])
+    s = TaylorSeries([1.0, 1.0])
     p = multiply_by_poly(s, [1.0, -1.0])
     assert np.allclose(p.coeffs, [1.0, 0.0, -1.0])
 
@@ -290,7 +289,7 @@ small_shift = st.complex_numbers(
 @given(finite_coeffs, small_shift, small_shift)
 def test_translate_additivity(coeffs, a, b):
     """f(z+a+b) = (f(z+a))(z+b) for polynomials, within 1e-8."""
-    f = make_series(coeffs)
+    f = TaylorSeries(coeffs)
     one = translate(f, a + b)
     two = translate(translate(f, a), b)
     assert np.abs(one.coeffs - two.coeffs).max() <= 1e-8
@@ -302,7 +301,7 @@ def test_translate_commutes_with_differentiation(coeffs, lam):
     """D(f(z+lam)) = (Df)(z+lam) within 1e-10 (exact for polynomials)."""
     if len(coeffs) < 2:
         coeffs = coeffs + [0.0]
-    f = make_series(coeffs)
+    f = TaylorSeries(coeffs)
     left = differentiate(translate(f, lam))
     right = translate(differentiate(f), lam)
     assert np.abs(left.coeffs - right.coeffs).max() <= 1e-10
@@ -311,13 +310,13 @@ def test_translate_commutes_with_differentiation(coeffs, lam):
 @settings(max_examples=50, deadline=None)
 @given(finite_coeffs, finite_coeffs)
 def test_sup_norm_subadditive(ca, cb):
-    fa, fb = make_series(ca), make_series(cb)
+    fa, fb = TaylorSeries(ca), TaylorSeries(cb)
     s = linear_combine([(1.0, fa), (1.0, fb)])
     lhs = disk_sup_norm(s)
     # the sum lives on the common prefix; compare against prefix norms
     n = len(s)
-    fa_cut = make_series(fa.coeffs[:n])
-    fb_cut = make_series(fb.coeffs[:n])
+    fa_cut = TaylorSeries(fa.coeffs[:n])
+    fb_cut = TaylorSeries(fb.coeffs[:n])
     assert lhs <= disk_sup_norm(fa_cut) + disk_sup_norm(fb_cut) + 1e-10
 
 
@@ -328,8 +327,8 @@ def test_sup_norm_subadditive(ca, cb):
     st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
 )
 def test_evaluate_linear_in_coefficients(coeffs, w, z):
-    f = make_series(coeffs)
-    scaled = make_series(np.array(coeffs) * w)
+    f = TaylorSeries(coeffs)
+    scaled = TaylorSeries(np.array(coeffs) * w)
     disk = DiskSpec(abs(z) or 1.0, 8)  # the circle through z
     assert np.abs(
         evaluate_grid(scaled.coeffs, disk) - w * evaluate_grid(f.coeffs, disk)

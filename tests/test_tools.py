@@ -1,6 +1,6 @@
 """The tools under ``tools/``: how far two artifact sets moved,
 alternating benchmark pairs (on canned run results, never the benchmark),
-and the accuracy ledger's line format."""
+and the accuracy ledger's line format and exit codes."""
 
 import importlib.util
 import json
@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_DATA = Path(__file__).resolve().parent / "data"
 
 
 def _tool(name: str):
@@ -94,8 +95,29 @@ def test_bench_pairs_alternates_and_summarises(tmp_path, capsys):
     assert wall["change"] == {"median": 0.95, "q1": 0.875, "q3": 1.075}
     assert wall["change_lower_in_pairs"] == 3
     assert wall["relative_change"] == round(0.95 / 1.15 - 1, 4)
+    # the per-pair ratios 0.9, 1.3/1.2, 0.8/1.1, 1.0/1.4: four pairs give
+    # no sign-test interval
+    assert wall["pair_ratio_median"] == 0.813636
+    assert wall["pair_ratio_interval"] is None and wall["resolved"] is False
     rss = summary["metrics"]["peak_rss_mb"]
     assert rss["change_lower_in_pairs"] == 0 and rss["relative_change"] == 0.0208
+
+
+def test_bench_pairs_interval_is_the_sign_test_order_statistics():
+    # n pairs with the ratios 1 + j / 100, j < n, in shuffled pair order:
+    # the interval is [r_(k), r_(n+1-k)] with k = 1 for n = 6..8 and
+    # k = 2 for n = 9, 10, and none below 6 pairs
+    summarize = _tool("bench_pairs").summarize
+    expected = {5: None, 6: [1.0, 1.05], 8: [1.0, 1.07], 9: [1.01, 1.07],
+                10: [1.01, 1.08]}
+    for n, interval in expected.items():
+        order = sorted(range(n), key=lambda j: (3 * j) % n)
+        results = {"parent": [_run_result(1.0, 48.0) for _ in order],
+                   "change": [_run_result(1 + j / 100, 48.0) for j in order]}
+        wall = summarize(results)["metrics"]["wall_s"]
+        assert wall["pair_ratio_interval"] == interval, n
+        assert wall["resolved"] is (interval is not None and interval[0] > 1), n
+        assert wall["pair_ratio_median"] == round(1 + (n - 1) / 200, 6), n
 
 
 def test_accuracy_ledger_prints_one_sorted_line_per_quantity(capsys):
@@ -118,3 +140,13 @@ def test_accuracy_ledger_prints_one_sorted_line_per_quantity(capsys):
     assert [line.split("  ")[:2] for line in lines] == [[name, q] for q in patterns]
     for line, pattern in zip(lines, patterns.values()):
         assert re.fullmatch(pattern, line.split("  ")[2]), line
+
+
+def test_accuracy_ledger_exit_codes_match_the_committed_copy(capsys):
+    # an exit code that flips fails here until tests/data/ledger_exits.txt
+    # is updated with it
+    assert _tool("accuracy_ledger").main([]) == 0
+    exits = [line for line in capsys.readouterr().out.splitlines()
+             if line.split("  ")[1] == "exit"]
+    committed = (_DATA / "ledger_exits.txt").read_text(encoding="utf-8").splitlines()
+    assert exits == committed

@@ -13,14 +13,19 @@ the ``workloads`` entries of the ``BENCH_<n>.json`` files, under the key
 ``W/seedS``: per side the runs' ``attempted``, ``failed`` and
 ``correct``, and per metric each side's runs, median and inclusive
 quartiles, the number of pairs in which the change was lower (every
-end-to-end metric is better lower) and the relative change of the
-medians.
+end-to-end metric is better lower), the relative change of the medians,
+and the median of the per-pair ratios change/parent with its sign-test
+95 % interval ``[r_(k), r_(n+1-k)]`` over the n sorted ratios: k is the
+largest integer with P(Bin(n, 1/2) < k) <= 0.025 (2 for n = 10), and
+below 6 pairs, where no k >= 1 qualifies, the interval is ``null``.
+``resolved`` says whether the interval excludes 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -50,6 +55,21 @@ def _spread(runs: list) -> dict:
     return {"median": _round(median), "q1": _round(q1), "q3": _round(q3)}
 
 
+def _sign_interval(ratios: list):
+    """The sign-test 95 % interval of the median of ``ratios``, or None
+    when there are too few of them to give one."""
+    n = len(ratios)
+    # tail = 2**n P(Bin(n, 1/2) < k + 1); 0.025 = 1/40
+    k, tail = 0, 1
+    while 40 * tail <= 2**n:
+        k += 1
+        tail += math.comb(n, k)
+    if k == 0:
+        return None
+    ordered = sorted(ratios)
+    return [_round(ordered[k - 1]), _round(ordered[n - k])]
+
+
 def summarize(results: dict) -> dict:
     """The ``workloads`` entry of the pairs: ``results`` maps each side to
     its run results, pair by pair."""
@@ -59,6 +79,8 @@ def summarize(results: dict) -> dict:
         runs = {side: [r["metrics"][name]["value"] for r in results[side]]
                 for side in SIDES}
         spread = {side: _spread(runs[side]) for side in SIDES}
+        ratios = [c / p for p, c in zip(runs["parent"], runs["change"])]
+        interval = _sign_interval(ratios)
         metrics[name] = {
             "unit": first["unit"],
             **spread,
@@ -68,6 +90,9 @@ def summarize(results: dict) -> dict:
             "relative_change": round(
                 statistics.median(runs["change"]) / statistics.median(runs["parent"])
                 - 1, 4),
+            "pair_ratio_median": _round(statistics.median(ratios)),
+            "pair_ratio_interval": interval,
+            "resolved": interval is not None and not interval[0] <= 1 <= interval[1],
         }
     return {
         "pairs": len(change),
