@@ -23,6 +23,13 @@ a validated negative outcome such as a budget failure, a non-Weyl matrix
 or a result that leaves the double range, with ``<command>_error.json``
 written.  numpy's floating-point warnings are off: a non-finite result is
 refused by a finiteness check or by the serializer.
+
+A CLI process (``python -m weylcalc.cli`` or the installed ``weylcalc``
+script) enters through :func:`run`, which flushes stdout and stderr after
+:func:`main` and ends the process by ``os._exit``, skipping the
+interpreter's teardown: every artifact is closed before ``main`` returns,
+and nothing is registered with ``atexit``.  Library callers of ``main``
+are unaffected; it returns the exit code.
 """
 
 from __future__ import annotations
@@ -556,5 +563,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry point: :func:`main`, a flush of stdout and
+    stderr, then ``os._exit`` with main's code.  An exception that escapes
+    ``main`` takes the interpreter's normal exit path."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

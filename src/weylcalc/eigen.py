@@ -124,7 +124,8 @@ class LambdaSet:
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.points, dtype=np.complex128))
-        if arr.size != np.unique(arr).size:
+        srt = np.sort(arr)  # equal points (0.0 and -0.0 too) fall side by side
+        if np.any(srt[1:] == srt[:-1]):
             raise MalformedSpec("lambda points must be distinct")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)

@@ -21,7 +21,6 @@ double range.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -333,6 +332,8 @@ def _default_timestamp() -> str:
 
 
 def file_digest(path) -> str:
+    import hashlib  # loads OpenSSL; only a file input needs it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -170,6 +170,44 @@ def test_outcome_with_an_infinite_diagnostic_exits_1(tmp_path):
     assert err["error"]["type"] == "NonFiniteCoefficient"
 
 
+KERNEL_FILES = ["kernel_basis.json", "kernel_residuals.csv", "kernel_residuals.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("argv, code, stream, text, names", [
+    (["kernel", "--op", D2_MINUS_Z, "--terms", "40"], 0, "stdout",
+     "kernel basis: 2 solution(s)", KERNEL_FILES),
+    (["kernel", "--help"], 0, "stdout", "usage: weylcalc kernel", []),
+    (["kernel", "--op", D2_MINUS_Z, "--terms", "0"], 2, "stderr",
+     "weylcalc kernel: error: argument --terms", []),
+], ids=["kernel", "help", "usage-error"])
+def test_process_ends_with_all_its_output(tmp_path, capsys, monkeypatch,
+                                          argv, code, stream, text, names):
+    # a CLI process flushes stdout and stderr, then skips the interpreter's
+    # teardown: through pipes, block-buffered as a user's are, it prints and
+    # writes what main does in process
+    monkeypatch.setenv("COLUMNS", "80")  # one width for argparse's help
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    src = str(Path(weylcalc.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylcalc.cli", *argv, "--outdir", str(tmp_path / "cold")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code
+    streams = {"stdout": proc.stdout, "stderr": proc.stderr}
+    assert text in streams.pop(stream) and streams.popitem()[1] == ""
+    assert main(argv + ["--outdir", str(tmp_path / "warm")]) == code
+    assert (proc.stdout, proc.stderr) == capsys.readouterr()
+    cold = tmp_path / "cold"
+    assert sorted(p.name for p in cold.glob("*")) == names
+    if not names:
+        assert not cold.exists()
+    for name in names:
+        assert (cold / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+    if names:
+        assert len(json.loads((cold / "kernel_basis.json").read_text())["solutions"]) == 2
+
+
 def test_decompose_with_a_nan_commutator_exits_1(tmp_path, capsys):
     # finite entries, but [Op, D] at row 1, column 2 is 2 e[1][1] - 2 e[2][2]
     # = inf - inf; a NaN off-diagonal max would pass the NotWeyl test

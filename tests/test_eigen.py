@@ -26,7 +26,12 @@ from weylcalc.eigen import (
     segment_lambdas,
 )
 import weylcalc.eigen
-from weylcalc.errors import KernelResidualTooLarge, NonFiniteCoefficient, SingularSystem
+from weylcalc.errors import (
+    KernelResidualTooLarge,
+    MalformedSpec,
+    NonFiniteCoefficient,
+    SingularSystem,
+)
 from weylcalc.operators import (
     CompositeOperator,
     ConvolutionOperator,
@@ -253,8 +258,11 @@ def test_presets_are_distinct_and_deterministic():
 
 
 def test_lambda_set_rejects_duplicates():
-    with pytest.raises(ValueError):
-        LambdaSet(np.array([0.5, 0.5]))
+    # 0.0 and -0.0 are one point; a duplicate need not be a neighbour
+    for points in ([0.5, 0.5], [0.0, -0.0], [1 + 2j, 3, 1 + 2j]):
+        with pytest.raises(MalformedSpec):
+            LambdaSet(np.array(points))
+    assert len(LambdaSet(np.array([1 + 2j, 1 - 2j, 2 + 1j]))) == 3
 
 
 # ---------------------------------------------------------------------------

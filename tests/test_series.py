@@ -1,5 +1,6 @@
 """Truncated Taylor-series arithmetic against independent oracles."""
 
+import json
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rounded_points, roots_of_unity
+from conftest import readme_cli_examples, rounded_points, roots_of_unity
 from weylcalc.errors import (
     EmptyCoefficients,
     EmptyCombination,
@@ -348,3 +349,27 @@ def test_series_loads_without_the_eigen_and_orbit_layers():
     assert "weylcalc.series" in loaded
     for layer in ("weylcalc.eigen", "weylcalc.orbit", "weylcalc.kernel_solver"):
         assert layer not in loaded
+
+
+def test_orbit_and_fit_runs_load_neither_numpy_ma_nor_hashlib(tmp_path):
+    # np.unique imports numpy.ma, and hashlib loads OpenSSL; a fresh
+    # process on inline JSON needs neither
+    examples = readme_cli_examples()
+    [orbit] = [a for a in examples if a[0] == "construct-orbit"]
+    [fit] = [a for a in examples if a[0] == "complete-fit"]
+    runs = [orbit + ["--outdir", str(tmp_path / "orbit")],
+            fit + ["--preset", "inverse", "--outdir", str(tmp_path / "fit")]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from weylcalc.cli import main\n"
+         "assert [main(argv) for argv in json.loads(sys.argv[1])] == [0, 0]\n"
+         "print(*sorted(sys.modules))", json.dumps(runs)],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    ).stdout.split()
+    assert "weylcalc.orbit" in loaded
+    assert "numpy.ma" not in loaded
+    assert "hashlib" not in loaded
